@@ -6,8 +6,19 @@ hierarchy, counterexample packages the obstruction demo, pde-check runs the
 grid solver against the closed form.  Every report embeds the resolved
 configuration, so a run can be reproduced from its own output.
 
-Exit codes: 0 success, 2 input error, 3 mathematical precondition failure,
-4 numeric non-convergence.
+Exit codes:
+
+- 0: success.
+- 2: input error (ValueError, OSError): malformed arguments, files or specs,
+  a grid above MAX_NODES, and a second-jet boundary that is not connectable.
+- 3: mathematical precondition failure (GeodesicDomainError), such as a
+  propagate boundary that is not space-like.
+- 4: numeric failure: a solver that did not converge (NumericError), or an
+  identity that must hold numerically and did not (ConsistencyError).
+
+second-jet solves every causal class in closed form and iterates nowhere, so
+it no longer exits 4 for non-convergence; from it, 4 can only mean that a
+closed form failed its own endpoint or angle check.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .counterexample import TorusPotential, build_h, jets_at_origin, obstruction_demo
-from .errors import GeodesicDomainError, NumericError
+from .errors import ConsistencyError, GeodesicDomainError, NumericError
 from .jet_propagation import ObstructionReport, order_residual, propagate
 from .pde_crosscheck import crosscheck_report, dump_phi_csv, solve_geodesic
 from .report_io import dumps_json, parse_potential, parse_side
@@ -162,12 +173,11 @@ def _cmd_pde_check(args):
     else:
         pot = TorusPotential(())
     deltas = [float(part) for part in args.delta.split(",") if part.strip()]
+    nodes = _resolve_nodes(args)
+    grid = make_grid(nodes)
     sol = solve_geodesic(pot, args.nt, args.nx, args.ny, deltas)
     jets = jets_at_origin(pot, 2)
-    nodes = _resolve_nodes(args)
-    reference = solve_bvp(
-        SecondJetBoundary(0.0, 0.0, jets[2][0], jets[2][1]), make_grid(nodes)
-    )
+    reference = solve_bvp(SecondJetBoundary(0.0, 0.0, jets[2][0], jets[2][1]), grid)
     rep = crosscheck_report(sol, reference)
     if args.dump_csv:
         dump_phi_csv(sol, args.dump_csv)
@@ -281,7 +291,7 @@ def main(argv=None) -> int:
     except GeodesicDomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except NumericError as exc:
+    except (NumericError, ConsistencyError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     text = dumps_json(report)

@@ -6,15 +6,19 @@ fiber, and the geodesic equation reduces to
     a'' = 4 a'^2 / (1 + 2a + 2b),      b'' = 4 b'^2 / (1 + 2a + 2b).
 
 The substitution Z = 1 + 2a + 2b, X = 2a - 2b turns this into the geodesic
-flow of the Lorentz metric (dX^2 - dZ^2)/Z^2 on the upper half-plane, where
-space-like geodesics are hyperbola arcs Z^2 - (X - lam)^2 = C with C > 0,
-time-like ones with X0 = X1 are vertical lines, and the causal class of a
-boundary pair is read off the chords |X1 - X0| vs |Z1 - Z0|.
+flow of the Lorentz metric (dX^2 - dZ^2)/Z^2 on the upper half-plane.  The
+causal class of a boundary pair is read off the chords |X1 - X0| vs |Z1 - Z0|,
+and each class has a closed-form path: a constant (stationary), a hyperbola
+arc Z^2 - (X - lam)^2 = C > 0 (space-like), an arc of one branch of
+(X - lam)^2 - Z^2 = r^2 or a vertical line (time-like), and a null line
+X -+ Z = const with 1/Z affine in t (light-like).
 
-The quantity sigma2 = a' b' / (1 + 2a + 2b)^2 is a constant of motion; for
-space-like data sigma2 = -epsilon^2 with 4*epsilon the Lorentz arc length,
-and a' / (1 + 2a + 2b) = epsilon * A with A = tan(2*epsilon*t + theta0) > 0
-once the axes are oriented so that a is the increasing jet.
+sigma2 = a' b' / (1 + 2a + 2b)^2 = (Z'^2 - X'^2) / (16 Z^2) is a constant of
+motion: -epsilon^2 for space-like data, with 4*epsilon the Lorentz arc length,
+(ds/4)^2 for time-like data, with ds the proper time, and 0 for light-like
+data.  On a space-like path a' / (1 + 2a + 2b) = epsilon * A with
+A = tan(2*epsilon*t + theta0) > 0 once the axes are oriented so that a is the
+increasing jet.
 """
 
 from __future__ import annotations
@@ -25,12 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, GeodesicDomainError, NumericError
+from .errors import ConsistencyError, GeodesicDomainError
 from .timegrid import CoefficientSeries, TimeGrid, integrate
 
 TIE_TOL = 1e-12
 ENDPOINT_TOL = 1e-9
-SHOOT_TOL = 1e-12
 
 
 class CausalClass(enum.Enum):
@@ -151,43 +154,41 @@ def epsilon_from_boundary(boundary: SecondJetBoundary) -> float:
 
 
 def solve_bvp(boundary: SecondJetBoundary, grid: TimeGrid) -> SecondJetPath:
-    """Solve the second-jet boundary value problem on the grid.
+    """Solve the second-jet boundary value problem on the grid, in closed form.
 
-    Space-like data gets the closed-form hyperbola arc; a vertical time-like
-    chord gets the exponential line; remaining time-like and light-like data
-    fall back to Newton shooting on the jet equations.
+    No class iterates.  A connectable pair (S = Z0 + Z1 > |dX|) has exactly
+    one geodesic from p0 at t = 0 to p1 at t = 1.  sigma2 is constant along
+    a geodesic, and sigma2 <= 0 means |X'| >= |Z'| all along, so the class
+    of the chord is the class of every geodesic joining its ends.
+
+    - Space-like: cos D = (Z0^2 + Z1^2 - dX^2)/(2 Z0 Z1) > -1 by S > |dX|,
+      so the arc of length D = 4*epsilon < pi exists and is unique.
+    - Time-like: for dX != 0 the chord fixes lam, and 4 dX^2 r^2 =
+      (dZ^2 - dX^2)(S^2 - dX^2) > 0.  X0 - lam = (dZ S - dX^2)/(2 dX) and
+      X1 - lam = (dZ S + dX^2)/(2 dX) share the sign of dZ dX, because
+      |dX| < |dZ| < S: both ends lie on one branch, Z = r/sinh(s), with the
+      proper time s running affinely between s_i = asinh(r/Z_i) > 0.  The
+      path is evaluated as Z = Z0/g and X = X0 - kappa Z sinh(h), with
+      h = (s1 - s0) t, kappa = sign(dZ dX) Z0/r and
+      g = sinh(s0 + h)/sinh(s0) = cosh(h) + coth(s0) sinh(h); lam, r and
+      s_i, unbounded near a vertical chord, are never formed.  At dX = 0,
+      kappa = 0 and this is the vertical line Z = Z0 (Z1/Z0)^t.
+    - Light-like: both ends lie on one null line, X - Z = const (b fixed)
+      or X + Z = const (a fixed), on which the moving jet obeys
+      (1/Z)'' = 0; 1/Z interpolates 1/Z0 and 1/Z1 affinely and stays > 0.
     """
     p0, p1 = to_halfplane(boundary)
     cls = classify(p0, p1)
-    t = grid.nodes
 
     if cls is CausalClass.STATIONARY:
-        a = np.full_like(t, boundary.a0)
-        b = np.full_like(t, boundary.b0)
+        a = np.full_like(grid.nodes, boundary.a0)
+        b = np.full_like(grid.nodes, boundary.b0)
         return _assemble(boundary, cls, grid, a, b, sigma2=0.0, swapped=False)
-
     if cls is CausalClass.SPACE_LIKE:
         return _solve_spacelike(boundary, p0, p1, grid)
-
-    if cls is CausalClass.TIME_LIKE and abs(p1.X - p0.X) <= TIE_TOL:
-        # Vertical line X == X(0): Z is a geometric interpolation.
-        Z = p0.Z * np.exp(t * math.log(p1.Z / p0.Z))
-        X = np.full_like(t, p0.X)
-        a = (Z + X - 1.0) / 4.0
-        b = (Z - X - 1.0) / 4.0
-        sigma2 = (math.log(p1.Z / p0.Z) / 4.0) ** 2
-        return _assemble(boundary, cls, grid, a, b, sigma2=sigma2, swapped=False)
-
-    a, b = _shoot(boundary, grid)
-    da = grid.diff_matrix @ a
-    db = grid.diff_matrix @ b
-    z = 1.0 + 2.0 * a + 2.0 * b
-    sigma2_nodes = da * db / z**2
-    return _assemble(
-        boundary, cls, grid, a, b,
-        sigma2=float(np.mean(sigma2_nodes)), swapped=False,
-        hyperbola=_chord_hyperbola(p0, p1),
-    )
+    if cls is CausalClass.LIGHT_LIKE:
+        return _solve_lightlike(boundary, p0, p1, grid)
+    return _solve_timelike(boundary, p0, p1, grid)
 
 
 def _solve_spacelike(boundary, p0, p1, grid) -> SecondJetPath:
@@ -225,6 +226,62 @@ def _solve_spacelike(boundary, p0, p1, grid) -> SecondJetPath:
     )
 
 
+def _solve_timelike(boundary, p0, p1, grid) -> SecondJetPath:
+    da, db = boundary.a1 - boundary.a0, boundary.b1 - boundary.b0
+    dz, dx = 2.0 * (da + db), 2.0 * (da - db)
+    # kappa = sign(dZ dX) Z0 / r, with r from
+    # 4 dX^2 r^2 = (dZ^2 - dX^2)(S^2 - dX^2) = 256 da db (a0+b1+1/2)(a1+b0+1/2),
+    # written in the jets so that neither edge of the time-like cone cancels.
+    reach = (boundary.a0 + boundary.b1 + 0.5) * (boundary.a1 + boundary.b0 + 0.5)
+    kappa = math.copysign(p0.Z, dz) * dx / (8.0 * math.sqrt(da * db * reach))
+    c = math.hypot(1.0, kappa)  # coth(s0)
+    c_m1 = kappa * kappa / (1.0 + c)
+    # ds = s1 - s0 = log y, where y = e^ds solves cosh(ds) + c sinh(ds) = Z0/Z1.
+    # log1p gets y - 1 when Z falls and 1/y - 1 when it rises, each formed as
+    # a product of positive factors.
+    rho = p0.Z / p1.Z
+    q1 = math.hypot(rho, kappa)
+    gap = abs(dz) / p1.Z * (1.0 + (rho + 1.0) / (q1 + c))
+    ds = math.log1p(gap / (1.0 + c)) if dz < 0 else -math.log1p(gap / (rho + q1))
+    h = ds * grid.nodes
+    sh = np.sinh(h)
+    # g = cosh(h) + c sinh(h) as e^h (1 - (c - 1)(e^-2h - 1)/2), which is e^h
+    # on a vertical chord; g - 1 and g'/ds = sinh(h) + c cosh(h) as sums of
+    # like-signed terms.
+    g = np.exp(h) * (1.0 - 0.5 * c_m1 * np.expm1(-2.0 * h))
+    g_m1 = np.expm1(h) + c_m1 * sh
+    Z = p0.Z / g
+    # 4 (a - a0) = dZ + dX and 4 (b - b0) = dZ - dX along the path, with
+    # dZ = -Z (g - 1) and dX = -kappa Z sinh(h).
+    a = boundary.a0 - 0.25 * Z * (g_m1 + kappa * sh)
+    b = boundary.b0 - 0.25 * Z * (g_m1 - kappa * sh)
+    miss = max(abs(a[-1] - boundary.a1), abs(b[-1] - boundary.b1))
+    if not miss <= ENDPOINT_TOL * max(p0.Z, p1.Z):
+        raise ConsistencyError(f"time-like closed form missed its endpoint by {miss:.3g}")
+    return _assemble(
+        boundary, CausalClass.TIME_LIKE, grid, a, b,
+        sigma2=(ds / 4.0) ** 2, swapped=False,
+        sigma1=-0.5 * ds * (np.exp(h) + c_m1 * np.cosh(h)) / g,  # Z' / (2 Z)
+        hyperbola=_chord_hyperbola(p0, p1),
+    )
+
+
+def _solve_lightlike(boundary, p0, p1, grid) -> SecondJetPath:
+    t = grid.nodes
+    dz = 2.0 * ((boundary.a1 - boundary.a0) + (boundary.b1 - boundary.b0))
+    # 1/Z = (1 - t)/Z0 + t/Z1, so Z - Z0 = Z0 dZ t / ((1 - t) Z1 + t Z0).
+    denom = (1.0 - t) * p1.Z + t * p0.Z
+    half_rise = 0.5 * p0.Z * dz * t / denom
+    a, b = np.full_like(t, boundary.a0), np.full_like(t, boundary.b0)
+    moving = a if abs(boundary.b1 - boundary.b0) <= abs(boundary.a1 - boundary.a0) else b
+    moving += half_rise
+    return _assemble(
+        boundary, CausalClass.LIGHT_LIKE, grid, a, b,
+        sigma2=0.0, swapped=False, sigma1=0.5 * dz / denom,
+        hyperbola=_chord_hyperbola(p0, p1),
+    )
+
+
 def _assemble(boundary, cls, grid, a, b, *, sigma2, swapped,
               epsilon=None, A=None, sigma1=None, hyperbola=None) -> SecondJetPath:
     z = 1.0 + 2.0 * a + 2.0 * b
@@ -251,68 +308,6 @@ def _chord_hyperbola(p0: HalfPlanePoint, p1: HalfPlanePoint) -> Hyperbola | None
         return None
     lam = (p0.Z**2 - p1.Z**2 - p0.X**2 + p1.X**2) / (2.0 * (p1.X - p0.X))
     return Hyperbola(lam=lam, c_value=p0.Z**2 - (p0.X - lam) ** 2)
-
-
-def _jet_rhs(state: np.ndarray) -> np.ndarray:
-    a, b, da, db = state
-    z = 1.0 + 2.0 * a + 2.0 * b
-    return np.array([da, db, 4.0 * da * da / z, 4.0 * db * db / z])
-
-
-def _integrate_to_nodes(slopes: np.ndarray, boundary, nodes: np.ndarray, substeps: int):
-    """RK4 integration of the jet system, recording values at the nodes."""
-    state = np.array([boundary.a0, boundary.b0, slopes[0], slopes[1]])
-    a = np.empty_like(nodes)
-    b = np.empty_like(nodes)
-    a[0], b[0] = boundary.a0, boundary.b0
-    for i in range(1, nodes.size):
-        gap = nodes[i] - nodes[i - 1]
-        steps = max(2, int(math.ceil(gap * substeps)))
-        h = gap / steps
-        for _ in range(steps):
-            k1 = _jet_rhs(state)
-            k2 = _jet_rhs(state + 0.5 * h * k1)
-            k3 = _jet_rhs(state + 0.5 * h * k2)
-            k4 = _jet_rhs(state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        a[i], b[i] = state[0], state[1]
-    return a, b
-
-
-def _shoot(boundary: SecondJetBoundary, grid: TimeGrid, substeps: int = 512):
-    """Newton iteration on the initial slopes to hit (a1, b1)."""
-    target = np.array([boundary.a1, boundary.b1])
-    slopes = np.array([boundary.a1 - boundary.a0, boundary.b1 - boundary.b0])
-    endpoint = grid.nodes[[0, -1]]
-
-    def miss(s):
-        a, b = _integrate_to_nodes(s, boundary, endpoint, substeps)
-        return np.array([a[-1], b[-1]]) - target
-
-    f = miss(slopes)
-    for _ in range(40):
-        if np.max(np.abs(f)) < SHOOT_TOL:
-            break
-        jac = np.empty((2, 2))
-        for k in range(2):
-            h = 1e-7 * (1.0 + abs(slopes[k]))
-            bumped = slopes.copy()
-            bumped[k] += h
-            jac[:, k] = (miss(bumped) - f) / h
-        step = np.linalg.solve(jac, -f)
-        damp = 1.0
-        while damp > 1e-4:
-            trial = slopes + damp * step
-            ft = miss(trial)
-            if np.max(np.abs(ft)) < np.max(np.abs(f)):
-                slopes, f = trial, ft
-                break
-            damp *= 0.5
-        else:
-            raise NumericError("shooting step stalled")
-    else:
-        raise NumericError("shooting did not converge in 40 iterations")
-    return _integrate_to_nodes(slopes, boundary, grid.nodes, substeps)
 
 
 def ode_residual(path: SecondJetPath) -> float:

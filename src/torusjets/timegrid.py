@@ -14,6 +14,8 @@ import numpy as np
 
 MIN_NODES = 8
 DEFAULT_NODES = 64
+# The differentiation matrix and its square take 32 MiB each at this size.
+MAX_NODES = 2049
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,8 @@ def make_grid(node_count: int = DEFAULT_NODES) -> TimeGrid:
     """Build the Chebyshev-Gauss-Lobatto grid with node_count points."""
     if node_count < MIN_NODES:
         raise ValueError(f"node_count must be >= {MIN_NODES}, got {node_count}")
+    if node_count > MAX_NODES:
+        raise ValueError(f"node_count must be <= {MAX_NODES}, got {node_count}")
     n = node_count - 1
     # t_j = (1 - cos(pi j / n)) / 2, assembled from the sin^2 half-angle form
     # and mirrored so that the nodes are exactly symmetric about 1/2.

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from torusjets import cli, timegrid
 from torusjets.cli import NODES_ENV_VAR, main
 
 
@@ -180,6 +181,15 @@ def test_counterexample_small_n_is_input_error(capsys):
     assert "n >= 3" in err
 
 
+def test_counterexample_consistency_error_is_numeric_error(capsys):
+    # every pairing weight of h_7 falls below the weight floor
+    code, out, err = run_cli(capsys, "counterexample", "--n", "7")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numeric error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # --- pde-check --------------------------------------------------------------------
 
 def test_pde_check_zero_potential(capsys):
@@ -220,6 +230,23 @@ def test_pde_check_degenerate_amplitude(capsys, tmp_path):
                            "--nx", "16", "--ny", "16", "--delta", "1e-2")
     assert code == 4
     assert "degenerated" in err
+
+
+def test_oversized_grid_is_rejected_before_allocation(capsys, monkeypatch):
+    class NoArrays:
+        def __getattr__(self, name):
+            raise AssertionError(f"grid allocation reached numpy.{name}")
+
+    def no_pde(*args, **kwargs):
+        raise AssertionError("pde-check ran the PDE before checking --nodes")
+
+    monkeypatch.setattr(timegrid, "np", NoArrays())
+    monkeypatch.setattr(cli, "solve_geodesic", no_pde)
+    for argv in (["second-jet", *FAMILY], ["counterexample", "--n", "3"], ["pde-check"]):
+        code, out, err = run_cli(capsys, *argv, "--nodes", "100000")
+        assert code == 2, argv
+        assert out == ""
+        assert f"<= {timegrid.MAX_NODES}" in err
 
 
 def test_version_flag(capsys):

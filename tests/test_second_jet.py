@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusjets.errors import GeodesicDomainError
+from torusjets.errors import ConsistencyError, GeodesicDomainError
 from torusjets.second_jet import (
     CausalClass,
     HalfPlanePoint,
@@ -299,3 +299,63 @@ def test_property_classification_vs_sigma2_sign(da, db):
     path = solve_bvp(boundary, GRID)
     assert path.causal_class is CausalClass.TIME_LIKE
     assert path.sigma2 > 0
+
+
+# --- closed-form time-like and light-like paths against the RK4 oracle --------
+
+# name -> (boundary, causal class, expected sign of X0 - lam or None)
+CLOSED_FORM_CASES = {
+    "timelike_rising_x0_above_lam": ((0.0, 0.0, 0.3, 0.1), "TimeLike", 1),
+    "timelike_rising_x0_below_lam": ((0.0, 0.0, 0.1, 0.3), "TimeLike", -1),
+    "timelike_falling_x0_above_lam": ((0.3, 0.1, 0.0, 0.0), "TimeLike", 1),
+    "timelike_falling_x0_below_lam": ((0.1, 0.3, 0.0, 0.0), "TimeLike", -1),
+    "timelike_steep": ((0.0, 0.0, 2.0, 1.5), "TimeLike", 1),
+    "lightlike_a_rises": ((0.0, 0.0, 0.2, 0.0), "LightLike", None),
+    "lightlike_b_rises": ((0.0, 0.0, 0.0, 0.2), "LightLike", None),
+    "lightlike_a_falls": ((0.2, 0.0, 0.0, 0.0), "LightLike", None),
+    "lightlike_b_falls": ((0.0, 0.1, 0.0, -0.1), "LightLike", None),
+    # |X1 - X0| = 1e-9 and 1e-11: next to the vertical chord
+    "near_vertical_1e-9": ((0.0, 0.0, 0.2, 0.2 - 0.5e-9), "TimeLike", 1),
+    "near_vertical_1e-11": ((0.0, 0.0, 0.2, 0.2 - 0.5e-11), "TimeLike", 1),
+    "near_vertical_1e-11_falling": ((0.2, 0.2 - 0.5e-11, 0.0, 0.0), "TimeLike", 1),
+    # |Z1 - Z0| - |X1 - X0| = 4 db = 1e-9 and 1e-11: next to the light-like edge
+    "near_lightlike_1e-9": ((0.0, 0.0, 0.2, 0.25e-9), "TimeLike", 1),
+    "near_lightlike_1e-11": ((0.0, 0.0, 0.2, 0.25e-11), "TimeLike", 1),
+    "near_lightlike_1e-11_falling": ((0.2, 0.25e-11, 0.0, 0.0), "TimeLike", 1),
+}
+
+
+@pytest.fixture(scope="module")
+def closed_form_oracle():
+    names = list(CLOSED_FORM_CASES)
+    cols = np.array([CLOSED_FORM_CASES[name][0] for name in names]).T
+    a_or, b_or = shoot_jet_paths(*cols, GRID.nodes, density=768)
+    return {name: (a_or[:, i], b_or[:, i]) for i, name in enumerate(names)}
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORM_CASES))
+def test_closed_form_matches_oracle(name, closed_form_oracle):
+    bdry, cls, side = CLOSED_FORM_CASES[name]
+    path = solve_bvp(SecondJetBoundary(*bdry), GRID)
+    assert path.causal_class.value == cls
+    if side is not None:
+        X0 = 2 * bdry[0] - 2 * bdry[1]
+        assert np.sign(X0 - path.hyperbola.lam) == side
+    a, b = path.a.values, path.b.values
+    a_or, b_or = closed_form_oracle[name]
+    scale = max(np.max(np.abs(a_or)), np.max(np.abs(b_or)))
+    assert np.max(np.abs(a - a_or)) <= 1e-12 * scale
+    assert np.max(np.abs(b - b_or)) <= 1e-12 * scale
+    assert abs(a[0] - bdry[0]) <= 1e-12 and abs(b[0] - bdry[1]) <= 1e-12
+    assert abs(a[-1] - bdry[2]) <= 1e-12 and abs(b[-1] - bdry[3]) <= 1e-12
+    assert ode_residual(path) < 1e-8
+    da = derivative(path.a).values
+    db = derivative(path.b).values
+    sigma2_nodes = da * db / (1 + 2 * a + 2 * b) ** 2
+    assert np.max(np.abs(sigma2_nodes - path.sigma2)) <= 1e-12
+
+
+def test_timelike_overflow_is_refused():
+    # the jets overflow the closed form; the path must be refused, not NaN
+    with np.errstate(all="ignore"), pytest.raises(ConsistencyError, match="endpoint"):
+        solve_bvp(SecondJetBoundary(0.0, 0.0, 1e200, 1e200), GRID)
