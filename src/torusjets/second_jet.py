@@ -244,11 +244,11 @@ def _solve_timelike(boundary, p0, p1, grid) -> SecondJetPath:
     gap = abs(dz) / p1.Z * (1.0 + (rho + 1.0) / (q1 + c))
     ds = math.log1p(gap / (1.0 + c)) if dz < 0 else -math.log1p(gap / (rho + q1))
     h = ds * grid.nodes
-    sh = np.sinh(h)
+    eh, sh = np.exp(h), np.sinh(h)
     # g = cosh(h) + c sinh(h) as e^h (1 - (c - 1)(e^-2h - 1)/2), which is e^h
     # on a vertical chord; g - 1 and g'/ds = sinh(h) + c cosh(h) as sums of
     # like-signed terms.
-    g = np.exp(h) * (1.0 - 0.5 * c_m1 * np.expm1(-2.0 * h))
+    g = eh * (1.0 - 0.5 * c_m1 * np.expm1(-2.0 * h))
     g_m1 = np.expm1(h) + c_m1 * sh
     Z = p0.Z / g
     # 4 (a - a0) = dZ + dX and 4 (b - b0) = dZ - dX along the path, with
@@ -261,7 +261,7 @@ def _solve_timelike(boundary, p0, p1, grid) -> SecondJetPath:
     return _assemble(
         boundary, CausalClass.TIME_LIKE, grid, a, b,
         sigma2=(ds / 4.0) ** 2, swapped=False,
-        sigma1=-0.5 * ds * (np.exp(h) + c_m1 * np.cosh(h)) / g,  # Z' / (2 Z)
+        sigma1=-0.5 * ds * (eh + c_m1 * np.cosh(h)) / g,  # Z' / (2 Z)
         hyperbola=_chord_hyperbola(p0, p1),
     )
 
