@@ -23,15 +23,17 @@ obstruction data instead of a hierarchy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ConsistencyError, GeodesicDomainError
 from .poly_ops import d_weights, q_matrix, u_eigenvalues
 from .second_jet import CausalClass, SecondJetBoundary, SecondJetPath, solve_bvp
-from .timegrid import CoefficientSeries, TimeGrid, integrate, require_same_grid
+from .timegrid import CoefficientSeries, TimeGrid, integrate, require_same_grid, same_grid
 
 RESONANCE_TOL = 1e-9
 NEAR_RESONANCE_TOL = 1e-6
@@ -80,6 +82,11 @@ class JetHierarchy:
     def order_matrix(self, order: int) -> np.ndarray:
         return np.vstack([s.values for s in self.orders[order]])
 
+    @functools.cached_property
+    def _frame(self) -> _Frame:
+        """The stored orders, read at first use, turned to A > 0 and differentiated once."""
+        return _make_frame(self.path2, self.orders)
+
 
 @dataclass(frozen=True)
 class ObstructionReport:
@@ -102,7 +109,35 @@ class ObstructionReport:
     near_resonance_warnings: tuple[tuple[int, int], ...] = ()
 
 
-def solve_mode(problem: ModeProblem, grid: TimeGrid) -> ModeSolution:
+class ModeOperators:
+    """d^2/dt^2 + lam on one grid: D^2 formed once, each lam classified and factored once."""
+
+    def __init__(self, grid: TimeGrid):
+        self.grid = grid
+        self.d2 = grid.diff_matrix @ grid.diff_matrix
+        self._by_lam: dict[float, tuple] = {}
+
+    def __getitem__(self, lam: float) -> tuple:
+        """(m, near, lu): m*pi is nearest sqrt(lam); lu factors, None at a resonance."""
+        if lam not in self._by_lam:
+            mu = math.sqrt(lam)
+            m = round(mu / math.pi)
+            gap = abs(mu - m * math.pi) if m >= 1 else math.inf
+            lu = None if gap < RESONANCE_TOL else lu_factor(self.pinned(lam))
+            self._by_lam[lam] = (m, gap < NEAR_RESONANCE_TOL, lu)
+        return self._by_lam[lam]
+
+    def pinned(self, lam: float) -> np.ndarray:
+        """d2 + lam with its first and last rows pinning f(0) and f(1)."""
+        mat = self.d2 + lam * np.eye(self.grid.node_count)
+        mat[[0, -1], :] = 0.0
+        mat[[0, -1], [0, -1]] = 1.0
+        return mat
+
+
+def solve_mode(
+    problem: ModeProblem, grid: TimeGrid, operators: ModeOperators | None = None
+) -> ModeSolution:
     """Solve one scalar mode by spectral collocation.
 
     Non-resonant modes solve the square collocation system with boundary
@@ -110,47 +145,30 @@ def solve_mode(problem: ModeProblem, grid: TimeGrid) -> ModeSolution:
     bordered system that augments the operator with the kernel direction and
     pins the solution to be quadrature-orthogonal to sin(m pi t); the
     compatibility residual is reported alongside.
+
+    propagate passes one `operators` of `grid` to every call, so each mode
+    operator is factored once per propagation; without it a call makes its own.
     """
     require_same_grid(problem.source, grid)
-    t = grid.nodes
-    size = grid.node_count
-    mu = math.sqrt(problem.lam)
-    m = round(mu / math.pi)
-    gap = abs(mu - m * math.pi) if m >= 1 else math.inf
-    resonant = gap < RESONANCE_TOL
-    near = (not resonant) and gap < NEAR_RESONANCE_TOL
-
-    d2 = grid.diff_matrix @ grid.diff_matrix
+    if operators is None:
+        operators = ModeOperators(grid)
+    elif not same_grid(operators.grid, grid):
+        raise ValueError("the mode operators belong to another grid")
+    m, near, lu = operators[problem.lam]
     k = problem.source.values
+    rhs = k.copy()
+    rhs[[0, -1]] = problem.f0, problem.f1
 
-    if not resonant:
-        mat = d2 + problem.lam * np.eye(size)
-        rhs = k.copy()
-        mat[0, :] = 0.0
-        mat[0, 0] = 1.0
-        rhs[0] = problem.f0
-        mat[-1, :] = 0.0
-        mat[-1, -1] = 1.0
-        rhs[-1] = problem.f1
-        f = np.linalg.solve(mat, rhs)
+    if lu is not None:
+        f = lu_solve(lu, rhs)
         return ModeSolution(CoefficientSeries(grid, f), resonant=False, near_resonance=near)
 
-    kernel = np.sin(m * math.pi * t)
-    mat = np.zeros((size + 1, size + 1))
-    rhs = np.zeros(size + 1)
-    mat[:size, :size] = d2 + problem.lam * np.eye(size)
-    mat[:size, size] = kernel
-    rhs[:size] = k
-    mat[0, :] = 0.0
-    mat[0, 0] = 1.0
-    rhs[0] = problem.f0
-    mat[size - 1, :] = 0.0
-    mat[size - 1, size - 1] = 1.0
-    rhs[size - 1] = problem.f1
+    size = grid.node_count
+    kernel = np.sin(m * math.pi * grid.nodes)
+    mat = np.pad(operators.pinned(problem.lam), (0, 1))
+    mat[1:size - 1, size] = kernel[1:-1]
     mat[size, :size] = grid.quad_weights * kernel
-    rhs[size] = 0.0
-    sol = np.linalg.solve(mat, rhs)
-    f = sol[:size]
+    f = np.linalg.solve(mat, np.append(rhs, 0.0))[:size]
 
     boundary_term = problem.f0 - (-1.0) ** m * problem.f1
     source_term = integrate(CoefficientSeries(grid, k * kernel)) / (m * math.pi)
@@ -177,23 +195,35 @@ class _Frame:
     A: np.ndarray
     Z: np.ndarray
     orders: dict[int, np.ndarray] = field(default_factory=dict)
+    dots: dict[int, np.ndarray] = field(default_factory=dict)
+    ddots: dict[int, np.ndarray] = field(default_factory=dict)
+
+    def store(self, order: int, mat: np.ndarray) -> None:
+        """Keep an order with its first and second time derivatives."""
+        dt = self.grid.diff_matrix.T
+        self.orders[order] = mat
+        self.dots[order] = mat @ dt
+        self.ddots[order] = self.dots[order] @ dt
 
 
-def _make_frame(path2: SecondJetPath) -> _Frame:
+def _make_frame(path2: SecondJetPath, orders: dict | None = None) -> _Frame:
+    """The frame of `path2`, holding `orders` (lists of series) if given."""
     if path2.causal_class is not CausalClass.SPACE_LIKE:
         raise GeodesicDomainError(
             f"propagation needs a space-like second-jet path, got {path2.causal_class.value}"
         )
-    a = path2.a.values
-    b = path2.b.values
-    return _Frame(
+    frame = _Frame(
         grid=path2.grid,
         path2=path2,
         swapped=path2.swapped_axes,
         eps=path2.epsilon,
         A=path2.A.values,
-        Z=1.0 + 2.0 * a + 2.0 * b,
+        Z=1.0 + 2.0 * path2.a.values + 2.0 * path2.b.values,
     )
+    for order, series_list in (orders or {}).items():
+        mat = np.vstack([s.values for s in series_list])
+        frame.store(order, mat[::-1] if frame.swapped else mat)
+    return frame
 
 
 def _frame_vec(vec: np.ndarray, swapped: bool) -> np.ndarray:
@@ -219,12 +249,9 @@ def _normalize_jets(jets: dict, what: str) -> dict[int, np.ndarray]:
 
 def _laplacian_rows(c: np.ndarray, d: int) -> np.ndarray:
     """Laplacian of a degree-2d even-even coefficient matrix (rows by y half)."""
-    out = np.empty((d, c.shape[1]))
-    for q in range(d):
-        jx = 2 * (d - q)
-        ky = 2 * (q + 1)
-        out[q] = c[q] * jx * (jx - 1) + c[q + 1] * ky * (ky - 1)
-    return out
+    q = np.arange(d)[:, None]
+    jx, ky = 2 * (d - q), 2 * (q + 1)
+    return c[:-1] * jx * (jx - 1) + c[1:] * ky * (ky - 1)
 
 
 def _conv_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -244,19 +271,14 @@ def _k1_divided(frame: _Frame, order: int) -> np.ndarray:
     already accounted for on the left side of the divided equation.
     """
     n = order // 2
-    nodes = frame.grid.node_count
-    dt = frame.grid.diff_matrix.T
-    out = np.zeros((n + 1, nodes))
+    out = np.zeros((n + 1, frame.grid.node_count))
     for i in range(2, n - 1 + 1):
         j = n + 1 - i
-        if j < 2 or 2 * j not in frame.orders or 2 * i not in frame.orders:
+        if 2 * j not in frame.orders or 2 * i not in frame.orders:
             continue
-        ci = frame.orders[2 * i]
-        cj = frame.orders[2 * j]
-        cj_ddot = cj @ dt @ dt
-        ci_dot = ci @ dt
-        cj_dot = cj @ dt
-        out -= _conv_rows(_laplacian_rows(ci, i), cj_ddot)
+        ci_dot = frame.dots[2 * i]
+        cj_dot = frame.dots[2 * j]
+        out -= _conv_rows(_laplacian_rows(frame.orders[2 * i], i), frame.ddots[2 * j])
         px_i = ci_dot * (2.0 * np.arange(i, -1, -1))[:, None]
         px_j = cj_dot * (2.0 * np.arange(j, -1, -1))[:, None]
         out += _conv_rows(px_i, px_j)[: n + 1]
@@ -270,17 +292,11 @@ def source_K1(lower: JetHierarchy, order: int) -> list[CoefficientSeries]:
     """Divided source of the degree-`order` jet equation from lower orders."""
     if order < 4 or order % 2:
         raise ValueError(f"source order must be even and >= 4, got {order}")
-    frame = _make_frame(lower.path2)
-    for stored, series_list in lower.orders.items():
-        if stored >= order:
-            continue
-        mat = np.vstack([s.values for s in series_list])
-        frame.orders[stored] = mat[::-1] if frame.swapped else mat
+    frame = lower._frame
     vals = _k1_divided(frame, order)
     if frame.swapped:
         vals = vals[::-1]
-    grid = lower.grid
-    return [CoefficientSeries(grid, row) for row in vals]
+    return [CoefficientSeries(lower.grid, row) for row in vals]
 
 
 def _node_u_eigenvalues(n: int, A: np.ndarray) -> np.ndarray:
@@ -290,42 +306,35 @@ def _node_u_eigenvalues(n: int, A: np.ndarray) -> np.ndarray:
 
 
 def _apply_EA(p: np.ndarray, A: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros_like(p)
-    for r in range(n + 1):
-        jx = 2 * (n - r)
-        ky = 2 * r
-        out[r] += (A * A * jx * (jx - 1) + ky * (ky - 1) / (A * A)) * p[r]
-        if r + 1 <= n:
-            ky1 = 2 * (r + 1)
-            out[r] += A * A * ky1 * (ky1 - 1) * p[r + 1]
-        if r - 1 >= 0:
-            jx1 = 2 * (n - r + 1)
-            out[r] += jx1 * (jx1 - 1) / (A * A) * p[r - 1]
+    r = np.arange(n + 1)[:, None]
+    jx, ky = 2 * (n - r), 2 * r
+    out = (A * A * jx * (jx - 1) + ky * (ky - 1) / (A * A)) * p
+    out[:-1] += A * A * ky[1:] * (ky[1:] - 1) * p[1:]
+    out[1:] += jx[:-1] * (jx[:-1] - 1) / (A * A) * p[:-1]
     return out
 
 
 def _apply_SA(p: np.ndarray, A: np.ndarray, n: int) -> np.ndarray:
-    out = np.empty_like(p)
-    for r in range(n + 1):
-        out[r] = (A * (2 * (n - r)) - (2 * r) / A) * p[r]
-    return out
+    r = np.arange(n + 1)[:, None]
+    return (A * (2 * (n - r)) - (2 * r) / A) * p
+
+
+def _mode_sources(frame: _Frame, order: int):
+    """q basis, U diagonal per node and K1 in the q basis of one order."""
+    n = order // 2
+    qm = q_matrix(n)
+    u_nodes = _node_u_eigenvalues(n, frame.A)
+    return qm, u_nodes, np.linalg.solve(qm, _k1_divided(frame, order) / u_nodes)
 
 
 def order_residual(hier: JetHierarchy, order: int) -> float:
     """Max nodewise residual of the divided degree-`order` vector equation."""
     if order not in hier.orders:
         raise ValueError(f"order {order} is not stored in the hierarchy")
-    frame = _make_frame(hier.path2)
-    for stored, series_list in hier.orders.items():
-        mat = np.vstack([s.values for s in series_list])
-        frame.orders[stored] = mat[::-1] if frame.swapped else mat
+    frame = hier._frame
     n = order // 2
-    dt = hier.grid.diff_matrix.T
-    p = frame.orders[order]
-    p_dot = p @ dt
-    p_ddot = p_dot @ dt
-    lhs = p_ddot + 4.0 * frame.eps**2 * _apply_EA(p, frame.A, n) \
-        - 4.0 * frame.eps * _apply_SA(p_dot, frame.A, n)
+    lhs = frame.ddots[order] + 4.0 * frame.eps**2 * _apply_EA(frame.orders[order], frame.A, n) \
+        - 4.0 * frame.eps * _apply_SA(frame.dots[order], frame.A, n)
     rhs = _k1_divided(frame, order)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -336,7 +345,8 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
     phi0_jets and phi1_jets map even orders to even-even monomial coefficient
     vectors (index i holds the x^(2m-2i) y^(2i) coefficient of the degree-2m
     part).  Returns a JetHierarchy, or an ObstructionReport when a mode of
-    some order is resonant.
+    some order is resonant.  Mode k's operator is classified and factored once
+    per call and serves every order >= 2k, since its lam = 16 eps^2 k^2.
     """
     if max_order < 4 or max_order % 2:
         raise ValueError(f"max_order must be even and >= 4, got {max_order}")
@@ -347,6 +357,7 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
     )
     path2 = solve_bvp(boundary, grid)
     frame = _make_frame(path2)
+    operators = ModeOperators(grid)
 
     beyond: list[int] = []
     warnings: list[tuple[int, int]] = []
@@ -354,10 +365,7 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
         n = order // 2
         p0 = _frame_vec(jets0.get(order, np.zeros(n + 1)), frame.swapped)
         p1 = _frame_vec(jets1.get(order, np.zeros(n + 1)), frame.swapped)
-        src = _k1_divided(frame, order)
-        qm = q_matrix(n)
-        u_nodes = _node_u_eigenvalues(n, frame.A)
-        k_modes = np.linalg.solve(qm, src / u_nodes)
+        qm, u_nodes, k_modes = _mode_sources(frame, order)
         f0 = np.linalg.solve(qm, p0 / u_nodes[:, 0])
         f1 = np.linalg.solve(qm, p1 / u_nodes[:, -1])
 
@@ -369,7 +377,7 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
                 f0=f0[mode],
                 f1=f1[mode],
             )
-            sol = solve_mode(problem, grid)
+            sol = solve_mode(problem, grid, operators)
             if sol.resonant:
                 if mode != n:
                     raise ConsistencyError(
@@ -381,7 +389,7 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
             if sol.near_resonance:
                 warnings.append((order, mode))
             f_rows[mode] = sol.values.values
-        frame.orders[order] = u_nodes * (qm @ f_rows)
+        frame.store(order, u_nodes * (qm @ f_rows))
         if 4.0 * frame.eps * n > math.pi + RESONANCE_TOL:
             beyond.append(order)
 
@@ -438,24 +446,16 @@ def compatibility_check(
     if order is None:
         order = max(lower.orders.keys(), default=2) + 2
     n = order // 2
-    frame = _make_frame(lower.path2)
+    frame = lower._frame
     mu = 4.0 * frame.eps * n
     multiple = round(mu / math.pi)
     if multiple < 1 or abs(mu - multiple * math.pi) >= RESONANCE_TOL:
         raise ValueError(
             f"order {order} is not resonant: 4*eps*{n} = {mu} is not a multiple of pi"
         )
-    for stored, series_list in lower.orders.items():
-        if stored >= order:
-            continue
-        mat = np.vstack([s.values for s in series_list])
-        frame.orders[stored] = mat[::-1] if frame.swapped else mat
     p0 = _frame_vec(np.asarray(phi0_order_jets, dtype=float), frame.swapped)
     p1 = _frame_vec(np.asarray(phi1_order_jets, dtype=float), frame.swapped)
     if p0.shape != (n + 1,) or p1.shape != (n + 1,):
         raise ValueError(f"order-{order} jets need {n + 1} coefficients")
-    src = _k1_divided(frame, order)
-    qm = q_matrix(n)
-    u_nodes = _node_u_eigenvalues(n, frame.A)
-    k_top = np.linalg.solve(qm, src / u_nodes)[n]
+    k_top = _mode_sources(frame, order)[2][n]
     return _resonant_report(frame, order, k_top, p0, p1, multiple, ())

@@ -26,6 +26,9 @@ MAX_NEWTON_ITERS = 40
 MAX_HALVINGS = 12
 RESIDUAL_SCALE = 1e-9
 ZERO_SPREAD_FLOOR = 1e-13
+# The solve holds about 27 arrays of nt*nx*ny floats (phi, the residual and
+# the Krylov vectors; 214 bytes a point measured at 33 x 64 x 64): 214 MiB here.
+MAX_GRID_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,8 @@ def solve_geodesic(
         raise ValueError(f"nx, ny must be even and >= 16, got {nx}, {ny}")
     if nt < 9:
         raise ValueError(f"nt must be >= 9, got {nt}")
+    if nt * nx * ny > MAX_GRID_POINTS:
+        raise ValueError(f"nt*nx*ny must be <= {MAX_GRID_POINTS}, got {nt * nx * ny}")
     schedule = [float(d) for d in delta_schedule]
     if not schedule or any(d <= 0 for d in schedule):
         raise ValueError("delta schedule must be nonempty and positive")

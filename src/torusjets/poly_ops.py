@@ -26,6 +26,7 @@ of an even-even degree-2n vector is the monomial x^(2n-2i) y^(2i).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -143,9 +144,16 @@ def _binom_product(p: int, m: int) -> list[int]:
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def q_matrix(n: int) -> np.ndarray:
-    """Columns are the q_k coefficient vectors on the even-even basis."""
-    return np.column_stack([q.coeffs for q in eigenbasis_q(n)])
+    """Columns are the q_k coefficient vectors on the even-even basis.
+
+    Memoised for the 64 most recently used n, and read-only: every caller
+    shares the array, so copy it before writing.
+    """
+    qm = np.column_stack([q.coeffs for q in eigenbasis_q(n)])
+    qm.setflags(write=False)
+    return qm
 
 
 def op_EA(n: int, A: float) -> PolyOperator:

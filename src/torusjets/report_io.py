@@ -12,6 +12,7 @@ import dataclasses
 import enum
 import json
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -40,7 +41,10 @@ def _encode(obj, pieces: list, indent: int, level: int) -> None:
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
-        _encode(obj.tolist(), pieces, indent, level)
+        if obj.ndim == 1 and obj.dtype.kind == "f" and obj.size:
+            _encode_float_array(obj, pieces, pad, pad_in)
+        else:
+            _encode(obj.tolist(), pieces, indent, level)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         _encode(
             {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)},
@@ -70,6 +74,15 @@ def _encode(obj, pieces: list, indent: int, level: int) -> None:
         pieces.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def _encode_float_array(arr: np.ndarray, pieces: list, pad: str, pad_in: str) -> None:
+    """A nonempty 1-D float array in the list layout, checked and joined at once."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        _format_float(float(arr[~finite][0]))  # raises the error of the list path
+    body = (",\n" + pad_in).join(map(format, arr.tolist(), repeat(".17g")))
+    pieces.append("[\n" + pad_in + body + "\n" + pad + "]")
 
 
 def dumps_json(obj, indent: int = 2) -> str:

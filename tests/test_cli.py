@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from torusjets import cli, timegrid
+from torusjets import cli, pde_crosscheck, timegrid
 from torusjets.cli import NODES_ENV_VAR, main
 
 
@@ -247,6 +247,20 @@ def test_oversized_grid_is_rejected_before_allocation(capsys, monkeypatch):
         assert code == 2, argv
         assert out == ""
         assert f"<= {timegrid.MAX_NODES}" in err
+
+
+def test_oversized_pde_grid_is_rejected_before_allocation(capsys, monkeypatch):
+    class NoArrays:
+        def __getattr__(self, name):
+            raise AssertionError(f"pde-check reached numpy.{name}")
+
+    monkeypatch.setattr(pde_crosscheck, "np", NoArrays())
+    for sizes in (["--nx", "100000", "--ny", "100000"], ["--nt", "100000"]):
+        code, out, err = run_cli(capsys, "pde-check", *sizes)
+        assert code == 2, sizes
+        assert out == ""
+        assert f"<= {pde_crosscheck.MAX_GRID_POINTS}" in err
+    assert 33 * 48 * 48 <= pde_crosscheck.MAX_GRID_POINTS // 10
 
 
 def test_version_flag(capsys):

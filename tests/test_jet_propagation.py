@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from torusjets import jet_propagation
 from torusjets.counterexample import build_h, jets_at_origin
 from torusjets.errors import GeodesicDomainError
 from torusjets.jet_propagation import (
@@ -223,6 +224,115 @@ def test_mode_transform_roundtrip():
     q = np.linalg.solve(q_matrix(2), p / u_nodes)
     back = u_nodes * (q_matrix(2) @ q)
     assert np.max(np.abs(back - p)) < 1e-11 * max(1.0, np.max(np.abs(p)))
+
+
+# --- one operator factorisation per mode ------------------------------------------
+
+def family_jets(theta, max_order, seed):
+    """Random jets of orders 4..max_order at both ends of the family chord of angle theta."""
+    rng = np.random.default_rng(seed)
+    c = 0.5 * math.sin(theta)
+    jets0, jets1 = {2: np.zeros(2)}, {2: np.array([c, -c])}
+    for order in range(4, max_order + 1, 2):
+        jets0[order] = 0.1 * rng.uniform(-1, 1, order // 2 + 1)
+        jets1[order] = 0.1 * rng.uniform(-1, 1, order // 2 + 1)
+    return jets0, jets1
+
+
+def reference_propagate(jets0, jets1, max_order, grid):
+    """The propagation loop with one public solve_mode call, and operator, per mode."""
+    from torusjets.jet_propagation import _make_frame, _node_u_eigenvalues
+    from torusjets.poly_ops import q_matrix
+
+    boundary = SecondJetBoundary(jets0[2][0], jets0[2][1], jets1[2][0], jets1[2][1])
+    path2 = solve_bvp(boundary, grid)
+    A = _make_frame(path2).A
+    flip = (lambda m: m[::-1]) if path2.swapped_axes else (lambda m: m)
+    orders, warnings = {}, []
+    for order in range(4, max_order + 1, 2):
+        n = order // 2
+        src = np.vstack([s.values for s in source_K1(JetHierarchy(path2, dict(orders)), order)])
+        qm, u = q_matrix(n), _node_u_eigenvalues(n, A)
+        k_modes = np.linalg.solve(qm, flip(src) / u)
+        f0 = np.linalg.solve(qm, flip(jets0[order]) / u[:, 0])
+        f1 = np.linalg.solve(qm, flip(jets1[order]) / u[:, -1])
+        rows = []
+        for mode in range(n + 1):
+            lam = 16.0 * path2.epsilon**2 * mode**2
+            problem = ModeProblem(lam, CoefficientSeries(grid, k_modes[mode]), f0[mode], f1[mode])
+            sol = solve_mode(problem, grid)
+            assert not sol.resonant
+            if sol.near_resonance:
+                warnings.append((order, mode))
+            rows.append(sol.values.values)
+        mat = flip(u * (qm @ np.array(rows)))
+        orders[order] = [CoefficientSeries(grid, row) for row in mat]
+    return orders, tuple(warnings)
+
+
+NEAR = (math.pi + 3e-7) / 10  # 4 eps k = pi + 3e-7 at k = 5
+
+
+def test_propagate_factors_each_mode_operator_once(monkeypatch):
+    factored, built, handed = [], [], []
+    real_factor = jet_propagation.lu_factor
+    real_solve = jet_propagation.solve_mode
+
+    class CountingOperators(jet_propagation.ModeOperators):
+        def __init__(self, grid):
+            built.append(self)  # D^2 is formed here and nowhere else
+            super().__init__(grid)
+
+    def counting_factor(mat):
+        factored.append(mat.shape)
+        return real_factor(mat)
+
+    def recording_solve(problem, grid, operators=None):
+        handed.append(operators)
+        return real_solve(problem, grid, operators)
+
+    monkeypatch.setattr(jet_propagation, "ModeOperators", CountingOperators)
+    monkeypatch.setattr(jet_propagation, "lu_factor", counting_factor)
+    monkeypatch.setattr(jet_propagation, "solve_mode", recording_solve)
+    jets0, jets1 = family_jets(0.05, 40, seed=21)
+    hier = propagate(jets0, jets1, 40, GRID)
+    assert isinstance(hier, JetHierarchy) and max(hier.orders) == 40
+    assert len(handed) == sum(n + 1 for n in range(2, 21))
+    assert len(built) == 1
+    assert all(ops is built[0] for ops in handed)
+    assert len(factored) <= 21  # modes k = 0..20
+
+
+@pytest.mark.parametrize("theta", [0.3, -0.3, NEAR, -NEAR])
+def test_propagate_matches_per_mode_reference(theta):
+    jets0, jets1 = family_jets(theta, 12, seed=17)
+    hier = propagate(jets0, jets1, 12, GRID)
+    orders, warnings = reference_propagate(jets0, jets1, 12, GRID)
+    assert hier.path2.swapped_axes == (theta < 0)
+    assert warnings == (((10, 5), (12, 5)) if abs(theta) == NEAR else ())
+    assert hier.near_resonance_warnings == warnings
+    assert sorted(hier.orders) == sorted(orders)
+    for order, rows in orders.items():
+        ref = np.vstack([s.values for s in rows])
+        assert np.max(np.abs(hier.order_matrix(order) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_order_residual_reads_the_memoised_frame():
+    from torusjets.jet_propagation import _make_frame
+
+    jets0, jets1 = family_jets(-0.3, 12, seed=19)
+    hier = propagate(jets0, jets1, 12, GRID)
+    residuals = {order: order_residual(hier, order) for order in sorted(hier.orders)[::-1]}
+    memo = hier._frame
+    fresh = _make_frame(hier.path2, hier.orders)
+    for order in hier.orders:
+        assert np.array_equal(memo.orders[order], fresh.orders[order])
+        assert np.array_equal(memo.dots[order], fresh.dots[order])
+        assert np.array_equal(memo.ddots[order], fresh.ddots[order])
+        unmemoised = JetHierarchy(hier.path2, hier.orders)
+        assert order_residual(unmemoised, order) == residuals[order]
+        assert order_residual(hier, order) == residuals[order]
+    assert hier._frame is memo
 
 
 # --- resonance and obstruction ----------------------------------------------------

@@ -179,6 +179,14 @@ def test_q_matrix_invertible_roundtrip():
         assert np.max(np.abs(back - f)) < 1e-11 * max(1.0, np.max(np.abs(f)))
 
 
+def test_q_matrix_is_memoised_and_read_only():
+    qm = q_matrix(5)
+    assert q_matrix(5) is qm
+    assert np.array_equal(qm, np.column_stack([q.coeffs for q in eigenbasis_q(5)]))
+    with pytest.raises(ValueError):
+        qm[0, 0] = 1.0
+
+
 def test_conjugation_identity_small():
     for n in (1, 2, 3, 4, 6, 8):
         for A in (0.05, 0.3, 1.0, 2.5, 20.0):

@@ -55,6 +55,33 @@ def test_dataclass_and_int_keys():
     assert back["by_order"] == {"2": [1.0], "4": [0.5]}
 
 
+ARRAYS = {
+    "float_1d": np.array([0.1, -0.0, 5e-324, 1e300, -1e300, math.pi, 2**53 + 1.0, 0.0]),
+    "float_2d": np.array([[0.1, -0.0], [5e-324, 1e300]]),
+    "empty": np.array([]),
+    "empty_2d": np.zeros((0, 3)),
+    "single": np.array([1 / 3]),
+    "int": np.arange(-3, 4),
+    "float32": np.array([0.1, -2.5], dtype=np.float32),
+    "reversed_view": np.linspace(-1.0, 1.0, 7)[::-2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAYS))
+def test_arrays_encode_like_lists(name):
+    arr = ARRAYS[name]
+    assert dumps_json({"a": arr}) == dumps_json({"a": arr.tolist()})
+    nested, nested_lists = [arr, {"b": [arr]}], [arr.tolist(), {"b": [arr.tolist()]}]
+    assert dumps_json(nested, indent=4) == dumps_json(nested_lists, indent=4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_array_rejected(bad):
+    for arr in (np.array([1.0, bad, 2.0]), np.array([[1.0], [bad]])):
+        with pytest.raises(ValueError, match="finite"):
+            dumps_json({"a": arr})
+
+
 def test_non_finite_rejected():
     with pytest.raises(ValueError, match="finite"):
         dumps_json({"x": math.inf})
