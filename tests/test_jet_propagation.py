@@ -303,6 +303,13 @@ def test_propagate_factors_each_mode_operator_once(monkeypatch):
     assert len(factored) <= 21  # modes k = 0..20
 
 
+def test_mode_operators_of_another_grid_are_refused():
+    operators = jet_propagation.ModeOperators(make_grid(65))
+    k = CoefficientSeries(GRID, np.zeros(GRID.node_count))
+    with pytest.raises(ValueError, match="another grid"):
+        solve_mode(ModeProblem(1.0, k, 0.0, 0.0), GRID, operators)
+
+
 @pytest.mark.parametrize("theta", [0.3, -0.3, NEAR, -NEAR])
 def test_propagate_matches_per_mode_reference(theta):
     jets0, jets1 = family_jets(theta, 12, seed=17)
