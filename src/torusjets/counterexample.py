@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .jet_propagation import JetHierarchy, ObstructionReport, propagate
+from .poly_ops import fischer_weights
 from .timegrid import DEFAULT_NODES, TimeGrid, make_grid
 
 EPSILON_TOL = 1e-10
@@ -244,7 +245,7 @@ def obstruction_demo(n: int, grid: TimeGrid | None = None) -> ObstructionDemo:
     if shared > 1e-10:
         raise ConsistencyError(f"u, v, K should match across the pair, differ by {shared}")
 
-    predicted = rep.v[kappa] * math.factorial(2 * n - 2 * kappa) * math.factorial(2 * kappa) * chi
+    predicted = rep.v[kappa] * fischer_weights(n)[kappa] * chi
     if rep.satisfied and rep_t.satisfied:
         raise ConsistencyError("both compatibility conditions hold; the shift is too small")
     which = "h" if rep.satisfied else ("h_tilde" if rep_t.satisfied else "neither")

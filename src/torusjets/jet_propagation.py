@@ -31,7 +31,9 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ConsistencyError, GeodesicDomainError
-from .poly_ops import d_weights, q_matrix, u_eigenvalues
+from .poly_ops import (
+    apply_EA, apply_SA, d_weights, fischer_weights, q_adjoint, q_matrix, u_eigenvalues,
+)
 from .second_jet import CausalClass, SecondJetBoundary, SecondJetPath, solve_bvp
 from .timegrid import CoefficientSeries, TimeGrid, integrate, require_same_grid, same_grid
 
@@ -205,6 +207,11 @@ class _Frame:
         self.dots[order] = mat @ dt
         self.ddots[order] = self.dots[order] @ dt
 
+    def orient(self, coeffs: np.ndarray) -> np.ndarray:
+        """Axis 0 (basis index) reversed if the frame swaps x and y; reversal is its own
+        inverse, so this maps the caller's coefficients to the frame's and back."""
+        return coeffs[::-1] if self.swapped else coeffs
+
 
 def _make_frame(path2: SecondJetPath, orders: dict | None = None) -> _Frame:
     """The frame of `path2`, holding `orders` (lists of series) if given."""
@@ -221,13 +228,8 @@ def _make_frame(path2: SecondJetPath, orders: dict | None = None) -> _Frame:
         Z=1.0 + 2.0 * path2.a.values + 2.0 * path2.b.values,
     )
     for order, series_list in (orders or {}).items():
-        mat = np.vstack([s.values for s in series_list])
-        frame.store(order, mat[::-1] if frame.swapped else mat)
+        frame.store(order, frame.orient(np.vstack([s.values for s in series_list])))
     return frame
-
-
-def _frame_vec(vec: np.ndarray, swapped: bool) -> np.ndarray:
-    return vec[::-1].copy() if swapped else np.asarray(vec, dtype=float)
 
 
 def _normalize_jets(jets: dict, what: str) -> dict[int, np.ndarray]:
@@ -293,38 +295,14 @@ def source_K1(lower: JetHierarchy, order: int) -> list[CoefficientSeries]:
     if order < 4 or order % 2:
         raise ValueError(f"source order must be even and >= 4, got {order}")
     frame = lower._frame
-    vals = _k1_divided(frame, order)
-    if frame.swapped:
-        vals = vals[::-1]
-    return [CoefficientSeries(lower.grid, row) for row in vals]
-
-
-def _node_u_eigenvalues(n: int, A: np.ndarray) -> np.ndarray:
-    """U diagonal per node: rows by basis index, columns by node."""
-    i = np.arange(n + 1)[:, None]
-    return (A[None, :] ** 2 + 1.0) ** (n - i) * (1.0 + A[None, :] ** -2.0) ** i
-
-
-def _apply_EA(p: np.ndarray, A: np.ndarray, n: int) -> np.ndarray:
-    r = np.arange(n + 1)[:, None]
-    jx, ky = 2 * (n - r), 2 * r
-    out = (A * A * jx * (jx - 1) + ky * (ky - 1) / (A * A)) * p
-    out[:-1] += A * A * ky[1:] * (ky[1:] - 1) * p[1:]
-    out[1:] += jx[:-1] * (jx[:-1] - 1) / (A * A) * p[:-1]
-    return out
-
-
-def _apply_SA(p: np.ndarray, A: np.ndarray, n: int) -> np.ndarray:
-    r = np.arange(n + 1)[:, None]
-    return (A * (2 * (n - r)) - (2 * r) / A) * p
+    return [CoefficientSeries(lower.grid, row) for row in frame.orient(_k1_divided(frame, order))]
 
 
 def _mode_sources(frame: _Frame, order: int):
-    """q basis, U diagonal per node and K1 in the q basis of one order."""
+    """U diagonal per node and K1 in the q basis of one order."""
     n = order // 2
-    qm = q_matrix(n)
-    u_nodes = _node_u_eigenvalues(n, frame.A)
-    return qm, u_nodes, np.linalg.solve(qm, _k1_divided(frame, order) / u_nodes)
+    u_nodes = u_eigenvalues(n, frame.A)
+    return u_nodes, q_adjoint(n) @ (_k1_divided(frame, order) / u_nodes)
 
 
 def order_residual(hier: JetHierarchy, order: int) -> float:
@@ -333,8 +311,8 @@ def order_residual(hier: JetHierarchy, order: int) -> float:
         raise ValueError(f"order {order} is not stored in the hierarchy")
     frame = hier._frame
     n = order // 2
-    lhs = frame.ddots[order] + 4.0 * frame.eps**2 * _apply_EA(frame.orders[order], frame.A, n) \
-        - 4.0 * frame.eps * _apply_SA(frame.dots[order], frame.A, n)
+    lhs = frame.ddots[order] + 4.0 * frame.eps**2 * apply_EA(n, frame.A, frame.orders[order]) \
+        - 4.0 * frame.eps * apply_SA(n, frame.A, frame.dots[order])
     rhs = _k1_divided(frame, order)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -363,11 +341,11 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
     warnings: list[tuple[int, int]] = []
     for order in range(4, max_order + 1, 2):
         n = order // 2
-        p0 = _frame_vec(jets0.get(order, np.zeros(n + 1)), frame.swapped)
-        p1 = _frame_vec(jets1.get(order, np.zeros(n + 1)), frame.swapped)
-        qm, u_nodes, k_modes = _mode_sources(frame, order)
-        f0 = np.linalg.solve(qm, p0 / u_nodes[:, 0])
-        f1 = np.linalg.solve(qm, p1 / u_nodes[:, -1])
+        p0 = frame.orient(jets0.get(order, np.zeros(n + 1)))
+        p1 = frame.orient(jets1.get(order, np.zeros(n + 1)))
+        u_nodes, k_modes = _mode_sources(frame, order)
+        f0 = q_adjoint(n) @ (p0 / u_nodes[:, 0])
+        f1 = q_adjoint(n) @ (p1 / u_nodes[:, -1])
 
         f_rows = np.empty_like(k_modes)
         for mode in range(n + 1):
@@ -389,14 +367,13 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
             if sol.near_resonance:
                 warnings.append((order, mode))
             f_rows[mode] = sol.values.values
-        frame.store(order, u_nodes * (qm @ f_rows))
+        frame.store(order, u_nodes * (q_matrix(n) @ f_rows))
         if 4.0 * frame.eps * n > math.pi + RESONANCE_TOL:
             beyond.append(order)
 
     out_orders = {}
     for order, mat in frame.orders.items():
-        vals = mat[::-1] if frame.swapped else mat
-        out_orders[order] = [CoefficientSeries(grid, row) for row in vals]
+        out_orders[order] = [CoefficientSeries(grid, row) for row in frame.orient(mat)]
     return JetHierarchy(
         path2=path2,
         orders=out_orders,
@@ -409,21 +386,16 @@ def _resonant_report(frame, order, k_top, p0, p1, multiple, warnings) -> Obstruc
     n = order // 2
     w0 = d_weights(n, frame.A[0])
     w1 = d_weights(n, frame.A[-1])
-    fact = np.array(
-        [math.factorial(2 * n - 2 * i) * math.factorial(2 * i) for i in range(n + 1)],
-        dtype=float,
-    )
+    fact = fischer_weights(n)
     sign = -((-1.0) ** multiple)
     lhs = math.fsum(w0 * fact * p0) + sign * math.fsum(w1 * fact * p1)
     kernel = np.sin(multiple * math.pi * frame.grid.nodes)
     K = integrate(CoefficientSeries(frame.grid, k_top * kernel)) / (multiple * math.pi)
     residual = abs(lhs - K)
-    u = w0[::-1] if frame.swapped else w0
-    v = w1[::-1] if frame.swapped else w1
     return ObstructionReport(
         resonant_order=order,
-        u=u,
-        v=v,
+        u=frame.orient(w0),
+        v=frame.orient(w1),
         K=K,
         lhs=lhs,
         residual=residual,
@@ -453,9 +425,9 @@ def compatibility_check(
         raise ValueError(
             f"order {order} is not resonant: 4*eps*{n} = {mu} is not a multiple of pi"
         )
-    p0 = _frame_vec(np.asarray(phi0_order_jets, dtype=float), frame.swapped)
-    p1 = _frame_vec(np.asarray(phi1_order_jets, dtype=float), frame.swapped)
+    p0 = frame.orient(np.asarray(phi0_order_jets, dtype=float))
+    p1 = frame.orient(np.asarray(phi1_order_jets, dtype=float))
     if p0.shape != (n + 1,) or p1.shape != (n + 1,):
         raise ValueError(f"order-{order} jets need {n + 1} coefficients")
-    k_top = _mode_sources(frame, order)[2][n]
+    k_top = _mode_sources(frame, order)[1][n]
     return _resonant_report(frame, order, k_top, p0, p1, multiple, ())

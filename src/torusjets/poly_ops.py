@@ -19,8 +19,16 @@ Dtilde = sum_j nu_j d_x^(2j) d_y^(2n-2j) normalized by Dtilde(q_j) = delta_jn,
 and its time-dependent form D = sum_j nu_j A^(2n-2j)/(1+A^2)^n d_x^(2j) d_y^(2n-2j)
 satisfies D(U g) = Dtilde(g).
 
+B is self-adjoint in the Fischer (Bombieri) inner product <x^a y^b, x^c y^d>_F =
+a! b! delta_ac delta_bd, so the q_k are orthogonal in it; the product is rotation
+invariant, so ||q_k||_F^2 = 2^(2n+1) (n+k)! (n-k)!, twice that at k = 0.  Hence
+Q^-1 = diag(1/||q_k||_F^2) Q^T W, with W the Fischer weights (2n-2i)! (2i)!, and
+Dtilde(g) = <q_n, g>_F / ||q_n||_F^2, in closed form without a linear solve.
+
 Monomial coefficient vectors are ordered by descending x exponent, so index i
-of an even-even degree-2n vector is the monomial x^(2n-2i) y^(2i).
+of an even-even degree-2n vector is the monomial x^(2n-2i) y^(2i).  Operators
+taking an array of A act on arrays whose axis 0 runs over this basis, with A
+broadcast against the other axes.
 """
 
 from __future__ import annotations
@@ -87,11 +95,20 @@ class PolyOperator:
         return PolyVector(self.codomain, self.matrix @ vec.coeffs)
 
 
-def _check_A(A: float) -> float:
-    A = float(A)
-    if not (A > 0) or not math.isfinite(A):
-        raise ValueError(f"A must be positive and finite, got {A}")
+def _check_A(A) -> np.ndarray:
+    """A as a float array (0-d for a scalar), every entry positive and finite."""
+    A = np.asarray(A, dtype=float)
+    bad = ~(np.isfinite(A) & (A > 0))
+    if bad.any():
+        raise ValueError(f"A must be positive and finite, got {A[bad][0]}")
     return A
+
+
+def _exponents(n: int, parity: Parity, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and y exponents of the degree-2n basis as columns over `ndim` trailing axes."""
+    ex, ey = np.array(PolyBasis(2 * n, parity).monomials).T
+    shape = (-1,) + (1,) * ndim
+    return ex.reshape(shape), ey.reshape(shape)
 
 
 def boost(n: int) -> PolyOperator:
@@ -156,77 +173,92 @@ def q_matrix(n: int) -> np.ndarray:
     return qm
 
 
+@functools.lru_cache(maxsize=64)
+def q_adjoint(n: int) -> np.ndarray:
+    """Inverse of q_matrix(n) in closed form, diag(1/||q_k||_F^2) Q^T W.
+
+    Norms and weights are divided by (2n)!, so W_i = 1/C(2n, 2i), no factorial
+    is formed and nothing overflows for n in the hundreds.  Memoised and
+    read-only like q_matrix.
+    """
+    weights = np.array([1.0 / math.comb(2 * n, 2 * i) for i in range(n + 1)])
+    inv_norms = np.array(
+        [math.comb(2 * n, n + k) / 2 ** (2 * n + 1 + (k == 0)) for k in range(n + 1)]
+    )
+    adj = inv_norms[:, None] * q_matrix(n).T * weights
+    adj.setflags(write=False)
+    return adj
+
+
+def fischer_weights(n: int) -> np.ndarray:
+    """Fischer norms ||x^(2n-2i) y^(2i)||_F^2 = (2n-2i)! (2i)! of the even-even basis."""
+    return np.array(
+        [float(math.factorial(2 * n - 2 * i) * math.factorial(2 * i)) for i in range(n + 1)]
+    )
+
+
+def apply_EA(n: int, A, p: np.ndarray) -> np.ndarray:
+    """E_A = (A^2 x^2 + A^-2 y^2) Laplacian applied to even-even coefficient arrays p."""
+    A = _check_A(A)
+    p = np.asarray(p, dtype=float)
+    j, k = _exponents(n, Parity.EVEN_EVEN, p.ndim - 1)
+    lap_x, lap_y = j * (j - 1), k * (k - 1)
+    out = (A * A * lap_x + lap_y / (A * A)) * p
+    out[:-1] += A * A * lap_y[1:] * p[1:]      # x^2 * d_yy term
+    out[1:] += lap_x[:-1] / (A * A) * p[:-1]   # y^2 * d_xx term
+    return out
+
+
+def apply_SA(n: int, A, p: np.ndarray) -> np.ndarray:
+    """S_A = A x d_x - A^-1 y d_y applied to even-even coefficient arrays p."""
+    A = _check_A(A)
+    p = np.asarray(p, dtype=float)
+    j, k = _exponents(n, Parity.EVEN_EVEN, p.ndim - 1)
+    return (A * j - k / A) * p
+
+
 def op_EA(n: int, A: float) -> PolyOperator:
     """E_A = (A^2 x^2 + A^-2 y^2) Laplacian on the even-even basis."""
-    A = _check_A(A)
     basis = PolyBasis(2 * n, Parity.EVEN_EVEN)
-    dim = basis.dimension
-    mat = np.zeros((dim, dim))
-    for col, (j, k) in enumerate(basis.monomials):
-        lap_x = j * (j - 1)
-        lap_y = k * (k - 1)
-        mat[col, col] += A * A * lap_x + lap_y / (A * A)
-        if lap_y:
-            mat[col - 1, col] += A * A * lap_y      # x^2 * d_yy term
-        if lap_x:
-            mat[col + 1, col] += lap_x / (A * A)    # y^2 * d_xx term
-    return PolyOperator(basis, basis, mat)
+    return PolyOperator(basis, basis, apply_EA(n, float(A), np.eye(basis.dimension)))
 
 
 def op_SA(n: int, A: float) -> PolyOperator:
     """S_A = A x d_x - A^-1 y d_y, diagonal on monomials."""
-    A = _check_A(A)
     basis = PolyBasis(2 * n, Parity.EVEN_EVEN)
-    diag = np.array([A * j - k / A for j, k in basis.monomials])
-    return PolyOperator(basis, basis, np.diag(diag))
+    return PolyOperator(basis, basis, apply_SA(n, float(A), np.eye(basis.dimension)))
 
 
-def u_eigenvalues(n: int, A: float, parity: Parity = Parity.EVEN_EVEN) -> np.ndarray:
+def u_eigenvalues(n: int, A, parity: Parity = Parity.EVEN_EVEN) -> np.ndarray:
     """Diagonal of U on monomials: (A^2+1)^(j/2) (A^-2+1)^(k/2)."""
     A = _check_A(A)
-    basis = PolyBasis(2 * n, parity)
-    ex = np.array([m[0] for m in basis.monomials], dtype=float)
-    ey = np.array([m[1] for m in basis.monomials], dtype=float)
+    ex, ey = _exponents(n, parity, A.ndim)
     return (A * A + 1.0) ** (ex / 2.0) * (1.0 + A ** -2.0) ** (ey / 2.0)
 
 
 def op_U(n: int, A: float, parity: Parity = Parity.EVEN_EVEN) -> PolyOperator:
     basis = PolyBasis(2 * n, parity)
-    return PolyOperator(basis, basis, np.diag(u_eigenvalues(n, A, parity)))
+    return PolyOperator(basis, basis, np.diag(u_eigenvalues(n, float(A), parity)))
 
 
 def conjugation_identity_residual(n: int, A: float) -> float:
     """Max entry error of U^-1 (A x d_y + A^-1 y d_x) U = x d_y + y d_x."""
     A = _check_A(A)
-    basis = PolyBasis(2 * n, Parity.FULL)
-    dim = basis.dimension
-    mixing = np.zeros((dim, dim))
-    for col, (j, k) in enumerate(basis.monomials):
-        if k >= 1:
-            mixing[k - 1, col] += A * k
-        if j >= 1:
-            mixing[k + 1, col] += j / A
+    b = boost(n).matrix
+    mixing = A * np.triu(b) + np.tril(b) / A    # x d_y lowers the y exponent, the row index
     u = u_eigenvalues(n, A, Parity.FULL)
     conj = mixing * u[None, :] / u[:, None]
-    return float(np.max(np.abs(conj - boost(n).matrix)))
+    return float(np.max(np.abs(conj - b)))
 
 
 def dtilde_coefficients(n: int) -> np.ndarray:
     """Weights nu_j of Dtilde = sum nu_j d_x^(2j) d_y^(2n-2j), Dtilde(q_k) = delta_kn.
 
-    Index j counts the x derivatives; applied to the even-even coefficient
-    vector of q_k (index i = y half-exponent) the term j pairs with i = n-j.
+    Dtilde(g) = <q_n, g>_F / ||q_n||_F^2 in the Fischer inner product, so nu_j
+    is the x^(2j) y^(2n-2j) coefficient of q_n over ||q_n||_F^2: row n of
+    q_adjoint over the Fischer weights, read at basis index n-j.
     """
-    qm = q_matrix(n)
-    fact = np.array(
-        [math.factorial(2 * j) * math.factorial(2 * n - 2 * j) for j in range(n + 1)],
-        dtype=float,
-    )
-    # row k, column j: nu_j extracts monomial x^(2j) y^(2n-2j), basis index n-j.
-    system = (qm[::-1, :] * fact[:, None]).T
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
-    return np.linalg.solve(system, rhs)
+    return (q_adjoint(n)[n] / fischer_weights(n))[::-1]
 
 
 def d_weights(n: int, A: float) -> np.ndarray:
@@ -236,10 +268,8 @@ def d_weights(n: int, A: float) -> np.ndarray:
     nu_(n-i) A^(2i) / (1+A^2)^n.
     """
     A = _check_A(A)
-    nu = dtilde_coefficients(n)
-    j = np.arange(n + 1)
-    weights = nu * A ** (2 * n - 2 * j) / (1.0 + A * A) ** n
-    return weights[::-1]
+    i = np.arange(n + 1)
+    return dtilde_coefficients(n)[::-1] * A ** (2 * i) / (1.0 + A * A) ** n
 
 
 def apply_d_operator(n: int, A: float, poly: PolyVector) -> float:
@@ -247,8 +277,4 @@ def apply_d_operator(n: int, A: float, poly: PolyVector) -> float:
     basis = PolyBasis(2 * n, Parity.EVEN_EVEN)
     if poly.basis != basis:
         raise ValueError(f"expected even-even degree-{2*n} vector, got {poly.basis}")
-    i = np.arange(n + 1)
-    fact = np.array(
-        [math.factorial(2 * n - 2 * k) * math.factorial(2 * k) for k in i], dtype=float
-    )
-    return float(math.fsum(d_weights(n, A) * poly.coeffs * fact))
+    return float(math.fsum(d_weights(n, A) * poly.coeffs * fischer_weights(n)))

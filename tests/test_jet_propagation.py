@@ -211,8 +211,8 @@ def test_propagate_deterministic():
 
 
 def test_mode_transform_roundtrip():
-    from torusjets.jet_propagation import _make_frame, _node_u_eigenvalues
-    from torusjets.poly_ops import q_matrix
+    from torusjets.jet_propagation import _make_frame
+    from torusjets.poly_ops import q_matrix, u_eigenvalues
 
     rng = np.random.default_rng(13)
     jets0 = {2: np.zeros(2), 4: rng.uniform(-1, 1, 3)}
@@ -220,7 +220,7 @@ def test_mode_transform_roundtrip():
     hier = propagate(jets0, jets1, 4, GRID)
     frame = _make_frame(hier.path2)
     p = hier.order_matrix(4)
-    u_nodes = _node_u_eigenvalues(2, frame.A)
+    u_nodes = u_eigenvalues(2, frame.A)
     q = np.linalg.solve(q_matrix(2), p / u_nodes)
     back = u_nodes * (q_matrix(2) @ q)
     assert np.max(np.abs(back - p)) < 1e-11 * max(1.0, np.max(np.abs(p)))
@@ -241,8 +241,8 @@ def family_jets(theta, max_order, seed):
 
 def reference_propagate(jets0, jets1, max_order, grid):
     """The propagation loop with one public solve_mode call, and operator, per mode."""
-    from torusjets.jet_propagation import _make_frame, _node_u_eigenvalues
-    from torusjets.poly_ops import q_matrix
+    from torusjets.jet_propagation import _make_frame
+    from torusjets.poly_ops import q_adjoint, q_matrix, u_eigenvalues
 
     boundary = SecondJetBoundary(jets0[2][0], jets0[2][1], jets1[2][0], jets1[2][1])
     path2 = solve_bvp(boundary, grid)
@@ -252,10 +252,10 @@ def reference_propagate(jets0, jets1, max_order, grid):
     for order in range(4, max_order + 1, 2):
         n = order // 2
         src = np.vstack([s.values for s in source_K1(JetHierarchy(path2, dict(orders)), order)])
-        qm, u = q_matrix(n), _node_u_eigenvalues(n, A)
-        k_modes = np.linalg.solve(qm, flip(src) / u)
-        f0 = np.linalg.solve(qm, flip(jets0[order]) / u[:, 0])
-        f1 = np.linalg.solve(qm, flip(jets1[order]) / u[:, -1])
+        qm, u = q_matrix(n), u_eigenvalues(n, A)
+        k_modes = q_adjoint(n) @ (flip(src) / u)
+        f0 = q_adjoint(n) @ (flip(jets0[order]) / u[:, 0])
+        f1 = q_adjoint(n) @ (flip(jets1[order]) / u[:, -1])
         rows = []
         for mode in range(n + 1):
             lam = 16.0 * path2.epsilon**2 * mode**2

@@ -9,6 +9,8 @@ from torusjets.poly_ops import (
     PolyBasis,
     PolyOperator,
     PolyVector,
+    apply_EA,
+    apply_SA,
     apply_d_operator,
     boost,
     boost_squared,
@@ -16,9 +18,11 @@ from torusjets.poly_ops import (
     d_weights,
     dtilde_coefficients,
     eigenbasis_q,
+    fischer_weights,
     op_EA,
     op_SA,
     op_U,
+    q_adjoint,
     q_matrix,
     u_eigenvalues,
 )
@@ -32,6 +36,7 @@ from _oracles import (
     matrix_of_operator,
     q_poly,
     sa_op,
+    solve_fraction_system,
     u_eigenvalue_exact,
 )
 
@@ -137,6 +142,24 @@ def test_u_eigenvalues_match_exact(n):
         assert dyadic[i] == float(u_eigenvalue_exact(n, i, Fraction(2)))
 
 
+def test_operators_broadcast_over_an_array_of_A():
+    rng = np.random.default_rng(23)
+    for n in (2, 5, 9):
+        A = np.exp(rng.uniform(np.log(0.05), np.log(20.0), 6))
+        p = rng.standard_normal((n + 1, 6))
+        broadcast = {op_U: u_eigenvalues(n, A) * p, op_EA: apply_EA(n, A, p), op_SA: apply_SA(n, A, p)}
+        for op, out in broadcast.items():
+            for i, a in enumerate(A):
+                ref = op(n, a).matrix @ p[:, i]
+                assert np.max(np.abs(out[:, i] - ref)) <= 1e-15 * np.max(np.abs(ref))
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        A = np.array([0.5, bad, 2.0])
+        p = np.ones((3, 3))
+        for call in (lambda: u_eigenvalues(2, A), lambda: apply_EA(2, A, p), lambda: apply_SA(2, A, p)):
+            with pytest.raises(ValueError):
+                call()
+
+
 def test_op_U_diagonal():
     op = op_U(3, 1.7)
     assert np.array_equal(np.diag(np.diag(op.matrix)), op.matrix)
@@ -187,6 +210,29 @@ def test_q_matrix_is_memoised_and_read_only():
         qm[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("n", range(2, 21))
+def test_q_adjoint_is_the_exact_inverse(n):
+    exact_q = [[int(c) for c in even_even_from_poly(q_poly(n, k), 2 * n)] for k in range(n + 1)]
+    exact_q = [list(row) for row in zip(*exact_q)]  # columns are the q_k
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        b = rng.standard_normal(n + 1)
+        exact = np.array([float(x) for x in solve_fraction_system(exact_q, [Fraction(x) for x in b])])
+        assert np.max(np.abs(q_adjoint(n) @ b - exact)) <= 1e-15 * np.max(np.abs(exact))
+    # the q_k are orthogonal in the Fischer inner product, with the closed-form norms
+    qm = q_matrix(n)
+    gram = qm.T @ (fischer_weights(n)[:, None] * qm)
+    diag = np.diag(gram)
+    off = gram - np.diag(diag)
+    assert np.max(np.abs(off) / np.sqrt(np.outer(diag, diag))) <= 1e-15
+    norms = [2 ** (2 * n + 1 + (k == 0)) * math.factorial(n + k) * math.factorial(n - k)
+             for k in range(n + 1)]
+    assert np.max(np.abs(diag / np.array(norms, dtype=float) - 1.0)) <= 1e-15
+    assert q_adjoint(n) is q_adjoint(n)
+    with pytest.raises(ValueError):
+        q_adjoint(n)[0, 0] = 1.0
+
+
 def test_conjugation_identity_small():
     for n in (1, 2, 3, 4, 6, 8):
         for A in (0.05, 0.3, 1.0, 2.5, 20.0):
@@ -205,7 +251,7 @@ def test_conjugation_identity_random_sweep():
 
 # --- order-2n boundary pairing --------------------------------------------------
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 10, 12, 16])
 def test_dtilde_weights_match_exact(n):
     nu = dtilde_coefficients(n)
     exact = dtilde_weights_exact(n)
