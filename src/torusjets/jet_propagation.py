@@ -6,7 +6,10 @@ satisfies the divided vector equation
     P'' + 4 eps^2 E_A P - 4 eps S_A P' = K1(L) / (1 + 2a + 2b)
 
 where L collects all lower-order jets and K1(L) is the degree-2n part of
--(Lap L) L'' + |grad L'|^2.  Substituting P = U Q and expanding Q in the
+-(Lap L) L'' + |grad L'|^2.  K1 is formed once per order, from factors that
+each lower order keeps from when it is stored (-Lap L, L'' and the gradient
+rows of L'); the mode solve, the order residual and the compatibility check
+all read that one copy.  Substituting P = U Q and expanding Q in the
 eigenbasis q_k decouples the system into scalar Dirichlet problems
 
     f_k'' + 16 eps^2 k^2 f_k = k_k(t),    k = 0..n.
@@ -86,7 +89,7 @@ class JetHierarchy:
 
     @functools.cached_property
     def _frame(self) -> _Frame:
-        """The stored orders, read at first use, turned to A > 0 and differentiated once."""
+        """The stored orders in the A > 0 frame, formed at first use unless propagate seeded it."""
         return _make_frame(self.path2, self.orders)
 
 
@@ -188,7 +191,11 @@ def solve_mode(
 
 @dataclass(frozen=True)
 class _Frame:
-    """Propagation state in the orientation that keeps A > 0."""
+    """Propagation state in the orientation that keeps A > 0.
+
+    Each stored order keeps L' and, stacked in `factors`, the four factors K1 takes
+    from it: -Lap L (zero-padded to n + 1 rows), L'' and the x and y gradients of L'.
+    """
 
     grid: TimeGrid
     path2: SecondJetPath
@@ -198,14 +205,28 @@ class _Frame:
     Z: np.ndarray
     orders: dict[int, np.ndarray] = field(default_factory=dict)
     dots: dict[int, np.ndarray] = field(default_factory=dict)
-    ddots: dict[int, np.ndarray] = field(default_factory=dict)
+    factors: dict[int, np.ndarray] = field(default_factory=dict)
+    k1: dict[int, np.ndarray] = field(default_factory=dict)
 
     def store(self, order: int, mat: np.ndarray) -> None:
-        """Keep an order with its first and second time derivatives."""
+        """Keep an order with its first time derivative and its K1 factors."""
         dt = self.grid.diff_matrix.T
-        self.orders[order] = mat
-        self.dots[order] = mat @ dt
-        self.ddots[order] = self.dots[order] @ dt
+        n = order // 2
+        dot = mat @ dt
+        # row r holds x^(2n-2r) y^(2r); d/dx and d/dy weigh it by 2n-2r and 2r
+        weights = 2.0 * np.arange(n + 1)[:, None]
+        factors = np.zeros((4, n + 1, self.grid.node_count))
+        factors[0, :n] = -_laplacian_rows(mat, n)
+        factors[1] = dot @ dt
+        factors[2] = dot * weights[::-1]
+        factors[3] = dot * weights
+        self.orders[order], self.dots[order], self.factors[order] = mat, dot, factors
+
+    def source(self, order: int) -> np.ndarray:
+        """K1 of `order` divided by 1 + 2a + 2b, formed on first request."""
+        if order not in self.k1:
+            self.k1[order] = _k1_divided(self, order)
+        return self.k1[order]
 
     def orient(self, coeffs: np.ndarray) -> np.ndarray:
         """Axis 0 (basis index) reversed if the frame swaps x and y; reversal is its own
@@ -256,38 +277,29 @@ def _laplacian_rows(c: np.ndarray, d: int) -> np.ndarray:
     return c[:-1] * jx * (jx - 1) + c[1:] * ky * (ky - 1)
 
 
-def _conv_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row convolution of coefficient matrices sharing the node axis."""
-    p, nodes = u.shape
-    q = v.shape[0]
-    out = np.zeros((p + q - 1, nodes))
-    for r in range(p):
-        out[r:r + q] += u[r] * v
-    return out
-
-
 def _k1_divided(frame: _Frame, order: int) -> np.ndarray:
     """Degree-`order` part of (-(Lap L) L'' + |grad L'|^2) / (1 + 2a + 2b).
 
     Only pairs of stored orders 4..order-2 contribute; the 2-jet factors are
-    already accounted for on the left side of the divided equation.
+    already accounted for on the left side of the divided equation.  A pair
+    of orders (2i, 2j), i + j = n + 1, stacks its three factor pairs (-Lap L_2i
+    with L_2j'', and the x and y gradients of L_2i' with L_2j') into one row
+    convolution.  The pairs are added in turn, which fixes K1 to the last bit:
+    the hierarchy amplifies a last-bit change about a millionfold by order 20.
     """
     n = order // 2
     out = np.zeros((n + 1, frame.grid.node_count))
-    for i in range(2, n - 1 + 1):
-        j = n + 1 - i
-        if 2 * j not in frame.orders or 2 * i not in frame.orders:
-            continue
-        ci_dot = frame.dots[2 * i]
-        cj_dot = frame.dots[2 * j]
-        out -= _conv_rows(_laplacian_rows(frame.orders[2 * i], i), frame.ddots[2 * j])
-        px_i = ci_dot * (2.0 * np.arange(i, -1, -1))[:, None]
-        px_j = cj_dot * (2.0 * np.arange(j, -1, -1))[:, None]
-        out += _conv_rows(px_i, px_j)[: n + 1]
-        py_i = ci_dot[1:] * (2.0 * np.arange(1, i + 1))[:, None]
-        py_j = cj_dot[1:] * (2.0 * np.arange(1, j + 1))[:, None]
-        out[1:] += _conv_rows(py_i, py_j)
-    return out / frame.Z[None, :]
+    for i in range(2, n):
+        fi, fj = frame.factors.get(2 * i), frame.factors.get(2 * (n + 1 - i))
+        if fi is not None and fj is not None:
+            left, right = fi[[0, 2, 3]], fj[1:]
+            conv = np.zeros((3, n + 2, frame.grid.node_count))
+            for r in range(i + 1):
+                conv[:, r:r + n + 2 - i] += left[:, r, None] * right
+            out += conv[0, :-1]
+            out += conv[1, :-1]
+            out += conv[2, 1:]  # y^(2r-1) y^(2s-1) is row r + s - 1
+    return out / frame.Z
 
 
 def source_K1(lower: JetHierarchy, order: int) -> list[CoefficientSeries]:
@@ -295,14 +307,14 @@ def source_K1(lower: JetHierarchy, order: int) -> list[CoefficientSeries]:
     if order < 4 or order % 2:
         raise ValueError(f"source order must be even and >= 4, got {order}")
     frame = lower._frame
-    return [CoefficientSeries(lower.grid, row) for row in frame.orient(_k1_divided(frame, order))]
+    return [CoefficientSeries(lower.grid, row) for row in frame.orient(frame.source(order))]
 
 
 def _mode_sources(frame: _Frame, order: int):
     """U diagonal per node and K1 in the q basis of one order."""
     n = order // 2
     u_nodes = u_eigenvalues(n, frame.A)
-    return u_nodes, q_adjoint(n) @ (_k1_divided(frame, order) / u_nodes)
+    return u_nodes, q_adjoint(n) @ (frame.source(order) / u_nodes)
 
 
 def order_residual(hier: JetHierarchy, order: int) -> float:
@@ -311,10 +323,10 @@ def order_residual(hier: JetHierarchy, order: int) -> float:
         raise ValueError(f"order {order} is not stored in the hierarchy")
     frame = hier._frame
     n = order // 2
-    lhs = frame.ddots[order] + 4.0 * frame.eps**2 * apply_EA(n, frame.A, frame.orders[order]) \
+    ddot = frame.factors[order][1]
+    lhs = ddot + 4.0 * frame.eps**2 * apply_EA(n, frame.A, frame.orders[order]) \
         - 4.0 * frame.eps * apply_SA(n, frame.A, frame.dots[order])
-    rhs = _k1_divided(frame, order)
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(lhs - frame.source(order))))
 
 
 def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
@@ -330,10 +342,7 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
         raise ValueError(f"max_order must be even and >= 4, got {max_order}")
     jets0 = _normalize_jets(phi0_jets, "phi0")
     jets1 = _normalize_jets(phi1_jets, "phi1")
-    boundary = SecondJetBoundary(
-        a0=jets0[2][0], b0=jets0[2][1], a1=jets1[2][0], b1=jets1[2][1]
-    )
-    path2 = solve_bvp(boundary, grid)
+    path2 = solve_bvp(SecondJetBoundary(*jets0[2], *jets1[2]), grid)
     frame = _make_frame(path2)
     operators = ModeOperators(grid)
 
@@ -349,12 +358,8 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
 
         f_rows = np.empty_like(k_modes)
         for mode in range(n + 1):
-            problem = ModeProblem(
-                lam=16.0 * frame.eps**2 * mode**2,
-                source=CoefficientSeries(grid, k_modes[mode]),
-                f0=f0[mode],
-                f1=f1[mode],
-            )
+            lam = 16.0 * frame.eps**2 * mode**2
+            problem = ModeProblem(lam, CoefficientSeries(grid, k_modes[mode]), f0[mode], f1[mode])
             sol = solve_mode(problem, grid, operators)
             if sol.resonant:
                 if mode != n:
@@ -371,22 +376,16 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
         if 4.0 * frame.eps * n > math.pi + RESONANCE_TOL:
             beyond.append(order)
 
-    out_orders = {}
-    for order, mat in frame.orders.items():
-        out_orders[order] = [CoefficientSeries(grid, row) for row in frame.orient(mat)]
-    return JetHierarchy(
-        path2=path2,
-        orders=out_orders,
-        beyond_scope_orders=tuple(beyond),
-        near_resonance_warnings=tuple(warnings),
-    )
+    orders = {order: [CoefficientSeries(grid, row) for row in frame.orient(mat)]
+              for order, mat in frame.orders.items()}
+    hier = JetHierarchy(path2, orders, tuple(beyond), tuple(warnings))
+    hier.__dict__["_frame"] = frame  # seeds the `_frame` memo with this frame, K1 included
+    return hier
 
 
 def _resonant_report(frame, order, k_top, p0, p1, multiple, warnings) -> ObstructionReport:
-    n = order // 2
-    w0 = d_weights(n, frame.A[0])
-    w1 = d_weights(n, frame.A[-1])
-    fact = fischer_weights(n)
+    n, fact = order // 2, fischer_weights(order // 2)
+    w0, w1 = d_weights(n, frame.A[0]), d_weights(n, frame.A[-1])
     sign = -((-1.0) ** multiple)
     lhs = math.fsum(w0 * fact * p0) + sign * math.fsum(w1 * fact * p1)
     kernel = np.sin(multiple * math.pi * frame.grid.nodes)

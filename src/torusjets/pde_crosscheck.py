@@ -133,10 +133,7 @@ def _newton_step(phi, dt, hx, hy, res):
     size = inner * nx * ny
     op = LinearOperator((size, size), matvec=matvec)
     pc = LinearOperator((size, size), matvec=precond)
-    try:
-        step, info = lgmres(op, -res.ravel(), M=pc, rtol=1e-10, atol=0.0, maxiter=400)
-    except TypeError:  # older scipy spells the kwarg tol
-        step, info = lgmres(op, -res.ravel(), M=pc, tol=1e-10, atol=0.0, maxiter=400)
+    step, info = lgmres(op, -res.ravel(), M=pc, rtol=1e-10, atol=0.0, maxiter=400)
     if info != 0:
         raise NumericError(f"linear solver stalled in the Newton step (info={info})")
     return step.reshape(inner, nx, ny)

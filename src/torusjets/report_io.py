@@ -92,16 +92,28 @@ def dumps_json(obj, indent: int = 2) -> str:
     return "".join(pieces) + "\n"
 
 
+def _number(cast, value, what: str):
+    """cast(value), with a ValueError naming `what` for a non-numeric JSON value."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
 def parse_potential(spec: dict) -> TorusPotential:
     """Build a potential from a {"terms": [[coeff, px, py], ...]} mapping."""
-    if not isinstance(spec, dict) or "terms" not in spec:
+    if not isinstance(spec, dict) or not isinstance(spec.get("terms"), list):
         raise ValueError('potential spec must be an object with a "terms" list')
     terms = []
     for entry in spec["terms"]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ValueError(f"each term must be [coeff, px, py], got {entry!r}")
         coeff, px, py = entry
-        terms.append((float(coeff), int(px), int(py)))
+        terms.append((
+            _number(float, coeff, "a term coefficient"),
+            _number(int, px, "a term power"),
+            _number(int, py, "a term power"),
+        ))
     return TorusPotential(tuple(terms))
 
 
@@ -116,7 +128,9 @@ def parse_jet_table(spec: dict) -> dict[int, np.ndarray]:
             order = int(key)
         except (TypeError, ValueError):
             raise ValueError(f"jet order keys must be integers, got {key!r}") from None
-        jets[order] = np.asarray([float(c) for c in coeffs])
+        if not isinstance(coeffs, list):
+            raise ValueError(f"the order-{key} jet must be a list of coefficients, got {coeffs!r}")
+        jets[order] = np.asarray([_number(float, c, "a jet coefficient") for c in coeffs])
     return jets
 
 

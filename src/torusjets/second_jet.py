@@ -139,18 +139,29 @@ def distance(p0: HalfPlanePoint, p1: HalfPlanePoint) -> float:
     cls = classify(p0, p1)
     if cls is not CausalClass.SPACE_LIKE:
         raise GeodesicDomainError(f"distance needs space-like separation, got {cls.value}")
-    rhs = (p0.Z**2 + p1.Z**2 - (p0.X - p1.X) ** 2) / (2 * p0.Z * p1.Z)
-    if rhs > 1.0 or rhs < -1.0:
-        if rhs > 1.0 + TIE_TOL or rhs < -1.0 - TIE_TOL:
-            raise ConsistencyError(f"cos(D) = {rhs} outside [-1, 1]")
-        rhs = max(-1.0, min(1.0, rhs))
-    return math.acos(rhs)
+    dx, dz = p1.X - p0.X, p1.Z - p0.Z
+    return _arc_length(0.25 * (dx - dz) * (dx + dz) / (p0.Z * p1.Z))
+
+
+def _arc_length(sin2: float) -> float:
+    """D = 2 asin(sqrt(sin2)) from sin^2(D/2) = (dX^2 - dZ^2) / (4 Z0 Z1) in (0, 1]."""
+    if not 0.0 < sin2 <= 1.0 + TIE_TOL:
+        raise ConsistencyError(f"sin^2(D/2) = {sin2} outside (0, 1]")
+    return 2.0 * math.asin(math.sqrt(min(sin2, 1.0)))
 
 
 def epsilon_from_boundary(boundary: SecondJetBoundary) -> float:
-    """epsilon = D/4 < pi/4 for space-like boundary jets."""
+    """epsilon = D/4 < pi/4 for space-like boundary jets, with D taken from the jets."""
     p0, p1 = to_halfplane(boundary)
-    return distance(p0, p1) / 4.0
+    cls = classify(p0, p1)
+    if cls is not CausalClass.SPACE_LIKE:
+        raise GeodesicDomainError(f"epsilon needs space-like boundary jets, got {cls.value}")
+    return _arc_length(_jet_sin2(boundary, p0, p1)) / 4.0
+
+
+def _jet_sin2(boundary: SecondJetBoundary, p0: HalfPlanePoint, p1: HalfPlanePoint) -> float:
+    """sin^2(D/2) from the jets: dX^2 - dZ^2 = -16 da db cancels at no edge."""
+    return -4.0 * (boundary.a1 - boundary.a0) * (boundary.b1 - boundary.b0) / (p0.Z * p1.Z)
 
 
 def solve_bvp(boundary: SecondJetBoundary, grid: TimeGrid) -> SecondJetPath:
@@ -161,8 +172,9 @@ def solve_bvp(boundary: SecondJetBoundary, grid: TimeGrid) -> SecondJetPath:
     a geodesic, and sigma2 <= 0 means |X'| >= |Z'| all along, so the class
     of the chord is the class of every geodesic joining its ends.
 
-    - Space-like: cos D = (Z0^2 + Z1^2 - dX^2)/(2 Z0 Z1) > -1 by S > |dX|,
-      so the arc of length D = 4*epsilon < pi exists and is unique.
+    - Space-like: sin^2(D/2) = (dX^2 - dZ^2)/(4 Z0 Z1) = -4 da db/(Z0 Z1) < 1
+      by S > |dX|, so the arc of length D = 4*epsilon < pi exists and is
+      unique.
     - Time-like: for dX != 0 the chord fixes lam, and 4 dX^2 r^2 =
       (dZ^2 - dX^2)(S^2 - dX^2) > 0.  X0 - lam = (dZ S - dX^2)/(2 dX) and
       X1 - lam = (dZ S + dX^2)/(2 dX) share the sign of dZ dX, because
@@ -195,18 +207,28 @@ def _solve_spacelike(boundary, p0, p1, grid) -> SecondJetPath:
     swapped = p1.X < p0.X
     x0, x1 = (-p0.X, -p1.X) if swapped else (p0.X, p1.X)
 
-    D = distance(p0, p1)
+    sin2 = _jet_sin2(boundary, p0, p1)
+    D = _arc_length(sin2)
     eps = D / 4.0
     # Normalize with the isometry (X, Z) -> ((X - X0)/Z0, Z/Z0); then
-    # Z(t) = Ct/sin(psi), X(t) = Xc - Ct*cot(psi) with psi = D t + 2 theta0.
-    two_theta0 = math.atan2(math.sin(D), p0.Z / p1.Z - math.cos(D))
-    if not (0.0 < two_theta0 and two_theta0 + D < math.pi):
+    # Z(t) = sin(2 theta0)/sin(psi) and X(t) = sin(D t)/sin(psi) with
+    # psi = D t + 2 theta0 and cot(2 theta0) = w / sin D, where
+    # w = Z0/Z1 - cos D = 2 sin^2(D/2) - dZ/Z1.  psi is carried as its angle
+    # beta from the end of (0, pi) it starts nearer, so that sin(psi) keeps
+    # its digits where psi comes within D of 0 or pi: psi = beta when w >= 0,
+    # pi - beta when the chord rises steeply enough for w < 0.
+    dz = 2.0 * ((boundary.a1 - boundary.a0) + (boundary.b1 - boundary.b0))
+    w = 2.0 * sin2 - dz / p1.Z
+    sign = 1.0 if w >= 0 else -1.0  # cos(psi) = sign cos(beta)
+    beta0 = math.atan2(math.sin(D), abs(w))
+    if not (0.0 < beta0 and 0.0 < beta0 + sign * D < math.pi):
         raise ConsistencyError("hyperbola angle left (0, pi); endpoints inconsistent")
-    ct = math.sin(two_theta0)
-    xc = math.cos(two_theta0)
-    psi = D * grid.nodes + two_theta0
-    zn = ct / np.sin(psi)
-    xn = xc - ct * np.cos(psi) / np.sin(psi)
+    beta = beta0 + sign * D * grid.nodes
+    ct = math.sin(beta0)
+    xc = sign * math.cos(beta0)
+    sin_psi = np.sin(beta)
+    zn = ct / sin_psi
+    xn = np.sin(D * grid.nodes) / sin_psi
     Z = p0.Z * zn
     X = x0 + p0.Z * xn
     lam = x0 + p0.Z * xc
@@ -217,11 +239,12 @@ def _solve_spacelike(boundary, p0, p1, grid) -> SecondJetPath:
         lam = -lam
     a = (Z + X - 1.0) / 4.0
     b = (Z - X - 1.0) / 4.0
-    A = np.tan(2.0 * eps * grid.nodes + two_theta0 / 2.0)
+    # A = tan(psi/2) and sigma1 = eps (A - 1/A) = -2 eps cot(psi), both from beta
+    half = np.tan(beta / 2.0)
     return _assemble(
         boundary, CausalClass.SPACE_LIKE, grid, a, b,
         sigma2=-(eps**2), swapped=swapped, epsilon=eps,
-        A=A, sigma1=eps * (A - 1.0 / A),
+        A=half if sign > 0 else 1.0 / half, sigma1=-2.0 * eps * sign / np.tan(beta),
         hyperbola=Hyperbola(lam=lam, c_value=(p0.Z * ct) ** 2),
     )
 

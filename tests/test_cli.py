@@ -162,6 +162,31 @@ def test_propagate_bad_schema(capsys, tmp_path):
     assert "object" in err
 
 
+MALFORMED_SPECS = [
+    {"phi1": {"jets": {"2": 5}}},
+    {"terms": 5},
+    {"terms": [[[1], 2, 0]]},
+    {"terms": [[1, None, 0]]},
+    {"phi1": {"jets": {"2": [0.1, {"a": 1}]}}},
+]
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [("propagate", payload) for payload in MALFORMED_SPECS]
+    + [("pde-check", MALFORMED_SPECS[2])],
+)
+def test_malformed_spec_values_are_input_errors(capsys, tmp_path, command, payload):
+    spec = write_spec(tmp_path, payload)
+    if command == "propagate":
+        size = ["--max-order", "4"]
+    else:
+        size = ["--nt", "9", "--nx", "16", "--ny", "16"]
+    code, out, err = run_cli(capsys, command, "--spec", spec, *size)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # --- counterexample ---------------------------------------------------------------
 
 def test_counterexample_demo(capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -128,15 +129,15 @@ def test_source_zero_at_order_four():
         source_K1(lower, 2)
 
 
-def test_source_matches_symbolic_oracle():
-    rng = np.random.default_rng(11)
-    jets0 = {2: np.zeros(2), 4: rng.uniform(-1, 1, 3), 6: rng.uniform(-1, 1, 4)}
-    jets1 = {2: np.array([0.2, -0.2]), 4: rng.uniform(-1, 1, 3), 6: rng.uniform(-1, 1, 4)}
-    hier = propagate(jets0, jets1, 8, GRID)
+@pytest.mark.parametrize("theta", [0.3, -0.3])
+def test_source_matches_symbolic_oracle(theta):
+    jets0, jets1 = family_jets(theta, 12, seed=11)
+    hier = propagate(jets0, jets1, 12, GRID)
     assert isinstance(hier, JetHierarchy)
+    assert hier.path2.swapped_axes == (theta < 0)
     dt = GRID.diff_matrix.T
     z = 1.0 + 2.0 * hier.path2.a.values + 2.0 * hier.path2.b.values
-    for order in (6, 8):
+    for order in (6, 8, 10, 12):
         src = np.vstack([s.values for s in source_K1(hier, order)])
         for idx in (3, 17, 31, 44, 60):
             data = {}
@@ -329,17 +330,45 @@ def test_order_residual_reads_the_memoised_frame():
 
     jets0, jets1 = family_jets(-0.3, 12, seed=19)
     hier = propagate(jets0, jets1, 12, GRID)
-    residuals = {order: order_residual(hier, order) for order in sorted(hier.orders)[::-1]}
+    assert "_frame" in vars(hier)  # propagate hands over the frame it built
     memo = hier._frame
+    residuals = {order: order_residual(hier, order) for order in sorted(hier.orders)[::-1]}
     fresh = _make_frame(hier.path2, hier.orders)
     for order in hier.orders:
         assert np.array_equal(memo.orders[order], fresh.orders[order])
         assert np.array_equal(memo.dots[order], fresh.dots[order])
-        assert np.array_equal(memo.ddots[order], fresh.ddots[order])
+        assert np.array_equal(memo.factors[order], fresh.factors[order])
+        assert np.array_equal(memo.source(order), fresh.source(order))
         unmemoised = JetHierarchy(hier.path2, hier.orders)
         assert order_residual(unmemoised, order) == residuals[order]
         assert order_residual(hier, order) == residuals[order]
     assert hier._frame is memo
+
+
+def test_k1_formed_once_per_order(monkeypatch):
+    formed, stored = Counter(), Counter()
+    real_k1 = jet_propagation._k1_divided
+    real_store = jet_propagation._Frame.store
+
+    def counting_k1(frame, order):
+        formed[order] += 1
+        return real_k1(frame, order)
+
+    def counting_store(frame, order, mat):
+        stored[order] += 1
+        return real_store(frame, order, mat)
+
+    monkeypatch.setattr(jet_propagation, "_k1_divided", counting_k1)
+    monkeypatch.setattr(jet_propagation._Frame, "store", counting_store)
+    jets0, jets1 = family_jets(-0.05, 20, seed=23)
+    hier = propagate(jets0, jets1, 20, GRID)
+    assert sorted(hier.orders) == list(range(4, 21, 2))
+    for order in hier.orders:
+        assert order_residual(hier, order) < 1e-6
+    source_K1(hier, 20)
+    once = {order: 1 for order in range(4, 21, 2)}
+    assert formed == once  # propagate formed each K1; the residuals read it
+    assert stored == once  # and no order was stored, so differentiated, twice
 
 
 # --- resonance and obstruction ----------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from torusjets import pde_crosscheck
 from torusjets.counterexample import TorusPotential
 from torusjets.errors import NumericError
 from torusjets.pde_crosscheck import (
@@ -32,6 +33,20 @@ def test_solve_validation():
         solve_geodesic(ZERO, 9, 16, 16, [1e-2, 1e-1])
     with pytest.raises(ValueError, match="schedule"):
         solve_geodesic(ZERO, 9, 16, 16, [1e-2, 0.0])
+
+
+def test_krylov_type_error_is_not_retried(monkeypatch):
+    # a TypeError raised inside the Krylov solve reaches the caller unchanged
+    calls = []
+
+    def failing_lgmres(*args, **kwargs):
+        calls.append(kwargs)
+        raise TypeError("inner")
+
+    monkeypatch.setattr(pde_crosscheck, "lgmres", failing_lgmres)
+    with pytest.raises(TypeError, match="inner"):
+        solve_geodesic(SADDLE, 9, 16, 16, [1e-1])
+    assert len(calls) == 1
 
 
 def test_zero_boundary_solves_exactly():

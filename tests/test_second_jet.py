@@ -322,6 +322,10 @@ CLOSED_FORM_CASES = {
     "near_lightlike_1e-9": ((0.0, 0.0, 0.2, 0.25e-9), "TimeLike", 1),
     "near_lightlike_1e-11": ((0.0, 0.0, 0.2, 0.25e-11), "TimeLike", 1),
     "near_lightlike_1e-11_falling": ((0.2, 0.25e-11, 0.0, 0.0), "TimeLike", 1),
+    # their space-like twins: b moves against a by 1e-9 and 1e-11
+    "near_lightlike_spacelike_1e-9": ((0.0, 0.0, 0.2, -1e-9), "SpaceLike", None),
+    "near_lightlike_spacelike_1e-11": ((0.0, 0.0, 0.2, -1e-11), "SpaceLike", None),
+    "near_lightlike_spacelike_1e-11_falling": ((0.2, -1e-11, 0.0, 0.0), "SpaceLike", None),
 }
 
 
@@ -349,6 +353,8 @@ def test_closed_form_matches_oracle(name, closed_form_oracle):
     assert abs(a[0] - bdry[0]) <= 1e-12 and abs(b[0] - bdry[1]) <= 1e-12
     assert abs(a[-1] - bdry[2]) <= 1e-12 and abs(b[-1] - bdry[3]) <= 1e-12
     assert ode_residual(path) < 1e-8
+    if path.epsilon is not None:
+        assert epsilon_from_boundary(SecondJetBoundary(*bdry)) == path.epsilon
     da = derivative(path.a).values
     db = derivative(path.b).values
     sigma2_nodes = da * db / (1 + 2 * a + 2 * b) ** 2
