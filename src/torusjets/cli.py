@@ -14,7 +14,8 @@ Exit codes:
   second-jet boundary that is not connectable.
 - 3: mathematical precondition failure (GeodesicDomainError), such as a
   propagate boundary that is not space-like.
-- 4: numeric failure: a solver that did not converge (NumericError), or an
+- 4: numeric failure: a solver that did not converge, a propagated order that
+  is not finite, or Fischer weights past the float range (NumericError); or an
   identity that must hold numerically and did not (ConsistencyError).
 
 second-jet solves every causal class in closed form and iterates nowhere, so

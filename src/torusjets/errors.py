@@ -11,7 +11,12 @@ class GeodesicDomainError(Exception):
 
 
 class NumericError(Exception):
-    """An iterative solver failed to converge or hit a degeneracy."""
+    """A computation left the floating-point range or could not finish.
+
+    An iterative solver did not converge or hit a degeneracy, a propagated
+    order's K1 or solution is not finite, or the Fischer weights (2n)! of an
+    order past 170 overflow a float.
+    """
 
 
 class ConsistencyError(RuntimeError):

@@ -9,13 +9,20 @@ where L collects all lower-order jets and K1(L) is the degree-2n part of
 -(Lap L) L'' + |grad L'|^2.  K1 is formed once per order, from factors that
 each lower order keeps from when it is stored (-Lap L, L'' and the gradient
 rows of L'); the mode solve, the order residual and the compatibility check
-all read that one copy.  Substituting P = U Q and expanding Q in the
-eigenbasis q_k decouples the system into scalar Dirichlet problems
+all read that one copy.  P = U g with g = Q f, f in the eigenbasis q_k,
+decouples the system into scalar Dirichlet problems
 
-    f_k'' + 16 eps^2 k^2 f_k = k_k(t),    k = 0..n.
+    f_k'' + mu_k^2 f_k = k_k(t),    mu_k = 4 eps k,    k = 0..n,
 
-A mode with 4*eps*k equal to a positive multiple m*pi of pi is resonant: the
-Dirichlet problem is solvable only under the compatibility condition
+all solved at once by variation of constants on the grid (Greengard, SIAM J.
+Numer. Anal. 28, 1991).  With c = cos(mu t), s = sin(mu t)/mu and the grid's
+integration matrix J, f = f0 c + b s + s J(c k) - c J(s k) with b fixed by f(1),
+f' = b c - mu^2 f0 s + c J(c k) + mu^2 s J(s k) and f'' = k - mu^2 f.  Along
+A = tan(2 eps t + theta0), U'/U = l = 2 eps S_A, so P' = U (g' + l g) and
+P'' = U (g'' + 2 l g' + (l^2 + l') g): no solved order is differentiated.
+
+A mode with mu a positive multiple m*pi of pi is resonant: s(1) vanishes, and
+the Dirichlet problem is solvable only under the compatibility condition
 
     f(0) - (-1)^m f(1) = (1/(m pi)) * int_0^1 k_k(t) sin(m pi t) dt,
 
@@ -31,14 +38,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
-from .errors import ConsistencyError, GeodesicDomainError
+from .errors import ConsistencyError, GeodesicDomainError, NumericError
 from .poly_ops import (
     apply_EA, apply_SA, d_weights, fischer_weights, q_adjoint, q_matrix, u_eigenvalues,
+    u_log_derivative,
 )
 from .second_jet import CausalClass, SecondJetBoundary, SecondJetPath, solve_bvp
-from .timegrid import CoefficientSeries, TimeGrid, integrate, require_same_grid, same_grid
+from .timegrid import CoefficientSeries, TimeGrid, integrate, require_same_grid
 
 RESONANCE_TOL = 1e-9
 NEAR_RESONANCE_TOL = 1e-6
@@ -114,79 +121,57 @@ class ObstructionReport:
     near_resonance_warnings: tuple[tuple[int, int], ...] = ()
 
 
-class ModeOperators:
-    """d^2/dt^2 + lam on one grid: D^2 formed once, each lam classified and factored once."""
-
-    def __init__(self, grid: TimeGrid):
-        self.grid = grid
-        self.d2 = grid.diff_matrix @ grid.diff_matrix
-        self._by_lam: dict[float, tuple] = {}
-
-    def __getitem__(self, lam: float) -> tuple:
-        """(m, near, lu): m*pi is nearest sqrt(lam); lu factors, None at a resonance."""
-        if lam not in self._by_lam:
-            mu = math.sqrt(lam)
-            m = round(mu / math.pi)
-            gap = abs(mu - m * math.pi) if m >= 1 else math.inf
-            lu = None if gap < RESONANCE_TOL else lu_factor(self.pinned(lam))
-            self._by_lam[lam] = (m, gap < NEAR_RESONANCE_TOL, lu)
-        return self._by_lam[lam]
-
-    def pinned(self, lam: float) -> np.ndarray:
-        """d2 + lam with its first and last rows pinning f(0) and f(1)."""
-        mat = self.d2 + lam * np.eye(self.grid.node_count)
-        mat[[0, -1], :] = 0.0
-        mat[[0, -1], [0, -1]] = 1.0
-        return mat
+def _classify(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, resonant, near) per mu: m*pi is the positive multiple of pi nearest mu, or 0."""
+    m = np.round(mu / math.pi).astype(int)
+    gap = np.where(m >= 1, np.abs(mu - m * math.pi), math.inf)
+    return m, gap < RESONANCE_TOL, (gap >= RESONANCE_TOL) & (gap < NEAR_RESONANCE_TOL)
 
 
-def solve_mode(
-    problem: ModeProblem, grid: TimeGrid, operators: ModeOperators | None = None
-) -> ModeSolution:
-    """Solve one scalar mode by spectral collocation.
+def _vary_constants(grid: TimeGrid, mu, k, f0, f1, multiple) -> tuple[np.ndarray, np.ndarray]:
+    """f and f' of f'' + mu^2 f = k with f(0) = f0, one row per mode.
 
-    Non-resonant modes solve the square collocation system with boundary
-    rows.  A resonant mode (sqrt(lam) within 1e-9 of m*pi) solves the
-    bordered system that augments the operator with the kernel direction and
-    pins the solution to be quadrature-orthogonal to sin(m pi t); the
+    s = sin(mu t)/mu is t sinc(mu t/pi), so mu = 0 needs no branch.  b gives f(1) = f1, or,
+    on a row whose multiple m is positive, where s(1) vanishes, f orthogonal to sin(m pi t).
+    """
+    t, jt, mu = grid.nodes, grid.integration_matrix.T, mu[:, None]
+    c, s = np.cos(mu * t), t * np.sinc(mu * t / math.pi)
+    jc, js = (c * k) @ jt, (s * k) @ jt
+    free = f0[:, None] * c + s * jc - c * js
+    kernel = grid.quad_weights * np.sin(multiple[:, None] * math.pi * t)
+    b = np.where(multiple > 0, -(free * kernel).sum(1), f1 - free[:, -1]) \
+        / np.where(multiple > 0, (s * kernel).sum(1), s[:, -1])
+    f = free + b[:, None] * s
+    return f, b[:, None] * c - mu**2 * f0[:, None] * s + c * jc + mu**2 * s * js
+
+
+def _source_pairing(grid: TimeGrid, k: np.ndarray, m: int) -> float:
+    """(1/(m pi)) int_0^1 k(t) sin(m pi t) dt, the source side of the compatibility condition."""
+    return integrate(CoefficientSeries(grid, k * np.sin(m * math.pi * grid.nodes))) / (m * math.pi)
+
+
+def solve_mode(problem: ModeProblem, grid: TimeGrid) -> ModeSolution:
+    """Solve one scalar mode by variation of constants, as propagate solves all modes at once.
+
+    A resonant mode (sqrt(lam) within 1e-9 of m*pi) takes the solution quadrature-orthogonal
+    to sin(m pi t); it has f(0) = f0, but f(1) = f1 only for compatible data.  The
     compatibility residual is reported alongside.
-
-    propagate passes one `operators` of `grid` to every call, so each mode
-    operator is factored once per propagation; without it a call makes its own.
     """
     require_same_grid(problem.source, grid)
-    if operators is None:
-        operators = ModeOperators(grid)
-    elif not same_grid(operators.grid, grid):
-        raise ValueError("the mode operators belong to another grid")
-    m, near, lu = operators[problem.lam]
+    mu = np.array([math.sqrt(problem.lam)])
+    m, resonant, near = _classify(mu)
     k = problem.source.values
-    rhs = k.copy()
-    rhs[[0, -1]] = problem.f0, problem.f1
-
-    if lu is not None:
-        f = lu_solve(lu, rhs)
-        return ModeSolution(CoefficientSeries(grid, f), resonant=False, near_resonance=near)
-
-    size = grid.node_count
-    kernel = np.sin(m * math.pi * grid.nodes)
-    mat = np.pad(operators.pinned(problem.lam), (0, 1))
-    mat[1:size - 1, size] = kernel[1:-1]
-    mat[size, :size] = grid.quad_weights * kernel
-    f = np.linalg.solve(mat, np.append(rhs, 0.0))[:size]
-
+    f = _vary_constants(grid, mu, k[None], np.array([problem.f0]), problem.f1, m * resonant)[0]
+    values = CoefficientSeries(grid, f[0])
+    if not resonant[0]:
+        return ModeSolution(values, resonant=False, near_resonance=bool(near[0]))
+    m = int(m[0])
     boundary_term = problem.f0 - (-1.0) ** m * problem.f1
-    source_term = integrate(CoefficientSeries(grid, k * kernel)) / (m * math.pi)
+    source_term = _source_pairing(grid, k, m)
     residual = abs(boundary_term - source_term)
-    return ModeSolution(
-        CoefficientSeries(grid, f),
-        resonant=True,
-        multiple=m,
-        boundary_term=boundary_term,
-        source_term=source_term,
-        compat_residual=residual,
-        compatible=residual < COMPAT_TOL,
-    )
+    return ModeSolution(values, resonant=True, multiple=m, boundary_term=boundary_term,
+                        source_term=source_term, compat_residual=residual,
+                        compatible=residual < COMPAT_TOL)
 
 
 @dataclass(frozen=True)
@@ -208,16 +193,14 @@ class _Frame:
     factors: dict[int, np.ndarray] = field(default_factory=dict)
     k1: dict[int, np.ndarray] = field(default_factory=dict)
 
-    def store(self, order: int, mat: np.ndarray) -> None:
+    def store(self, order: int, mat: np.ndarray, dot: np.ndarray, ddot: np.ndarray) -> None:
         """Keep an order with its first time derivative and its K1 factors."""
-        dt = self.grid.diff_matrix.T
         n = order // 2
-        dot = mat @ dt
         # row r holds x^(2n-2r) y^(2r); d/dx and d/dy weigh it by 2n-2r and 2r
         weights = 2.0 * np.arange(n + 1)[:, None]
         factors = np.zeros((4, n + 1, self.grid.node_count))
         factors[0, :n] = -_laplacian_rows(mat, n)
-        factors[1] = dot @ dt
+        factors[1] = ddot
         factors[2] = dot * weights[::-1]
         factors[3] = dot * weights
         self.orders[order], self.dots[order], self.factors[order] = mat, dot, factors
@@ -229,8 +212,7 @@ class _Frame:
         return self.k1[order]
 
     def orient(self, coeffs: np.ndarray) -> np.ndarray:
-        """Axis 0 (basis index) reversed if the frame swaps x and y; reversal is its own
-        inverse, so this maps the caller's coefficients to the frame's and back."""
+        """Axis 0 (basis index) reversed if the frame swaps x and y, to the frame and back."""
         return coeffs[::-1] if self.swapped else coeffs
 
 
@@ -241,30 +223,26 @@ def _make_frame(path2: SecondJetPath, orders: dict | None = None) -> _Frame:
             f"propagation needs a space-like second-jet path, got {path2.causal_class.value}"
         )
     frame = _Frame(
-        grid=path2.grid,
-        path2=path2,
-        swapped=path2.swapped_axes,
-        eps=path2.epsilon,
-        A=path2.A.values,
-        Z=1.0 + 2.0 * path2.a.values + 2.0 * path2.b.values,
+        grid=path2.grid, path2=path2, swapped=path2.swapped_axes, eps=path2.epsilon,
+        A=path2.A.values, Z=1.0 + 2.0 * path2.a.values + 2.0 * path2.b.values,
     )
+    dt = path2.grid.diff_matrix.T
     for order, series_list in (orders or {}).items():
-        frame.store(order, frame.orient(np.vstack([s.values for s in series_list])))
+        mat = frame.orient(np.vstack([s.values for s in series_list]))
+        dot = mat @ dt  # values are all a hand-built hierarchy has, so D differentiates them
+        frame.store(order, mat, dot, dot @ dt)
     return frame
 
 
 def _normalize_jets(jets: dict, what: str) -> dict[int, np.ndarray]:
-    out = {}
-    for order, coeffs in jets.items():
-        order = int(order)
+    out = {int(order): np.asarray(coeffs, dtype=float) for order, coeffs in jets.items()}
+    for order, vec in out.items():
         if order < 2 or order % 2:
             raise ValueError(f"{what} jets must come in even orders >= 2, got {order}")
-        vec = np.asarray(coeffs, dtype=float)
         if vec.shape != (order // 2 + 1,):
             raise ValueError(
                 f"{what} order-{order} jet needs {order // 2 + 1} coefficients, got {vec.shape}"
             )
-        out[order] = vec
     if 2 not in out:
         raise ValueError(f"{what} jets must include order 2")
     return out
@@ -335,8 +313,10 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
     phi0_jets and phi1_jets map even orders to even-even monomial coefficient
     vectors (index i holds the x^(2m-2i) y^(2i) coefficient of the degree-2m
     part).  Returns a JetHierarchy, or an ObstructionReport when a mode of
-    some order is resonant.  Mode k's operator is classified and factored once
-    per call and serves every order >= 2k, since its lam = 16 eps^2 k^2.
+    some order is resonant.  Each order's modes are classified from mu = 4 eps k
+    first; a resonant top mode goes to the report unsolved, and otherwise one
+    variation-of-constants call solves all n + 1 modes.  An order whose K1 or
+    solution is not finite stops the propagation with NumericError.
     """
     if max_order < 4 or max_order % 2:
         raise ValueError(f"max_order must be even and >= 4, got {max_order}")
@@ -344,7 +324,6 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
     jets1 = _normalize_jets(phi1_jets, "phi1")
     path2 = solve_bvp(SecondJetBoundary(*jets0[2], *jets1[2]), grid)
     frame = _make_frame(path2)
-    operators = ModeOperators(grid)
 
     beyond: list[int] = []
     warnings: list[tuple[int, int]] = []
@@ -352,27 +331,28 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
         n = order // 2
         p0 = frame.orient(jets0.get(order, np.zeros(n + 1)))
         p1 = frame.orient(jets1.get(order, np.zeros(n + 1)))
-        u_nodes, k_modes = _mode_sources(frame, order)
-        f0 = q_adjoint(n) @ (p0 / u_nodes[:, 0])
-        f1 = q_adjoint(n) @ (p1 / u_nodes[:, -1])
-
-        f_rows = np.empty_like(k_modes)
-        for mode in range(n + 1):
-            lam = 16.0 * frame.eps**2 * mode**2
-            problem = ModeProblem(lam, CoefficientSeries(grid, k_modes[mode]), f0[mode], f1[mode])
-            sol = solve_mode(problem, grid, operators)
-            if sol.resonant:
-                if mode != n:
-                    raise ConsistencyError(
-                        f"mode {mode} of order {order} resonated after its own order"
-                    )
-                return _resonant_report(
-                    frame, order, k_modes[mode], p0, p1, sol.multiple, tuple(warnings)
-                )
-            if sol.near_resonance:
-                warnings.append((order, mode))
-            f_rows[mode] = sol.values.values
-        frame.store(order, u_nodes * (q_matrix(n) @ f_rows))
+        mu = 4.0 * frame.eps * np.arange(n + 1)
+        multiple, resonant, near = _classify(mu)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_nodes, k_modes = _mode_sources(frame, order)
+            if not np.isfinite(k_modes).all():
+                raise NumericError(f"the K1 source of order {order} is not finite")
+            if resonant[:n].any():  # mode k tops order 2k, which reported it already
+                raise ConsistencyError(f"a mode of order {order} resonated after its own order")
+            warnings.extend((order, int(mode)) for mode in np.flatnonzero(near))
+            if resonant[n]:
+                return _resonant_report(frame, order, k_modes[n], p0, p1, int(multiple[n]),
+                                        tuple(warnings))
+            f0 = q_adjoint(n) @ (p0 / u_nodes[:, 0])
+            f1 = q_adjoint(n) @ (p1 / u_nodes[:, -1])
+            f, df = _vary_constants(grid, mu, k_modes, f0, f1, np.zeros(n + 1, int))
+            qm, (ell, dell) = q_matrix(n), u_log_derivative(n, frame.A, frame.eps)
+            g, dg, ddg = qm @ f, qm @ df, qm @ (k_modes - mu[:, None] ** 2 * f)
+            derivs = (u_nodes * g, u_nodes * (dg + ell * g),
+                      u_nodes * (ddg + 2.0 * ell * dg + (ell * ell + dell) * g))
+            if not all(np.isfinite(d).all() for d in derivs):
+                raise NumericError(f"the solution of order {order} is not finite")
+            frame.store(order, *derivs)
         if 4.0 * frame.eps * n > math.pi + RESONANCE_TOL:
             beyond.append(order)
 
@@ -388,21 +368,12 @@ def _resonant_report(frame, order, k_top, p0, p1, multiple, warnings) -> Obstruc
     w0, w1 = d_weights(n, frame.A[0]), d_weights(n, frame.A[-1])
     sign = -((-1.0) ** multiple)
     lhs = math.fsum(w0 * fact * p0) + sign * math.fsum(w1 * fact * p1)
-    kernel = np.sin(multiple * math.pi * frame.grid.nodes)
-    K = integrate(CoefficientSeries(frame.grid, k_top * kernel)) / (multiple * math.pi)
+    K = _source_pairing(frame.grid, k_top, multiple)
     residual = abs(lhs - K)
     return ObstructionReport(
-        resonant_order=order,
-        u=frame.orient(w0),
-        v=frame.orient(w1),
-        K=K,
-        lhs=lhs,
-        residual=residual,
-        satisfied=residual < COMPAT_TOL,
-        epsilon=frame.eps,
-        resonant_mode=n,
-        multiple=multiple,
-        near_resonance_warnings=warnings,
+        resonant_order=order, u=frame.orient(w0), v=frame.orient(w1), K=K, lhs=lhs,
+        residual=residual, satisfied=residual < COMPAT_TOL, epsilon=frame.eps,
+        resonant_mode=n, multiple=multiple, near_resonance_warnings=warnings,
     )
 
 
@@ -419,8 +390,8 @@ def compatibility_check(
     n = order // 2
     frame = lower._frame
     mu = 4.0 * frame.eps * n
-    multiple = round(mu / math.pi)
-    if multiple < 1 or abs(mu - multiple * math.pi) >= RESONANCE_TOL:
+    multiple, resonant, _ = _classify(np.array([mu]))
+    if not resonant[0]:
         raise ValueError(
             f"order {order} is not resonant: 4*eps*{n} = {mu} is not a multiple of pi"
         )
@@ -429,4 +400,4 @@ def compatibility_check(
     if p0.shape != (n + 1,) or p1.shape != (n + 1,):
         raise ValueError(f"order-{order} jets need {n + 1} coefficients")
     k_top = _mode_sources(frame, order)[1][n]
-    return _resonant_report(frame, order, k_top, p0, p1, multiple, ())
+    return _resonant_report(frame, order, k_top, p0, p1, int(multiple[0]), ())

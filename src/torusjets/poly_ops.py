@@ -40,6 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
+
 
 class Parity(enum.Enum):
     EVEN_EVEN = "EvenEven"
@@ -191,10 +193,12 @@ def q_adjoint(n: int) -> np.ndarray:
 
 
 def fischer_weights(n: int) -> np.ndarray:
-    """Fischer norms ||x^(2n-2i) y^(2i)||_F^2 = (2n-2i)! (2i)! of the even-even basis."""
-    return np.array(
-        [float(math.factorial(2 * n - 2 * i) * math.factorial(2 * i)) for i in range(n + 1)]
-    )
+    """Fischer norms (2n-2i)! (2i)! of the even-even basis; NumericError once (2n)! overflows."""
+    weights = [math.factorial(2 * n - 2 * i) * math.factorial(2 * i) for i in range(n + 1)]
+    try:
+        return np.array(weights, dtype=float)
+    except OverflowError:
+        raise NumericError(f"the Fischer weights of degree {2 * n} overflow a float") from None
 
 
 def apply_EA(n: int, A, p: np.ndarray) -> np.ndarray:
@@ -234,6 +238,13 @@ def u_eigenvalues(n: int, A, parity: Parity = Parity.EVEN_EVEN) -> np.ndarray:
     A = _check_A(A)
     ex, ey = _exponents(n, parity, A.ndim)
     return (A * A + 1.0) ** (ex / 2.0) * (1.0 + A ** -2.0) ** (ey / 2.0)
+
+
+def u_log_derivative(n: int, A, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """U'/U = 2 eps S_A on monomials and its time derivative, along A = tan(2 eps t + theta0)."""
+    A = _check_A(A)
+    ex, ey = _exponents(n, Parity.EVEN_EVEN, A.ndim)
+    return 2.0 * eps * (A * ex - ey / A), 4.0 * eps**2 * (1.0 + A * A) * (ex + ey / (A * A))
 
 
 def op_U(n: int, A: float, parity: Parity = Parity.EVEN_EVEN) -> PolyOperator:

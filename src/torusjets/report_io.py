@@ -12,6 +12,7 @@ import dataclasses
 import enum
 import json
 import math
+import numbers
 from itertools import repeat
 
 import numpy as np
@@ -92,12 +93,21 @@ def dumps_json(obj, indent: int = 2) -> str:
     return "".join(pieces) + "\n"
 
 
-def _number(cast, value, what: str):
-    """cast(value), with a ValueError naming `what` for a non-numeric JSON value."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+def _number(value, what: str, whole: bool = False):
+    """A finite JSON number as a float (an int if `whole`), else a ValueError naming `what`.
+
+    Booleans and strings are not numbers, and a whole number may be written 2 or 2.0
+    but not 2.7.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x) and (not whole or x.is_integer()):
+            return int(x) if whole else x
+    kind = "a whole number" if whole else "a finite number"
+    raise ValueError(f"{what} must be {kind}, got {value!r}")
 
 
 def parse_potential(spec: dict) -> TorusPotential:
@@ -110,9 +120,9 @@ def parse_potential(spec: dict) -> TorusPotential:
             raise ValueError(f"each term must be [coeff, px, py], got {entry!r}")
         coeff, px, py = entry
         terms.append((
-            _number(float, coeff, "a term coefficient"),
-            _number(int, px, "a term power"),
-            _number(int, py, "a term power"),
+            _number(coeff, "a term coefficient"),
+            _number(px, "a term power", whole=True),
+            _number(py, "a term power", whole=True),
         ))
     return TorusPotential(tuple(terms))
 
@@ -130,7 +140,7 @@ def parse_jet_table(spec: dict) -> dict[int, np.ndarray]:
             raise ValueError(f"jet order keys must be integers, got {key!r}") from None
         if not isinstance(coeffs, list):
             raise ValueError(f"the order-{key} jet must be a list of coefficients, got {coeffs!r}")
-        jets[order] = np.asarray([_number(float, c, "a jet coefficient") for c in coeffs])
+        jets[order] = np.asarray([_number(c, "a jet coefficient") for c in coeffs])
     return jets
 
 

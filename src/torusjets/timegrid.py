@@ -3,18 +3,20 @@
 All time-dependent quantities in the package live on a shared grid of
 Chebyshev-Gauss-Lobatto nodes mapped to [0, 1].  The grid carries a spectral
 differentiation matrix (barycentric form with the negative-sum trick on the
-diagonal) and Clenshaw-Curtis quadrature weights.
+diagonal), Clenshaw-Curtis quadrature weights and, formed on first use, the
+integration matrix J, (J v)_i = int_0^{t_i} v, exact for the interpolant of v.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MIN_NODES = 8
 DEFAULT_NODES = 64
-# The differentiation matrix and its square take 32 MiB each at this size.
+# D and J take 32 MiB each at this size.
 MAX_NODES = 2049
 
 
@@ -29,6 +31,11 @@ class TimeGrid:
     @property
     def node_count(self) -> int:
         return self.nodes.size
+
+    @functools.cached_property
+    def integration_matrix(self) -> np.ndarray:
+        """J with (J v)_i = int_0^{t_i} v, formed on first use and kept on the grid."""
+        return _integration_matrix(self.node_count - 1)
 
 
 @dataclass(frozen=True)
@@ -65,35 +72,46 @@ def make_grid(node_count: int = DEFAULT_NODES) -> TimeGrid:
 
     # Barycentric weights for Lobatto nodes: alternating signs, halved ends.
     bary = np.where(j % 2 == 0, 1.0, -1.0)
-    bary[0] *= 0.5
-    bary[n] *= 0.5
+    bary[[0, n]] *= 0.5
     dt = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(dt, 1.0)
     diff = (bary[None, :] / bary[:, None]) / dt
     np.fill_diagonal(diff, 0.0)
     np.fill_diagonal(diff, -diff.sum(axis=1))
 
-    weights = _clenshaw_curtis(n) * 0.5
-    return TimeGrid(nodes=nodes, diff_matrix=diff, quad_weights=weights)
+    return TimeGrid(nodes=nodes, diff_matrix=diff, quad_weights=_clenshaw_curtis(n) * 0.5)
+
+
+def _integration_matrix(n: int) -> np.ndarray:
+    """J on n+1 Lobatto nodes: values -> Chebyshev coefficients -> antiderivative -> values.
+
+    At node j, x = 2t - 1 = cos(pi (n-j)/n), so T_k(x_j) = cos(pi r/n), r = k (n-j) mod 2n.
+    """
+    table = np.cos(np.pi * np.arange(2 * n) / n)
+    cheb = table[np.arange(n + 2)[:, None] * np.arange(n, -1, -1) % (2 * n)]  # T_k(x_j)
+    # Row k of coeffs, (2/n) sum'' v_j T_k(x_j), is the T_k coefficient a_k; row 0 is 2 a_0.
+    coeffs = (2.0 / n) * cheb[:n + 1]
+    coeffs[:, [0, -1]] *= 0.5
+    coeffs[-1] *= 0.5
+    # int T_0 = T_1 and int T_k = T_(k+1)/(2(k+1)) - T_(k-1)/(2(k-1)), so the antiderivative
+    # has T_k coefficient (row k-1 - a_(k+1))/(2k); it is taken from x = -1, T_k(-1) = (-1)^k.
+    anti = np.zeros((n + 2, n + 1))
+    anti[1:] = coeffs
+    anti[1:n] -= coeffs[2:]
+    anti[1:] /= 2.0 * np.arange(1, n + 2)[:, None]
+    return 0.5 * (cheb - (-1.0) ** np.arange(n + 2)[:, None]).T @ anti  # dt = dx/2
 
 
 def _clenshaw_curtis(n: int) -> np.ndarray:
     """Clenshaw-Curtis weights for n+1 Lobatto nodes on [-1, 1]."""
     theta = np.pi * np.arange(1, n) / n
     v = np.ones(n - 1)
+    for k in range(1, (n + 1) // 2):
+        v -= 2.0 * np.cos(2 * k * theta) / (4 * k * k - 1)
     if n % 2 == 0:
-        w_end = 1.0 / (n * n - 1)
-        for k in range(1, n // 2):
-            v -= 2.0 * np.cos(2 * k * theta) / (4 * k * k - 1)
         v -= np.cos(n * theta) / (n * n - 1)
-    else:
-        w_end = 1.0 / (n * n)
-        for k in range(1, (n - 1) // 2 + 1):
-            v -= 2.0 * np.cos(2 * k * theta) / (4 * k * k - 1)
-    w = np.empty(n + 1)
-    w[0] = w[n] = w_end
-    w[1:n] = 2.0 * v / n
-    return w
+    w_end = 1.0 / (n * n - 1) if n % 2 == 0 else 1.0 / (n * n)
+    return np.concatenate([[w_end], 2.0 * v / n, [w_end]])
 
 
 def same_grid(a: TimeGrid, b: TimeGrid) -> bool:

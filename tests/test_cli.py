@@ -187,6 +187,30 @@ def test_malformed_spec_values_are_input_errors(capsys, tmp_path, command, paylo
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("payload", [
+    {"terms": [[1, 2.7, 0]]},
+    {"terms": [[True, 2, 0]]},
+    {"terms": [[1, True, 0]]},
+    {"phi1": {"jets": {"2": [True, 0]}}},
+    {"phi1": {"jets": {"2": [math.inf, 0]}}},
+])
+def test_booleans_fractional_powers_and_infinities_are_input_errors(capsys, tmp_path, payload):
+    spec = write_spec(tmp_path, payload)
+    code, out, err = run_cli(capsys, "propagate", "--spec", spec, "--max-order", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_propagate_overflowing_order_is_numeric_error(capsys, tmp_path):
+    spec = write_spec(tmp_path, {
+        "phi0": {"jets": {"2": [0, 0]}},
+        "phi1": {"jets": {"2": [0.2, -0.2], "4": [1e200, 1e200, 1e200]}},
+    })
+    code, out, err = run_cli(capsys, "propagate", "--spec", spec, "--max-order", "6")
+    assert code == 4 and out == ""
+    assert err.startswith("numeric error: ") and "order 6" in err and err.count("\n") == 1
+
+
 # --- counterexample ---------------------------------------------------------------
 
 def test_counterexample_demo(capsys):

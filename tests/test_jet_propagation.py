@@ -6,7 +6,7 @@ import pytest
 
 from torusjets import jet_propagation
 from torusjets.counterexample import build_h, jets_at_origin
-from torusjets.errors import GeodesicDomainError
+from torusjets.errors import GeodesicDomainError, NumericError
 from torusjets.jet_propagation import (
     JetHierarchy,
     ModeProblem,
@@ -113,6 +113,25 @@ def test_mode_near_resonance_flag():
     assert not sol.resonant and sol.near_resonance
     sol = solve_mode(ModeProblem((math.pi + 1e-5) ** 2, ZERO, 0.0, 1.0), GRID)
     assert not sol.resonant and not sol.near_resonance
+
+
+@pytest.mark.parametrize("mu", [0.0, 3.0, 20.0, 50.0])
+def test_mode_manufactured_with_homogeneous_part(mu):
+    # f = cos(mu t) + e^t + t^3 solves f'' + mu^2 f = (1 + mu^2) e^t + 6 t + mu^2 t^3
+    grid = make_grid(65)
+    t = grid.nodes
+    k = CoefficientSeries(grid, (1.0 + mu**2) * np.exp(t) + 6.0 * t + mu**2 * t**3)
+    exact = np.cos(mu * t) + np.exp(t) + t**3
+    sol = solve_mode(ModeProblem(mu**2, k, exact[0], exact[-1]), grid)
+    assert not sol.resonant
+    assert np.max(np.abs(sol.values.values - exact)) <= 1e-12 * np.max(np.abs(exact))
+    # the closed-form derivative that propagate uses, without differentiating
+    f, df = jet_propagation._vary_constants(
+        grid, np.array([mu]), k.values[None], exact[:1], exact[-1], np.zeros(1, int)
+    )
+    exact_dot = -mu * np.sin(mu * t) + np.exp(t) + 3.0 * t**2
+    assert np.array_equal(f[0], sol.values.values)
+    assert np.max(np.abs(df[0] - exact_dot)) <= 1e-12 * np.max(np.abs(exact_dot))
 
 
 # --- quadratic source assembly ---------------------------------------------------
@@ -227,7 +246,7 @@ def test_mode_transform_roundtrip():
     assert np.max(np.abs(back - p)) < 1e-11 * max(1.0, np.max(np.abs(p)))
 
 
-# --- one operator factorisation per mode ------------------------------------------
+# --- one variation-of-constants solve per order -----------------------------------
 
 def family_jets(theta, max_order, seed):
     """Random jets of orders 4..max_order at both ends of the family chord of angle theta."""
@@ -241,7 +260,7 @@ def family_jets(theta, max_order, seed):
 
 
 def reference_propagate(jets0, jets1, max_order, grid):
-    """The propagation loop with one public solve_mode call, and operator, per mode."""
+    """The propagation loop with one public solve_mode call per mode, K1 from values."""
     from torusjets.jet_propagation import _make_frame
     from torusjets.poly_ops import q_adjoint, q_matrix, u_eigenvalues
 
@@ -274,41 +293,30 @@ def reference_propagate(jets0, jets1, max_order, grid):
 NEAR = (math.pi + 3e-7) / 10  # 4 eps k = pi + 3e-7 at k = 5
 
 
-def test_propagate_factors_each_mode_operator_once(monkeypatch):
-    factored, built, handed = [], [], []
-    real_factor = jet_propagation.lu_factor
-    real_solve = jet_propagation.solve_mode
+def test_propagate_builds_J_once_and_solves_no_linear_system(monkeypatch):
+    import numpy.linalg
+    import scipy.linalg
 
-    class CountingOperators(jet_propagation.ModeOperators):
-        def __init__(self, grid):
-            built.append(self)  # D^2 is formed here and nowhere else
-            super().__init__(grid)
+    from torusjets import timegrid
 
-    def counting_factor(mat):
-        factored.append(mat.shape)
-        return real_factor(mat)
+    built, solved = [], []
+    real_build = timegrid._integration_matrix
 
-    def recording_solve(problem, grid, operators=None):
-        handed.append(operators)
-        return real_solve(problem, grid, operators)
+    def counting_build(n):
+        built.append(n)
+        return real_build(n)
 
-    monkeypatch.setattr(jet_propagation, "ModeOperators", CountingOperators)
-    monkeypatch.setattr(jet_propagation, "lu_factor", counting_factor)
-    monkeypatch.setattr(jet_propagation, "solve_mode", recording_solve)
+    def refused(name):
+        return lambda *args, **kwargs: solved.append(name)
+
+    monkeypatch.setattr(timegrid, "_integration_matrix", counting_build)
+    monkeypatch.setattr(numpy.linalg, "solve", refused("numpy.linalg.solve"))
+    monkeypatch.setattr(scipy.linalg, "lu_factor", refused("scipy.linalg.lu_factor"))
     jets0, jets1 = family_jets(0.05, 40, seed=21)
-    hier = propagate(jets0, jets1, 40, GRID)
+    hier = propagate(jets0, jets1, 40, make_grid(64))
     assert isinstance(hier, JetHierarchy) and max(hier.orders) == 40
-    assert len(handed) == sum(n + 1 for n in range(2, 21))
-    assert len(built) == 1
-    assert all(ops is built[0] for ops in handed)
-    assert len(factored) <= 21  # modes k = 0..20
-
-
-def test_mode_operators_of_another_grid_are_refused():
-    operators = jet_propagation.ModeOperators(make_grid(65))
-    k = CoefficientSeries(GRID, np.zeros(GRID.node_count))
-    with pytest.raises(ValueError, match="another grid"):
-        solve_mode(ModeProblem(1.0, k, 0.0, 0.0), GRID, operators)
+    assert built == [63]  # J is formed once, on first use, and kept on the grid
+    assert solved == []
 
 
 @pytest.mark.parametrize("theta", [0.3, -0.3, NEAR, -NEAR])
@@ -336,11 +344,6 @@ def test_order_residual_reads_the_memoised_frame():
     fresh = _make_frame(hier.path2, hier.orders)
     for order in hier.orders:
         assert np.array_equal(memo.orders[order], fresh.orders[order])
-        assert np.array_equal(memo.dots[order], fresh.dots[order])
-        assert np.array_equal(memo.factors[order], fresh.factors[order])
-        assert np.array_equal(memo.source(order), fresh.source(order))
-        unmemoised = JetHierarchy(hier.path2, hier.orders)
-        assert order_residual(unmemoised, order) == residuals[order]
         assert order_residual(hier, order) == residuals[order]
     assert hier._frame is memo
 
@@ -354,9 +357,9 @@ def test_k1_formed_once_per_order(monkeypatch):
         formed[order] += 1
         return real_k1(frame, order)
 
-    def counting_store(frame, order, mat):
+    def counting_store(frame, order, mat, dot, ddot):
         stored[order] += 1
-        return real_store(frame, order, mat)
+        return real_store(frame, order, mat, dot, ddot)
 
     monkeypatch.setattr(jet_propagation, "_k1_divided", counting_k1)
     monkeypatch.setattr(jet_propagation._Frame, "store", counting_store)
@@ -368,7 +371,31 @@ def test_k1_formed_once_per_order(monkeypatch):
     source_K1(hier, 20)
     once = {order: 1 for order in range(4, 21, 2)}
     assert formed == once  # propagate formed each K1; the residuals read it
-    assert stored == once  # and no order was stored, so differentiated, twice
+    assert stored == once  # and no order was stored twice
+
+
+@pytest.mark.parametrize("theta, max_order, seed", [(0.05, 20, 21), (-0.3, 12, 11), (0.3, 12, 11)])
+def test_orders_and_residuals_do_not_drift_with_node_count(theta, max_order, seed):
+    # the 33 Lobatto nodes are every 16th of the 513, so the runs compare node by node
+    coarse, fine = make_grid(33), make_grid(513)
+    assert np.array_equal(coarse.nodes, fine.nodes[::16])
+    jets0, jets1 = family_jets(theta, max_order, seed)
+    low, high = propagate(jets0, jets1, max_order, coarse), propagate(jets0, jets1, max_order, fine)
+    for order in high.orders:
+        ref = high.order_matrix(order)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(low.order_matrix(order) - ref[:, ::16])) <= 1e-11 * scale
+        assert order_residual(high, order) <= 1e-10 * scale
+
+
+def test_overflowing_order_stops_with_numeric_error():
+    jets1 = {2: np.array([0.2, -0.2]), 4: np.full(3, 1e200)}
+    hier = propagate({2: np.zeros(2)}, jets1, 4, GRID)  # order 4 itself is finite
+    assert np.isfinite(hier.order_matrix(4)).all()
+    with pytest.raises(NumericError, match="K1 source of order 6 is not finite"):
+        propagate({2: np.zeros(2)}, jets1, 6, GRID)
+    with pytest.raises(NumericError, match="solution of order 4 is not finite"):
+        propagate({2: np.zeros(2)}, {2: np.array([0.2, -0.2]), 4: np.full(3, np.inf)}, 4, GRID)
 
 
 # --- resonance and obstruction ----------------------------------------------------

@@ -25,7 +25,10 @@ from torusjets.poly_ops import (
     q_adjoint,
     q_matrix,
     u_eigenvalues,
+    u_log_derivative,
 )
+from torusjets.errors import NumericError
+from torusjets.timegrid import make_grid
 
 from _oracles import (
     basis_even_even,
@@ -158,6 +161,19 @@ def test_operators_broadcast_over_an_array_of_A():
         for call in (lambda: u_eigenvalues(2, A), lambda: apply_EA(2, A, p), lambda: apply_SA(2, A, p)):
             with pytest.raises(ValueError):
                 call()
+
+
+def test_u_log_derivative_along_the_path():
+    # along A = tan(2 eps t + theta0), U'/U and its derivative against D on a fine grid
+    grid = make_grid(64)
+    eps, theta0 = 0.2, 0.4
+    A = np.tan(2.0 * eps * grid.nodes + theta0)
+    for n in (2, 5, 9):
+        ell, dell = u_log_derivative(n, A, eps)
+        assert ell.shape == dell.shape == (n + 1, 64)
+        assert np.array_equal(ell, 2.0 * eps * apply_SA(n, A, np.ones((n + 1, 64))))
+        for closed, values in ((ell, np.log(u_eigenvalues(n, A))), (dell, ell)):
+            assert np.max(np.abs(closed - values @ grid.diff_matrix.T)) <= 1e-9 * np.max(np.abs(closed))
 
 
 def test_op_U_diagonal():
@@ -303,6 +319,13 @@ def test_d_of_Ug_equals_dtilde_of_g(n):
         lhs = apply_d_operator(n, A, ug)
         rhs = math.fsum(nu[::-1] * g * fact)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+
+
+def test_fischer_weights_past_170_factorial_are_numeric_errors():
+    assert np.isfinite(fischer_weights(85)).all()  # 170! still fits a float
+    for call in (fischer_weights, dtilde_coefficients):
+        with pytest.raises(NumericError, match="degree 172"):
+            call(86)
 
 
 def test_d_weights_formula():

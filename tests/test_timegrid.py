@@ -49,6 +49,24 @@ def test_differentiate_constant_and_linear():
     assert np.max(np.abs(derivative(CoefficientSeries(g, g.nodes)).values - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("nodes", [17, 64, 129])
+def test_integration_matrix_integrates_chebyshev_series(nodes):
+    # the sampled values carry rounding of about eps * max|v|, which J carries into
+    # the integral, so the error is measured against max|v|, the most that
+    # int_0^t |v| can be on [0, 1]
+    from numpy.polynomial import chebyshev
+
+    g = make_grid(nodes)
+    x = 2.0 * g.nodes - 1.0
+    rng = np.random.default_rng(nodes)
+    for _ in range(5):
+        coeffs = rng.uniform(-1.0, 1.0, nodes)  # degree nodes - 1
+        v = chebyshev.chebval(x, coeffs)
+        exact = 0.5 * chebyshev.chebval(x, chebyshev.chebint(coeffs, lbnd=-1))
+        assert np.max(np.abs(g.integration_matrix @ v - exact)) <= 1e-14 * np.max(np.abs(v))
+    assert g.integration_matrix is g.integration_matrix  # formed once per grid
+
+
 def test_diff_matrix_row_sums_vanish():
     g = make_grid(48)
     assert np.max(np.abs(g.diff_matrix.sum(axis=1))) < 1e-12
