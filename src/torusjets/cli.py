@@ -193,6 +193,12 @@ def _cmd_pde_check(args):
         },
         "delta": sol.delta,
         "residual_norm": sol.residual_norm,
+        "solver": {
+            "newton_steps": sol.newton_steps,
+            "krylov_matvecs": sol.krylov_matvecs,
+            "halvings": sol.halvings,
+            "min_metric": sol.min_metric,
+        },
         "a": rep.a,
         "b": rep.b,
         "sigma2": rep.sigma2,

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .counterexample import TorusPotential
@@ -25,9 +24,9 @@ from .second_jet import SecondJetPath
 MAX_NEWTON_ITERS = 40
 MAX_HALVINGS = 12
 RESIDUAL_SCALE = 1e-9
-ZERO_SPREAD_FLOOR = 1e-13
-# The solve holds about 27 arrays of nt*nx*ny floats (phi, the residual and
-# the Krylov vectors; 214 bytes a point measured at 33 x 64 x 64): 214 MiB here.
+# The solve holds about 52 arrays of nt*nx*ny floats at its peak (phi, the
+# residual, the stencil coefficients, the halo buffer and about 33 Krylov
+# vectors; 417 bytes a point, the tracemalloc peak at 33 x 64 x 64): 417 MiB here.
 MAX_GRID_POINTS = 2**20
 
 
@@ -37,6 +36,8 @@ class GridSolution:
 
     phi has shape (nt, nx, ny); slices 0 and nt-1 hold the boundary data,
     x and y are periodic on [-pi, pi) with the origin at (nx//2, ny//2).
+    The solver counters cover the whole delta schedule: Newton steps taken,
+    Krylov matvecs, line-search halvings, and min(1 + Lap phi) of the result.
     """
 
     nt: int
@@ -45,6 +46,10 @@ class GridSolution:
     delta: float
     phi: np.ndarray
     residual_norm: float
+    newton_steps: int = 0
+    krylov_matvecs: int = 0
+    halvings: int = 0
+    min_metric: float | None = None
 
     @property
     def dt(self) -> float:
@@ -86,57 +91,100 @@ def _time_derivs(phi: np.ndarray, dt: float):
     return phitt, phit
 
 
-def _residual(phi: np.ndarray, dt, hx, hy, delta) -> np.ndarray:
-    lap = _lap(phi, hx, hy)
-    phitt, phit = _time_derivs(phi, dt)
-    return phitt * (1.0 + lap[1:-1]) - _dx(phit, hx) ** 2 - _dy(phit, hy) ** 2 - delta
-
-
-def _check_positive(phi: np.ndarray, hx, hy, delta) -> float:
-    zmin = float(np.min(1.0 + _lap(phi, hx, hy)))
+def _metric(phi: np.ndarray, hx, hy, delta) -> tuple[np.ndarray, float]:
+    """1 + Lap phi on every slice and its minimum; NumericError unless positive."""
+    metric = 1.0 + _lap(phi, hx, hy)
+    zmin = float(np.min(metric))
     if zmin <= 0.0:
         raise NumericError(
             f"metric degenerated: min(1 + Lap phi) = {zmin:.6e} at delta = {delta:.3e}; "
             "reduce the boundary amplitude or enlarge delta"
         )
-    return zmin
+    return metric, zmin
 
 
-def _newton_step(phi, dt, hx, hy, res):
-    """One inexact Newton direction for the interior slices."""
-    nt, nx, ny = phi.shape
-    inner = nt - 2
-    lap_i = _lap(phi[1:-1], hx, hy)
+def _residual(phi: np.ndarray, metric: np.ndarray, dt, hx, hy, delta):
+    """Residual on the interior slices, and the fields the Newton step reuses.
+
+    The fields are (1 + Lap phi, phi_tt, d_x phi_t, d_y phi_t), all on the
+    interior slices.
+    """
     phitt, phit = _time_derivs(phi, dt)
     gx = _dx(phit, hx)
     gy = _dy(phit, hy)
+    inner = metric[1:-1]
+    return phitt * inner - gx**2 - gy**2 - delta, (inner, phitt, gx, gy)
+
+
+def _newton_step(fields, dt, hx, hy, res):
+    """One inexact Newton direction for the interior slices, and its matvec count.
+
+    The Jacobian J v = (1 + Lap phi) v_tt + phi_tt Lap v - 2 grad(phi_t).grad(v_t),
+    with v = 0 on the t = 0 and t = 1 slices, is a 15-point stencil whose
+    coefficients are formed once per step from the residual's fields. Each
+    matvec copies v into the core of one preallocated (nt, nx + 2, ny + 2)
+    halo buffer, whose end slices stay zero, refreshes its four periodic wrap
+    faces, and accumulates the stencil from slices in place.
+
+    The preconditioner is the exact inverse of the constant-coefficient
+    Dirichlet operator c D_tt, c = mean(1 + Lap phi), in closed form:
+    G_ij = -min(i, j) (m + 1 - max(i, j)) / (m + 1) dt^2 / c for m = nt - 2
+    interior slices, applied to all (x, y) columns as one matrix product.
+    """
+    metric, phitt, gx, gy = fields
+    m, nx, ny = phitt.shape
+    wt = metric / dt**2
+    wx = phitt / hx**2
+    wy = phitt / hy**2
+    centre = -2.0 * (wt + wx + wy)
+    # -2 (phi_t)_x (v_t)_x is -gx / (2 dt hx) times the x difference of v(t+dt) - v(t-dt)
+    cx = gx / (-2.0 * dt * hx)
+    cy = gy / (-2.0 * dt * hy)
+
+    halo = np.zeros((m + 2, nx + 2, ny + 2))
+    inner = halo[1:-1]
+    core = inner[:, 1:-1, 1:-1]
+    vt = np.empty((m, nx + 2, ny + 2))
+    term = np.empty((m, nx, ny))
+    matvecs = 0
+
+    def accumulate(out, coeff, combine, first, second):
+        combine(first, second, out=term)
+        np.multiply(term, coeff, out=term)
+        out += term
 
     def matvec(flat):
-        v = np.zeros_like(phi)
-        v[1:-1] = flat.reshape(inner, nx, ny)
-        vtt, vt = _time_derivs(v, dt)
-        out = vtt * (1.0 + lap_i) + phitt * _lap(v[1:-1], hx, hy)
-        out -= 2.0 * (gx * _dx(vt, hx) + gy * _dy(vt, hy))
+        nonlocal matvecs
+        matvecs += 1
+        core[...] = flat.reshape(m, nx, ny)
+        inner[:, 0, 1:-1] = inner[:, nx, 1:-1]
+        inner[:, nx + 1, 1:-1] = inner[:, 1, 1:-1]
+        inner[:, 1:-1, 0] = inner[:, 1:-1, ny]
+        inner[:, 1:-1, ny + 1] = inner[:, 1:-1, 1]
+        np.subtract(halo[2:], halo[:-2], out=vt)
+        out = centre * core
+        accumulate(out, wt, np.add, halo[2:, 1:-1, 1:-1], halo[:-2, 1:-1, 1:-1])
+        accumulate(out, wx, np.add, inner[:, 2:, 1:-1], inner[:, :-2, 1:-1])
+        accumulate(out, wy, np.add, inner[:, 1:-1, 2:], inner[:, 1:-1, :-2])
+        accumulate(out, cx, np.subtract, vt[:, 2:, 1:-1], vt[:, :-2, 1:-1])
+        accumulate(out, cy, np.subtract, vt[:, 1:-1, 2:], vt[:, 1:-1, :-2])
         return out.ravel()
 
-    # preconditioner: constant-coefficient d_tt with Dirichlet ends
-    c = float(np.mean(1.0 + lap_i))
-    band = np.zeros((3, inner))
-    band[0, 1:] = c / dt**2
-    band[1, :] = -2.0 * c / dt**2
-    band[2, :-1] = c / dt**2
+    c = float(np.mean(metric))
+    i = np.arange(1.0, m + 1.0)
+    green = np.minimum.outer(i, i) * (m + 1.0 - np.maximum.outer(i, i))
+    green *= -(dt**2) / ((m + 1.0) * c)
 
     def precond(flat):
-        r = flat.reshape(inner, nx * ny)
-        return solve_banded((1, 1), band, r).ravel()
+        return (green @ flat.reshape(m, nx * ny)).ravel()
 
-    size = inner * nx * ny
-    op = LinearOperator((size, size), matvec=matvec)
-    pc = LinearOperator((size, size), matvec=precond)
+    size = m * nx * ny
+    op = LinearOperator((size, size), matvec=matvec, dtype=float)
+    pc = LinearOperator((size, size), matvec=precond, dtype=float)
     step, info = lgmres(op, -res.ravel(), M=pc, rtol=1e-10, atol=0.0, maxiter=400)
     if info != 0:
         raise NumericError(f"linear solver stalled in the Newton step (info={info})")
-    return step.reshape(inner, nx, ny)
+    return step.reshape(m, nx, ny), matvecs
 
 
 def solve_geodesic(
@@ -163,33 +211,39 @@ def solve_geodesic(
     top = _symmetrize(phi1.evaluate(xs[:, None], ys[None, :]))
     t = np.linspace(0.0, 1.0, nt)
     phi = t[:, None, None] * top[None, :, :]
-    _check_positive(phi, hx, hy, schedule[0])
+    metric, zmin = _metric(phi, hx, hy, schedule[0])
 
     res_norm = math.inf
+    steps = matvecs = halvings = 0
     for delta in schedule:
-        res = _residual(phi, dt, hx, hy, delta)
+        res, fields = _residual(phi, metric, dt, hx, hy, delta)
         res_norm = float(np.max(np.abs(res)))
         target = RESIDUAL_SCALE * (1.0 + delta)
         for _ in range(MAX_NEWTON_ITERS):
             if res_norm < target:
                 break
-            step = _newton_step(phi, dt, hx, hy, res)
+            step, count = _newton_step(fields, dt, hx, hy, res)
+            steps += 1
+            matvecs += count
             alpha = 1.0
             for _ in range(MAX_HALVINGS):
                 cand = phi.copy()
                 cand[1:-1] += alpha * step
                 cand[1:-1] = _symmetrize(cand[1:-1])
                 try:
-                    _check_positive(cand, hx, hy, delta)
+                    cand_metric, cand_zmin = _metric(cand, hx, hy, delta)
                 except NumericError:
                     alpha *= 0.5
+                    halvings += 1
                     continue
-                cand_res = _residual(cand, dt, hx, hy, delta)
+                cand_res, cand_fields = _residual(cand, cand_metric, dt, hx, hy, delta)
                 cand_norm = float(np.max(np.abs(cand_res)))
                 if cand_norm < res_norm:
-                    phi, res, res_norm = cand, cand_res, cand_norm
+                    phi, metric, zmin = cand, cand_metric, cand_zmin
+                    res, fields, res_norm = cand_res, cand_fields, cand_norm
                     break
                 alpha *= 0.5
+                halvings += 1
             else:
                 raise NumericError(
                     f"Newton damping failed at delta = {delta:.3e} "
@@ -200,15 +254,22 @@ def solve_geodesic(
                 f"no convergence within {MAX_NEWTON_ITERS} Newton iterations "
                 f"at delta = {delta:.3e} (residual {res_norm:.3e})"
             )
-    return GridSolution(nt=nt, nx=nx, ny=ny, delta=schedule[-1], phi=phi, residual_norm=res_norm)
+    return GridSolution(
+        nt=nt, nx=nx, ny=ny, delta=schedule[-1], phi=phi, residual_norm=res_norm,
+        newton_steps=steps, krylov_matvecs=matvecs, halvings=halvings, min_metric=zmin,
+    )
 
 
 def extract_second_jets(sol: GridSolution) -> tuple[np.ndarray, np.ndarray]:
-    """Second jets a(t_i), b(t_i) at the origin by fourth-order differences."""
+    """Second jets a(t_i), b(t_i) at the origin by fourth-order differences.
+
+    The stencil acts on differences from the centre value, so a row that is
+    flat in x or y gives exactly zero jets.
+    """
     ix, iy = sol.nx // 2, sol.ny // 2
     sten = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-    fx = sol.phi[:, ix - 2 : ix + 3, iy]
-    fy = sol.phi[:, ix, iy - 2 : iy + 3]
+    fx = sol.phi[:, ix - 2 : ix + 3, iy] - sol.phi[:, ix, iy, None]
+    fy = sol.phi[:, ix, iy - 2 : iy + 3] - sol.phi[:, ix, iy, None]
     a = fx @ sten / (2.0 * sol.hx**2)
     b = fy @ sten / (2.0 * sol.hy**2)
     return a, b
@@ -234,7 +295,10 @@ def crosscheck_report(sol: GridSolution, reference: SecondJetPath) -> Crosscheck
     """Compare grid-extracted sigma_2 with the closed-form eps.
 
     sigma_2 is formed at interior t nodes from centered time differences of
-    the extracted jets; a degenerate all-zero solution reports zero spread.
+    the extracted jets. A mean below the rounding of the product a' b' / Z^2,
+    machine epsilon times max((a'^2 + b'^2) / Z^2), cannot be told from zero: it
+    reports zero relative spread when the spread is below that floor too (as
+    for a flat solution), and an infinite one otherwise.
     """
     a, b = extract_second_jets(sol)
     dt = sol.dt
@@ -244,10 +308,11 @@ def crosscheck_report(sol: GridSolution, reference: SecondJetPath) -> Crosscheck
     sigma2 = da * db / z**2
     mean = float(np.mean(sigma2))
     spread = float(np.max(sigma2) - np.min(sigma2))
-    if abs(mean) > ZERO_SPREAD_FLOOR:
+    floor = np.finfo(float).eps * float(np.max((da**2 + db**2) / z**2))
+    if abs(mean) > floor:
         rel = spread / abs(mean)
     else:
-        rel = 0.0 if spread < ZERO_SPREAD_FLOOR else math.inf
+        rel = 0.0 if spread <= floor else math.inf
     eps_est = math.sqrt(-mean) if mean < 0 else None
     eps_ref = reference.epsilon
     eps_err = None

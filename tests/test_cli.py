@@ -266,6 +266,22 @@ def test_pde_check_saddle_with_artifacts(capsys, tmp_path):
     assert len(lines) == 1 + 17 - 2
 
 
+def test_pde_check_solver_block_and_rerun_identical(capsys, tmp_path):
+    spec = write_spec(tmp_path, {"terms": [[0.02, 2, 0], [-0.02, 0, 2]]})
+    out_file = tmp_path / "report.json"
+    argv = ["pde-check", "--spec", spec, "--nt", "9", "--nx", "16", "--ny", "16",
+            "--delta", "1e-1,1e-2", "--output", str(out_file)]
+    assert run_cli(capsys, *argv)[0] == 0
+    first = out_file.read_text()
+    assert run_cli(capsys, *argv)[0] == 0
+    assert out_file.read_text() == first
+    solver = json.loads(first)["solver"]
+    assert set(solver) == {"newton_steps", "krylov_matvecs", "halvings", "min_metric"}
+    assert solver["newton_steps"] > 0 and solver["krylov_matvecs"] > solver["newton_steps"]
+    assert solver["halvings"] == 0
+    assert 0.0 < solver["min_metric"] < 1.0
+
+
 def test_pde_check_bad_delta_schedule(capsys):
     code, _, err = run_cli(capsys, "pde-check", "--nt", "9", "--nx", "16",
                            "--ny", "16", "--delta", "1e-3,1e-2")

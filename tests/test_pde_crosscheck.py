@@ -147,3 +147,126 @@ def test_dump_phi_csv(tmp_path):
     it, jx, ky, val = lines[2 + 16 * 16].split(",")
     assert (it, jx, ky) == ("4", "0", "0")
     assert float(val) == sol.phi[4, 0, 0]
+
+
+# --- the Newton step's operators against an independent oracle --------------------
+
+def oracle_residual(phi, dt, hx, hy, delta):
+    """R(phi) on the interior slices, written from the equation with np.roll."""
+
+    def shift(u, k, axis):
+        return np.roll(u, k, axis=axis)
+
+    phitt = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dt**2
+    phit = (phi[2:] - phi[:-2]) / (2.0 * dt)
+    mid = phi[1:-1]
+    lap = (shift(mid, 1, 1) - 2.0 * mid + shift(mid, -1, 1)) / hx**2 + (
+        shift(mid, 1, 2) - 2.0 * mid + shift(mid, -1, 2)
+    ) / hy**2
+    gx = (shift(phit, -1, 1) - shift(phit, 1, 1)) / (2.0 * hx)
+    gy = (shift(phit, -1, 2) - shift(phit, 1, 2)) / (2.0 * hy)
+    return phitt * (1.0 + lap) - gx**2 - gy**2 - delta
+
+
+def capture_operators(monkeypatch, phi, dt, hx, hy, delta):
+    seen = {}
+
+    def capture(op, rhs, M=None, **kwargs):
+        seen.update(op=op, M=M, rhs=rhs)
+        return np.zeros_like(rhs), 0
+
+    monkeypatch.setattr(pde_crosscheck, "lgmres", capture)
+    metric, _ = pde_crosscheck._metric(phi, hx, hy, delta)
+    res, fields = pde_crosscheck._residual(phi, metric, dt, hx, hy, delta)
+    pde_crosscheck._newton_step(fields, dt, hx, hy, res)
+    return seen["op"], seen["M"], float(np.mean(metric[1:-1]))
+
+
+@pytest.mark.parametrize("shape", [(9, 16, 16), (17, 16, 32), (11, 32, 16)])
+def test_jacobian_matches_quadratic_oracle(monkeypatch, shape):
+    # R is quadratic in phi, so (R(phi + v) - R(phi - v)) / 2 is J(phi) v exactly
+    nt, nx, ny = shape
+    dt, hx, hy, delta = 1.0 / (nt - 1), 2 * math.pi / nx, 2 * math.pi / ny, 1e-2
+    rng = np.random.default_rng(nt * nx * ny)
+    phi = 1e-3 * rng.standard_normal(shape)
+    op, M, c = capture_operators(monkeypatch, phi, dt, hx, hy, delta)
+    assert op.dtype == np.float64 and M.dtype == np.float64
+    for _ in range(3):
+        v = np.zeros(shape)
+        v[1:-1] = 1e-3 * rng.standard_normal((nt - 2, nx, ny))
+        oracle = 0.5 * (
+            oracle_residual(phi + v, dt, hx, hy, delta)
+            - oracle_residual(phi - v, dt, hx, hy, delta)
+        )
+        got = op.matvec(v[1:-1].ravel()).reshape(oracle.shape)
+        assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+        # the preconditioner inverts the constant-coefficient Dirichlet c D_tt
+        dtt = c * (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dt**2
+        back = M.matvec(dtt.ravel()).reshape(v[1:-1].shape)
+        assert np.max(np.abs(back - v[1:-1])) <= 1e-13 * np.max(np.abs(v))
+
+
+def test_solver_counters_match_the_krylov_calls(monkeypatch):
+    # counted through the operators lgmres is handed: no dtype probe adds calls
+    original = pde_crosscheck.lgmres
+    calls = {"lgmres": 0, "matvec": 0, "precond": 0}
+
+    def counting(op, rhs, M=None, **kwargs):
+        calls["lgmres"] += 1
+
+        def matvec(x):
+            calls["matvec"] += 1
+            return op.matvec(x)
+
+        def precond(x):
+            calls["precond"] += 1
+            return M.matvec(x)
+
+        wrap = pde_crosscheck.LinearOperator
+        return original(
+            wrap(op.shape, matvec=matvec, dtype=op.dtype), rhs,
+            M=wrap(M.shape, matvec=precond, dtype=M.dtype), **kwargs,
+        )
+
+    monkeypatch.setattr(pde_crosscheck, "lgmres", counting)
+    sol = solve_geodesic(SADDLE, 17, 32, 32, [1e-1, 1e-2])
+    assert sol.newton_steps == calls["lgmres"] > 0
+    assert sol.krylov_matvecs == calls["matvec"] > 0
+    assert sol.halvings == 0
+    h = sol.hx
+    lap = (
+        np.roll(sol.phi, 1, 1) + np.roll(sol.phi, -1, 1)
+        + np.roll(sol.phi, 1, 2) + np.roll(sol.phi, -1, 2) - 4.0 * sol.phi
+    ) / h**2
+    assert sol.min_metric == pytest.approx(float(np.min(1.0 + lap)), rel=1e-14)
+
+
+def test_line_search_halvings_are_counted(monkeypatch):
+    newton_step = pde_crosscheck._newton_step
+
+    def overshoot(*args):
+        step, count = newton_step(*args)
+        return 8.0 * step, count
+
+    monkeypatch.setattr(pde_crosscheck, "_newton_step", overshoot)
+    sol = solve_geodesic(SADDLE, 9, 16, 16, [1e-2])
+    assert sol.halvings >= sol.newton_steps > 0
+    assert sol.residual_norm < 1e-9 * (1 + 1e-2)
+
+
+def test_flat_rows_give_exactly_zero_jets():
+    phi = np.full((9, 16, 16), 0.1) * np.linspace(0, 1, 9)[:, None, None]
+    sol = GridSolution(nt=9, nx=16, ny=16, delta=1e-2, phi=phi, residual_norm=0.0)
+    a, b = extract_second_jets(sol)
+    assert not np.any(a) and not np.any(b)
+
+
+def test_relative_spread_is_scale_aware():
+    # sigma_2 ~ -c^2: a floor on sigma_2 that ignores its scale reports 0 here
+    spreads = {}
+    for c in (1e-7, 1e-3):
+        pot = TorusPotential(terms=((c, 2, 0), (-c, 0, 2)))
+        sol = solve_geodesic(pot, 17, 16, 16, [1e-1, 1e-2])
+        spreads[c] = crosscheck_report(sol, reference_for(sol)).relative_spread
+    assert 0.0 < spreads[1e-7] < math.inf
+    assert 0.5 < spreads[1e-7] / spreads[1e-3] < 2.0
