@@ -268,8 +268,9 @@ def extract_second_jets(sol: GridSolution) -> tuple[np.ndarray, np.ndarray]:
     """
     ix, iy = sol.nx // 2, sol.ny // 2
     sten = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-    fx = sol.phi[:, ix - 2 : ix + 3, iy] - sol.phi[:, ix, iy, None]
-    fy = sol.phi[:, ix, iy - 2 : iy + 3] - sol.phi[:, ix, iy, None]
+    centre = sol.phi[:, ix, iy, None]
+    fx = sol.phi[:, ix - 2 : ix + 3, iy] - centre
+    fy = sol.phi[:, ix, iy - 2 : iy + 3] - centre
     a = fx @ sten / (2.0 * sol.hx**2)
     b = fy @ sten / (2.0 * sol.hy**2)
     return a, b

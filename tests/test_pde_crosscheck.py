@@ -153,18 +153,14 @@ def test_dump_phi_csv(tmp_path):
 
 def oracle_residual(phi, dt, hx, hy, delta):
     """R(phi) on the interior slices, written from the equation with np.roll."""
-
-    def shift(u, k, axis):
-        return np.roll(u, k, axis=axis)
-
     phitt = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dt**2
     phit = (phi[2:] - phi[:-2]) / (2.0 * dt)
     mid = phi[1:-1]
-    lap = (shift(mid, 1, 1) - 2.0 * mid + shift(mid, -1, 1)) / hx**2 + (
-        shift(mid, 1, 2) - 2.0 * mid + shift(mid, -1, 2)
+    lap = (np.roll(mid, 1, 1) - 2.0 * mid + np.roll(mid, -1, 1)) / hx**2 + (
+        np.roll(mid, 1, 2) - 2.0 * mid + np.roll(mid, -1, 2)
     ) / hy**2
-    gx = (shift(phit, -1, 1) - shift(phit, 1, 1)) / (2.0 * hx)
-    gy = (shift(phit, -1, 2) - shift(phit, 1, 2)) / (2.0 * hy)
+    gx = (np.roll(phit, -1, 1) - np.roll(phit, 1, 1)) / (2.0 * hx)
+    gy = (np.roll(phit, -1, 2) - np.roll(phit, 1, 2)) / (2.0 * hy)
     return phitt * (1.0 + lap) - gx**2 - gy**2 - delta
 
 
@@ -172,7 +168,7 @@ def capture_operators(monkeypatch, phi, dt, hx, hy, delta):
     seen = {}
 
     def capture(op, rhs, M=None, **kwargs):
-        seen.update(op=op, M=M, rhs=rhs)
+        seen.update(op=op, M=M)
         return np.zeros_like(rhs), 0
 
     monkeypatch.setattr(pde_crosscheck, "lgmres", capture)
@@ -209,24 +205,17 @@ def test_jacobian_matches_quadratic_oracle(monkeypatch, shape):
 def test_solver_counters_match_the_krylov_calls(monkeypatch):
     # counted through the operators lgmres is handed: no dtype probe adds calls
     original = pde_crosscheck.lgmres
-    calls = {"lgmres": 0, "matvec": 0, "precond": 0}
+    calls = {"lgmres": 0, "matvec": 0}
 
-    def counting(op, rhs, M=None, **kwargs):
+    def counting(op, rhs, **kwargs):
         calls["lgmres"] += 1
 
         def matvec(x):
             calls["matvec"] += 1
             return op.matvec(x)
 
-        def precond(x):
-            calls["precond"] += 1
-            return M.matvec(x)
-
-        wrap = pde_crosscheck.LinearOperator
-        return original(
-            wrap(op.shape, matvec=matvec, dtype=op.dtype), rhs,
-            M=wrap(M.shape, matvec=precond, dtype=M.dtype), **kwargs,
-        )
+        counted = pde_crosscheck.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
+        return original(counted, rhs, **kwargs)
 
     monkeypatch.setattr(pde_crosscheck, "lgmres", counting)
     sol = solve_geodesic(SADDLE, 17, 32, 32, [1e-1, 1e-2])
