@@ -198,6 +198,10 @@ def _cmd_pde_check(args):
             "krylov_matvecs": sol.krylov_matvecs,
             "halvings": sol.halvings,
             "min_metric": sol.min_metric,
+            "per_delta": [
+                {"delta": d, "newton_steps": n, "krylov_matvecs": k, "halvings": h}
+                for d, n, k, h in sol.per_delta
+            ],
         },
         "a": rep.a,
         "b": rep.b,

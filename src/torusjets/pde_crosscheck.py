@@ -2,11 +2,13 @@
 
 The degenerate geodesic equation Phi_tt (1 + Lap Phi) = |grad Phi_t|^2 is
 regularized to Phi_tt (1 + Lap Phi) - |grad Phi_t|^2 = delta and solved with
-damped Newton continuation over a decreasing delta schedule, second-order
-central differences in time and periodic central stencils on the torus.
-Second jets extracted at the central fiber then feed the same sigma_2 and
-eps diagnostics that the closed-form path produces, which closes the loop
-between the ODE reduction and the PDE it came from.
+damped Newton continuation over a decreasing delta schedule and central
+differences. TorusPotential admits only even sin powers, so the data, the
+equation and every Newton iterate are even in x and in y: the solve runs,
+exactly, on the even-even quarter (x indices 0..nx/2, y indices 0..ny/2)
+with reflective halos, each point weighted by its multiplicity in the full
+grid (1 on a mirror line, 2 elsewhere, per axis). Second jets extracted at
+the central fiber feed the sigma_2 and eps diagnostics of the closed form.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from .second_jet import SecondJetPath
 MAX_NEWTON_ITERS = 40
 MAX_HALVINGS = 12
 RESIDUAL_SCALE = 1e-9
-# The solve holds about 52 arrays of nt*nx*ny floats at its peak (phi, the
-# residual, the stencil coefficients, the halo buffer and about 33 Krylov
-# vectors; 417 bytes a point, the tracemalloc peak at 33 x 64 x 64): 417 MiB here.
+# The quarter solve holds about 57 arrays of its (nt, nx/2+1, ny/2+1) points at
+# its peak (phi, residual, stencil coefficients, halo, about 33 Krylov vectors):
+# 122 bytes a full-grid point, the tracemalloc peak at 33 x 64 x 64; 122 MiB here.
 MAX_GRID_POINTS = 2**20
 
 
@@ -34,10 +36,11 @@ MAX_GRID_POINTS = 2**20
 class GridSolution:
     """Converged regularized solution on a (t, x, y) grid.
 
-    phi has shape (nt, nx, ny); slices 0 and nt-1 hold the boundary data,
-    x and y are periodic on [-pi, pi) with the origin at (nx//2, ny//2).
-    The solver counters cover the whole delta schedule: Newton steps taken,
-    Krylov matvecs, line-search halvings, and min(1 + Lap phi) of the result.
+    phi (nt, nx, ny) is solved on the even-even quarter and expanded by
+    reflection; slices 0 and nt-1 hold the boundary data, x and y are periodic
+    on [-pi, pi) with the origin at (nx//2, ny//2). The counters cover the
+    schedule: Newton steps, Krylov matvecs, line-search halvings and min(1 +
+    Lap phi) of the result; per_delta holds the first three for each delta.
     """
 
     nt: int
@@ -50,6 +53,7 @@ class GridSolution:
     krylov_matvecs: int = 0
     halvings: int = 0
     min_metric: float | None = None
+    per_delta: tuple[tuple[float, int, int, int], ...] = ()
 
     @property
     def dt(self) -> float:
@@ -64,36 +68,22 @@ class GridSolution:
         return 2.0 * math.pi / self.ny
 
 
-def _lap(u: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    return (
-        (np.roll(u, -1, -2) - 2.0 * u + np.roll(u, 1, -2)) / hx**2
-        + (np.roll(u, -1, -1) - 2.0 * u + np.roll(u, 1, -1)) / hy**2
-    )
+def _reflect(pad: np.ndarray) -> None:
+    """Fill the four x and y halo faces of pad by even reflection, in place."""
+    pad[..., [0, -1], 1:-1] = pad[..., [2, -3], 1:-1]
+    pad[..., 1:-1, [0, -1]] = pad[..., 1:-1, [2, -3]]
 
 
-def _dx(u: np.ndarray, hx: float) -> np.ndarray:
-    return (np.roll(u, -1, -2) - np.roll(u, 1, -2)) / (2.0 * hx)
-
-
-def _dy(u: np.ndarray, hy: float) -> np.ndarray:
-    return (np.roll(u, -1, -1) - np.roll(u, 1, -1)) / (2.0 * hy)
-
-
-def _symmetrize(u: np.ndarray) -> np.ndarray:
-    nx, ny = u.shape[-2], u.shape[-1]
-    u = 0.5 * (u + u[..., (-np.arange(nx)) % nx, :])
-    return 0.5 * (u + u[..., :, (-np.arange(ny)) % ny])
-
-
-def _time_derivs(phi: np.ndarray, dt: float):
-    phitt = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dt**2
-    phit = (phi[2:] - phi[:-2]) / (2.0 * dt)
-    return phitt, phit
+def _halo(u: np.ndarray) -> np.ndarray:
+    """(t, x, y) u with the one-point x and y halo that _reflect fills."""
+    return np.pad(u, ((0, 0), (1, 1), (1, 1)), mode="reflect")
 
 
 def _metric(phi: np.ndarray, hx, hy, delta) -> tuple[np.ndarray, float]:
     """1 + Lap phi on every slice and its minimum; NumericError unless positive."""
-    metric = 1.0 + _lap(phi, hx, hy)
+    pad = _halo(phi)
+    lap = (pad[:, 2:, 1:-1] - 2.0 * phi + pad[:, :-2, 1:-1]) / hx**2
+    metric = 1.0 + (lap + (pad[:, 1:-1, 2:] - 2.0 * phi + pad[:, 1:-1, :-2]) / hy**2)
     zmin = float(np.min(metric))
     if zmin <= 0.0:
         raise NumericError(
@@ -104,14 +94,12 @@ def _metric(phi: np.ndarray, hx, hy, delta) -> tuple[np.ndarray, float]:
 
 
 def _residual(phi: np.ndarray, metric: np.ndarray, dt, hx, hy, delta):
-    """Residual on the interior slices, and the fields the Newton step reuses.
-
-    The fields are (1 + Lap phi, phi_tt, d_x phi_t, d_y phi_t), all on the
-    interior slices.
-    """
-    phitt, phit = _time_derivs(phi, dt)
-    gx = _dx(phit, hx)
-    gy = _dy(phit, hy)
+    """Residual on the interior slices, and the fields the Newton step reuses
+    there: (1 + Lap phi, phi_tt, d_x phi_t, d_y phi_t)."""
+    phitt = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dt**2
+    pt = _halo((phi[2:] - phi[:-2]) / (2.0 * dt))
+    gx = (pt[:, 2:, 1:-1] - pt[:, :-2, 1:-1]) / (2.0 * hx)
+    gy = (pt[:, 1:-1, 2:] - pt[:, 1:-1, :-2]) / (2.0 * hy)
     inner = metric[1:-1]
     return phitt * inner - gx**2 - gy**2 - delta, (inner, phitt, gx, gy)
 
@@ -119,34 +107,42 @@ def _residual(phi: np.ndarray, metric: np.ndarray, dt, hx, hy, delta):
 def _newton_step(fields, dt, hx, hy, res):
     """One inexact Newton direction for the interior slices, and its matvec count.
 
-    The Jacobian J v = (1 + Lap phi) v_tt + phi_tt Lap v - 2 grad(phi_t).grad(v_t),
-    with v = 0 on the t = 0 and t = 1 slices, is a 15-point stencil whose
-    coefficients are formed once per step from the residual's fields. Each
-    matvec copies v into the core of one preallocated (nt, nx + 2, ny + 2)
-    halo buffer, whose end slices stay zero, refreshes its four periodic wrap
-    faces, and accumulates the stencil from slices in place.
-
-    The preconditioner is the exact inverse of the constant-coefficient
-    Dirichlet operator c D_tt, c = mean(1 + Lap phi), in closed form:
-    G_ij = -min(i, j) (m + 1 - max(i, j)) / (m + 1) dt^2 / c for m = nt - 2
-    interior slices, applied to all (x, y) columns as one matrix product.
+    J v = (1 + Lap phi) v_tt + phi_tt Lap v - 2 grad(phi_t).grad(v_t), v = 0 on
+    the end slices, is a 15-point stencil; each matvec copies v into one halo
+    buffer, refreshes its reflective faces and sums the stencil from slices.
+    lgmres works in the full-grid norm sum(w v^2), w the multiplicity: its
+    vectors hold v on the quarter, doubled where w = 4, then the w = 2 entries
+    again as twins; that is exact in binary, so a flat v stays flat. The preconditioner inverts the Dirichlet c D_tt, c the
+    full-grid mean of 1 + Lap phi, for the m = nt - 2 interior slices:
+    G_ij = -min(i, j) (m + 1 - max(i, j)) / (m + 1) dt^2 / c, on every column.
     """
     metric, phitt, gx, gy = fields
-    m, nx, ny = phitt.shape
-    wt = metric / dt**2
-    wx = phitt / hx**2
-    wy = phitt / hy**2
+    m, qx, qy = phitt.shape
+    w = np.multiply.outer(*[np.r_[1.0, np.full(q - 2, 2.0), 1.0] for q in (qx, qy)])
+    scale = np.where(w == 4.0, 2.0, 1.0)
+    twin = np.flatnonzero(w == 2.0)
+    nq, size = m * qx * qy, m * (qx * qy + twin.size)
+    wt = metric * (scale / dt**2)
+    wx = phitt * (scale / hx**2)
+    wy = phitt * (scale / hy**2)
     centre = -2.0 * (wt + wx + wy)
     # -2 (phi_t)_x (v_t)_x is -gx / (2 dt hx) times the x difference of v(t+dt) - v(t-dt)
-    cx = gx / (-2.0 * dt * hx)
-    cy = gy / (-2.0 * dt * hy)
+    cx = gx * (scale / (-2.0 * dt * hx))
+    cy = gy * (scale / (-2.0 * dt * hy))
 
-    halo = np.zeros((m + 2, nx + 2, ny + 2))
+    halo = np.zeros((m + 2, qx + 2, qy + 2))
     inner = halo[1:-1]
     core = inner[:, 1:-1, 1:-1]
-    vt = np.empty((m, nx + 2, ny + 2))
-    term = np.empty((m, nx, ny))
+    vt = np.empty((m, qx + 2, qy + 2))
+    term = np.empty((m, qx, qy))
     matvecs = 0
+
+    def head(vec):  # the quarter entries of a Krylov vector, as an (m, qx, qy) view
+        return vec[:nq].reshape(m, qx, qy)
+
+    def twins(vec):
+        vec[nq:] = head(vec).reshape(m, -1)[:, twin].ravel()
+        return vec
 
     def accumulate(out, coeff, combine, first, second):
         combine(first, second, out=term)
@@ -156,35 +152,36 @@ def _newton_step(fields, dt, hx, hy, res):
     def matvec(flat):
         nonlocal matvecs
         matvecs += 1
-        core[...] = flat.reshape(m, nx, ny)
-        inner[:, 0, 1:-1] = inner[:, nx, 1:-1]
-        inner[:, nx + 1, 1:-1] = inner[:, 1, 1:-1]
-        inner[:, 1:-1, 0] = inner[:, 1:-1, ny]
-        inner[:, 1:-1, ny + 1] = inner[:, 1:-1, 1]
+        np.divide(head(flat), scale, out=core)
+        _reflect(inner)
         np.subtract(halo[2:], halo[:-2], out=vt)
-        out = centre * core
+        vec = np.empty(size)
+        out = np.multiply(centre, core, out=head(vec))
         accumulate(out, wt, np.add, halo[2:, 1:-1, 1:-1], halo[:-2, 1:-1, 1:-1])
         accumulate(out, wx, np.add, inner[:, 2:, 1:-1], inner[:, :-2, 1:-1])
         accumulate(out, wy, np.add, inner[:, 1:-1, 2:], inner[:, 1:-1, :-2])
         accumulate(out, cx, np.subtract, vt[:, 2:, 1:-1], vt[:, :-2, 1:-1])
         accumulate(out, cy, np.subtract, vt[:, 1:-1, 2:], vt[:, 1:-1, :-2])
-        return out.ravel()
+        return twins(vec)
 
-    c = float(np.mean(metric))
+    c = float(np.sum(metric * w)) / (m * float(np.sum(w)))
     i = np.arange(1.0, m + 1.0)
     green = np.minimum.outer(i, i) * (m + 1.0 - np.maximum.outer(i, i))
     green *= -(dt**2) / ((m + 1.0) * c)
 
     def precond(flat):
-        return (green @ flat.reshape(m, nx * ny)).ravel()
+        vec = np.empty(size)
+        np.matmul(green, head(flat).reshape(m, -1), out=head(vec).reshape(m, -1))
+        return twins(vec)
 
-    size = m * nx * ny
     op = LinearOperator((size, size), matvec=matvec, dtype=float)
     pc = LinearOperator((size, size), matvec=precond, dtype=float)
-    step, info = lgmres(op, -res.ravel(), M=pc, rtol=1e-10, atol=0.0, maxiter=400)
+    rhs = np.empty(size)
+    np.multiply(res, -scale, out=head(rhs))
+    step, info = lgmres(op, twins(rhs), M=pc, rtol=1e-10, atol=0.0, maxiter=400)
     if info != 0:
         raise NumericError(f"linear solver stalled in the Newton step (info={info})")
-    return step.reshape(m, nx, ny), matvecs
+    return head(step) / scale, matvecs
 
 
 def solve_geodesic(
@@ -198,27 +195,27 @@ def solve_geodesic(
     if nt * nx * ny > MAX_GRID_POINTS:
         raise ValueError(f"nt*nx*ny must be <= {MAX_GRID_POINTS}, got {nt * nx * ny}")
     schedule = [float(d) for d in delta_schedule]
-    if not schedule or any(d <= 0 for d in schedule):
-        raise ValueError("delta schedule must be nonempty and positive")
+    if not schedule or not all(math.isfinite(d) and d > 0 for d in schedule):
+        raise ValueError(f"delta schedule must be nonempty, finite and positive, got {schedule}")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("delta schedule must be strictly decreasing")
 
     dt = 1.0 / (nt - 1)
     hx = 2.0 * math.pi / nx
     hy = 2.0 * math.pi / ny
-    xs = -math.pi + hx * np.arange(nx)
-    ys = -math.pi + hy * np.arange(ny)
-    top = _symmetrize(phi1.evaluate(xs[:, None], ys[None, :]))
+    xs, ys = (-math.pi + h * np.arange(n // 2 + 1) for h, n in ((hx, nx), (hy, ny)))
+    top = phi1.evaluate(xs[:, None], ys[None, :])
     t = np.linspace(0.0, 1.0, nt)
     phi = t[:, None, None] * top[None, :, :]
     metric, zmin = _metric(phi, hx, hy, schedule[0])
 
     res_norm = math.inf
-    steps = matvecs = halvings = 0
+    per_delta = []
     for delta in schedule:
         res, fields = _residual(phi, metric, dt, hx, hy, delta)
         res_norm = float(np.max(np.abs(res)))
         target = RESIDUAL_SCALE * (1.0 + delta)
+        steps = matvecs = halvings = 0
         for _ in range(MAX_NEWTON_ITERS):
             if res_norm < target:
                 break
@@ -229,7 +226,6 @@ def solve_geodesic(
             for _ in range(MAX_HALVINGS):
                 cand = phi.copy()
                 cand[1:-1] += alpha * step
-                cand[1:-1] = _symmetrize(cand[1:-1])
                 try:
                     cand_metric, cand_zmin = _metric(cand, hx, hy, delta)
                 except NumericError:
@@ -254,9 +250,13 @@ def solve_geodesic(
                 f"no convergence within {MAX_NEWTON_ITERS} Newton iterations "
                 f"at delta = {delta:.3e} (residual {res_norm:.3e})"
             )
+        per_delta.append((delta, steps, matvecs, halvings))
+    ix, iy = (np.minimum(np.arange(n), n - np.arange(n)) for n in (nx, ny))
+    _, steps, matvecs, halvings = map(sum, zip(*per_delta))
     return GridSolution(
-        nt=nt, nx=nx, ny=ny, delta=schedule[-1], phi=phi, residual_norm=res_norm,
-        newton_steps=steps, krylov_matvecs=matvecs, halvings=halvings, min_metric=zmin,
+        nt=nt, nx=nx, ny=ny, delta=schedule[-1], phi=phi[:, ix[:, None], iy],
+        residual_norm=res_norm, newton_steps=steps, krylov_matvecs=matvecs,
+        halvings=halvings, min_metric=zmin, per_delta=tuple(per_delta),
     )
 
 

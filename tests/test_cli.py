@@ -276,7 +276,13 @@ def test_pde_check_solver_block_and_rerun_identical(capsys, tmp_path):
     assert run_cli(capsys, *argv)[0] == 0
     assert out_file.read_text() == first
     solver = json.loads(first)["solver"]
-    assert set(solver) == {"newton_steps", "krylov_matvecs", "halvings", "min_metric"}
+    assert set(solver) == {"newton_steps", "krylov_matvecs", "halvings", "min_metric",
+                           "per_delta"}
+    # the split by delta follows the schedule and sums to the totals
+    assert [row["delta"] for row in solver["per_delta"]] == [0.1, 0.01]
+    for key in ("newton_steps", "krylov_matvecs", "halvings"):
+        assert sum(row[key] for row in solver["per_delta"]) == solver[key]
+    assert all(row["newton_steps"] > 0 for row in solver["per_delta"])
     assert solver["newton_steps"] > 0 and solver["krylov_matvecs"] > solver["newton_steps"]
     assert solver["halvings"] == 0
     assert 0.0 < solver["min_metric"] < 1.0
@@ -287,6 +293,19 @@ def test_pde_check_bad_delta_schedule(capsys):
                            "--ny", "16", "--delta", "1e-3,1e-2")
     assert code == 2
     assert "decreasing" in err
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "1e400"])
+def test_pde_check_non_finite_delta_is_refused_up_front(capsys, monkeypatch, delta):
+    def no_krylov(*args, **kwargs):
+        raise AssertionError("the Newton loop ran on a non-finite delta")
+
+    monkeypatch.setattr(pde_crosscheck, "lgmres", no_krylov)
+    code, out, err = run_cli(capsys, "pde-check", "--nt", "9", "--nx", "16",
+                             "--ny", "16", "--delta", delta)
+    assert code == 2
+    assert out == ""
+    assert "delta schedule" in err
 
 
 def test_pde_check_degenerate_amplitude(capsys, tmp_path):

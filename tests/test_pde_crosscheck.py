@@ -18,6 +18,7 @@ from torusjets.timegrid import make_grid
 
 ZERO = TorusPotential(terms=())
 SADDLE = TorusPotential(terms=((0.02, 2, 0), (-0.02, 0, 2)))
+MIXED = TorusPotential(terms=((0.02, 2, 0), (-0.02, 0, 2), (0.01, 2, 2), (0.005, 4, 0)))
 
 
 def test_solve_validation():
@@ -33,6 +34,9 @@ def test_solve_validation():
         solve_geodesic(ZERO, 9, 16, 16, [1e-2, 1e-1])
     with pytest.raises(ValueError, match="schedule"):
         solve_geodesic(ZERO, 9, 16, 16, [1e-2, 0.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            solve_geodesic(ZERO, 9, 16, 16, [bad])
 
 
 def test_krylov_type_error_is_not_retried(monkeypatch):
@@ -164,6 +168,27 @@ def oracle_residual(phi, dt, hx, hy, delta):
     return phitt * (1.0 + lap) - gx**2 - gy**2 - delta
 
 
+def symmetrize(u):
+    """The part of a full-grid field that is even in x and in y about index 0."""
+    nx, ny = u.shape[-2:]
+    u = 0.5 * (u + u[:, (-np.arange(nx)) % nx])
+    return 0.5 * (u + u[:, :, (-np.arange(ny)) % ny])
+
+
+def quarter(u):
+    return u[:, : u.shape[1] // 2 + 1, : u.shape[2] // 2 + 1]
+
+
+def lift(q):
+    """A quarter field as a Krylov vector of the solver: the quarter, doubled
+    where the full-grid multiplicity is 4, then its entries of multiplicity 2."""
+    w = np.ones(q.shape[1:])
+    w[1:-1] *= 2.0
+    w[:, 1:-1] *= 2.0
+    cols = (q * np.where(w == 4.0, 2.0, 1.0)).reshape(len(q), -1)
+    return np.concatenate((cols.ravel(), cols[:, w.ravel() == 2.0].ravel()))
+
+
 def capture_operators(monkeypatch, phi, dt, hx, hy, delta):
     seen = {}
 
@@ -175,31 +200,57 @@ def capture_operators(monkeypatch, phi, dt, hx, hy, delta):
     metric, _ = pde_crosscheck._metric(phi, hx, hy, delta)
     res, fields = pde_crosscheck._residual(phi, metric, dt, hx, hy, delta)
     pde_crosscheck._newton_step(fields, dt, hx, hy, res)
-    return seen["op"], seen["M"], float(np.mean(metric[1:-1]))
+    return seen["op"], seen["M"]
 
 
 @pytest.mark.parametrize("shape", [(9, 16, 16), (17, 16, 32), (11, 32, 16)])
 def test_jacobian_matches_quadratic_oracle(monkeypatch, shape):
-    # R is quadratic in phi, so (R(phi + v) - R(phi - v)) / 2 is J(phi) v exactly
+    # R is quadratic in phi, so (R(phi + v) - R(phi - v)) / 2 is J(phi) v exactly.
+    # The solver only sees even fields, so phi and v are even and the operator
+    # acts on their quarters, lifted into its full-grid norm.
     nt, nx, ny = shape
     dt, hx, hy, delta = 1.0 / (nt - 1), 2 * math.pi / nx, 2 * math.pi / ny, 1e-2
     rng = np.random.default_rng(nt * nx * ny)
-    phi = 1e-3 * rng.standard_normal(shape)
-    op, M, c = capture_operators(monkeypatch, phi, dt, hx, hy, delta)
+    phi = symmetrize(1e-3 * rng.standard_normal(shape))
+    op, M = capture_operators(monkeypatch, quarter(phi), dt, hx, hy, delta)
     assert op.dtype == np.float64 and M.dtype == np.float64
+    mid = phi[1:-1]
+    c = 1.0 + float(np.mean(
+        (np.roll(mid, 1, 1) - 2.0 * mid + np.roll(mid, -1, 1)) / hx**2
+        + (np.roll(mid, 1, 2) - 2.0 * mid + np.roll(mid, -1, 2)) / hy**2
+    ))
     for _ in range(3):
         v = np.zeros(shape)
-        v[1:-1] = 1e-3 * rng.standard_normal((nt - 2, nx, ny))
-        oracle = 0.5 * (
+        v[1:-1] = symmetrize(1e-3 * rng.standard_normal((nt - 2, nx, ny)))
+        vq = lift(quarter(v[1:-1]))
+        assert op.shape == (vq.size, vq.size)
+        assert vq @ vq == pytest.approx(np.sum(v**2), rel=1e-14)
+        oracle = lift(quarter(0.5 * (
             oracle_residual(phi + v, dt, hx, hy, delta)
             - oracle_residual(phi - v, dt, hx, hy, delta)
-        )
-        got = op.matvec(v[1:-1].ravel()).reshape(oracle.shape)
+        )))
+        got = op.matvec(vq)
         assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
-        # the preconditioner inverts the constant-coefficient Dirichlet c D_tt
+        # the preconditioner inverts the constant-coefficient Dirichlet c D_tt,
+        # c the full-grid mean of 1 + Lap phi
         dtt = c * (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dt**2
-        back = M.matvec(dtt.ravel()).reshape(v[1:-1].shape)
-        assert np.max(np.abs(back - v[1:-1])) <= 1e-13 * np.max(np.abs(v))
+        back = M.matvec(lift(quarter(dtt)))
+        assert np.max(np.abs(back - vq)) <= 1e-13 * np.max(np.abs(vq))
+
+
+@pytest.mark.parametrize("shape", [(17, 16, 32), (11, 32, 16)])
+def test_quarter_solve_satisfies_the_periodic_equation(shape):
+    # the expanded quarter solution solves the full-grid periodic equation
+    nt, nx, ny = shape
+    sol = solve_geodesic(MIXED, nt, nx, ny, [1e-1, 1e-2])
+    assert sol.phi.shape == shape
+    residual = oracle_residual(sol.phi, sol.dt, sol.hx, sol.hy, 1e-2)
+    assert np.max(np.abs(residual)) < pde_crosscheck.RESIDUAL_SCALE * (1 + 1e-2)
+    xs = -math.pi + sol.hx * np.arange(nx)
+    ys = -math.pi + sol.hy * np.arange(ny)
+    top = MIXED.evaluate(xs[:, None], ys[None, :])
+    assert np.max(np.abs(sol.phi[-1] - top)) < 1e-15
+    assert np.all(sol.phi[0] == 0.0)
 
 
 def test_solver_counters_match_the_krylov_calls(monkeypatch):
