@@ -110,11 +110,11 @@ def _newton_step(fields, dt, hx, hy, res):
     J v = (1 + Lap phi) v_tt + phi_tt Lap v - 2 grad(phi_t).grad(v_t), v = 0 on
     the end slices, is a 15-point stencil; each matvec copies v into one halo
     buffer, refreshes its reflective faces and sums the stencil from slices.
-    lgmres works in the full-grid norm sum(w v^2), w the multiplicity: its
-    vectors hold v on the quarter, doubled where w = 4, then the w = 2 entries
-    again as twins; that is exact in binary, so a flat v stays flat. The preconditioner inverts the Dirichlet c D_tt, c the
-    full-grid mean of 1 + Lap phi, for the m = nt - 2 interior slices:
-    G_ij = -min(i, j) (m + 1 - max(i, j)) / (m + 1) dt^2 / c, on every column.
+    lgmres works in the full-grid norm sum(w v^2), w the multiplicity: a vector
+    holds v on the quarter, doubled where w = 4, then the w = 2 entries again
+    (exact in binary, so a flat v stays flat). The preconditioner inverts the
+    Dirichlet c D_tt, c the full-grid mean of 1 + Lap phi, on every column:
+    G_ij = -min(i, j) (m + 1 - max(i, j)) / (m + 1) dt^2 / c, m = nt - 2.
     """
     metric, phitt, gx, gy = fields
     m, qx, qy = phitt.shape
