@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -237,7 +238,10 @@ def _write_plot(prefix: str, payload) -> None:
         fh.write("plot " + ", \\\n     ".join(plots) + "\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by later ones:
+    parse_args keeps no state between calls, so each parses as a fresh one."""
     parser = argparse.ArgumentParser(
         prog="torusjets",
         description="Jet hierarchies of torus Kahler geodesics: closed-form "

@@ -107,25 +107,35 @@ def _sin_even_power(m: int, max_half: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _taylor_products(mx: int, my: int, half: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """(d, row) per degree d of sin(x)^(2mx) sin(y)^(2my): row[j - my] is the
+    float of the exact coefficient of x^(2d-2j) y^(2j), j = my..d-mx."""
+    xs = _sin_even_power(mx, half)
+    ys = _sin_even_power(my, half)
+    table = []
+    for d in range(max(mx + my, 1), half + 1):
+        row = np.array([float(xs[d - j] * ys[j]) for j in range(my, d - mx + 1)])
+        row.flags.writeable = False
+        table.append((d, row))
+    return tuple(table)
+
+
 def jets_at_origin(potential: TorusPotential, order: int) -> dict[int, np.ndarray]:
     """Monomial coefficients of the Taylor expansion at (0,0) per even order.
 
-    Entry i of the degree-2d vector multiplies x^(2d-2i) y^(2i).
+    Entry i of the degree-2d vector multiplies x^(2d-2i) y^(2i). The terms add
+    coeff times their memoised float products in turn; a zero product adds
+    +-0, which changes no entry, since no entry is ever -0.
     """
     if order < 2 or order % 2:
         raise ValueError(f"order must be even and >= 2, got {order}")
     half = order // 2
     jets = {2 * d: np.zeros(d + 1) for d in range(1, half + 1)}
     for coeff, px, py in potential.terms:
-        mx, my = px // 2, py // 2
-        xs = _sin_even_power(mx, half)
-        ys = _sin_even_power(my, half)
-        for d in range(max(mx + my, 1), half + 1):
-            vec = jets[2 * d]
-            for j in range(my, d - mx + 1):
-                c = xs[d - j] * ys[j]
-                if c != 0:
-                    vec[j] += coeff * float(c)
+        my = py // 2
+        for d, row in _taylor_products(px // 2, my, half):
+            jets[2 * d][my : my + row.size] += coeff * row
     return jets
 
 

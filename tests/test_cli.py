@@ -351,3 +351,30 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_cached_parser_behaves_as_a_fresh_one(capsys, monkeypatch):
+    # the parser is built once per process; a valid call, a refused argument
+    # and another subcommand give what a parser built for each call gives
+    assert cli._build_parser() is cli._build_parser()
+    calls = [
+        ["second-jet", *FAMILY],
+        ["propagate", "--spec", "unused.json", "--max-order", "x"],
+        ["counterexample", "--n", "3"],
+    ]
+
+    def run_all():
+        seen = []
+        for argv in calls:
+            try:
+                seen.append(main(argv))
+            except SystemExit as exc:
+                seen.append(("exit", exc.code))
+            seen.append(capsys.readouterr())
+        return seen
+
+    cached = run_all()
+    assert cached[2] == ("exit", 2) and "invalid int value" in cached[3].err
+    assert cached[0] == cached[4] == 0
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert run_all() == cached

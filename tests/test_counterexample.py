@@ -5,6 +5,7 @@ import pytest
 
 from torusjets.counterexample import (
     TorusPotential,
+    _sin_even_power,
     build_h,
     build_h_tilde,
     cb_norm_report,
@@ -112,6 +113,39 @@ def test_jets_perturbation_sits_at_top_order():
     expected = np.zeros(n + 1)
     expected[kappa] = chi
     assert np.array_equal(diff, expected)
+
+
+def fraction_loop_jets(potential, order):
+    """Taylor jets by the exact-rational loop, one nonzero product at a time."""
+    half = order // 2
+    jets = {2 * d: np.zeros(d + 1) for d in range(1, half + 1)}
+    for coeff, px, py in potential.terms:
+        mx, my = px // 2, py // 2
+        xs = _sin_even_power(mx, half)
+        ys = _sin_even_power(my, half)
+        for d in range(max(mx + my, 1), half + 1):
+            for j in range(my, d - mx + 1):
+                c = xs[d - j] * ys[j]
+                if c != 0:
+                    jets[2 * d][j] += coeff * float(c)
+    return jets
+
+
+@pytest.mark.parametrize("terms", [
+    ((0.3, 2, 4), (-0.1, 6, 0), (0.07, 4, 4), (-1.3, 0, 2)),
+    ((-0.0, 2, 0), (0.25, 2, 2), (-0.0, 0, 6), (1e-3, 8, 2)),
+    ((-0.0, 4, 2),),
+    ((0.1, 2, 0), (-0.1, 0, 2), (math.exp(-5), 6, 4)),
+])
+def test_jets_match_the_fraction_loop_bit_for_bit(terms):
+    # the memoised float products add term by term in the loop's order; a
+    # skipped zero product would add a signed zero, which changes no entry
+    pot = TorusPotential(terms=terms)
+    for order in (2, 10, 16):
+        got, want = jets_at_origin(pot, order), fraction_loop_jets(pot, order)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes()
 
 
 # --- norms -----------------------------------------------------------------------

@@ -302,11 +302,54 @@ def test_flat_rows_give_exactly_zero_jets():
 
 
 def test_relative_spread_is_scale_aware():
-    # sigma_2 ~ -c^2: a floor on sigma_2 that ignores its scale reports 0 here
-    spreads = {}
-    for c in (1e-7, 1e-3):
+    # sigma_2 ~ -c^2: a floor on sigma_2 that ignores its scale reports 0 at
+    # c = 1e-7, and a solve that stops early on such small data reads 0.0424
+    # there, where c = 1e-6 and 1e-3 read 0.0332
+    spreads = []
+    for c in (1e-7, 1e-6, 1e-3):
         pot = TorusPotential(terms=((c, 2, 0), (-c, 0, 2)))
         sol = solve_geodesic(pot, 17, 16, 16, [1e-1, 1e-2])
-        spreads[c] = crosscheck_report(sol, reference_for(sol)).relative_spread
-    assert 0.0 < spreads[1e-7] < math.inf
-    assert 0.5 < spreads[1e-7] / spreads[1e-3] < 2.0
+        spreads.append(crosscheck_report(sol, reference_for(sol)).relative_spread)
+    assert 0.0 < spreads[0] < math.inf
+    assert max(spreads) - min(spreads) <= 1e-3 * min(spreads)
+
+
+def record_forcing(monkeypatch, rtol=None):
+    """Record (|F|_inf, rtol) of every Newton step; rtol, if given, replaces the
+    forcing term. Matvecs are counted by the solver itself."""
+    newton_step, original = pde_crosscheck._newton_step, pde_crosscheck.lgmres
+    steps = []
+
+    def recording_step(fields, dt, hx, hy, res):
+        steps.append([float(np.max(np.abs(res)))])
+        return newton_step(fields, dt, hx, hy, res)
+
+    def recording_lgmres(op, rhs, **kwargs):
+        steps[-1].append(kwargs["rtol"])
+        if rtol is not None:
+            kwargs["rtol"] = rtol
+        return original(op, rhs, **kwargs)
+
+    monkeypatch.setattr(pde_crosscheck, "_newton_step", recording_step)
+    monkeypatch.setattr(pde_crosscheck, "lgmres", recording_lgmres)
+    return steps
+
+
+@pytest.mark.parametrize("pot, shape", [(MIXED, (17, 16, 32)), (SADDLE, (17, 32, 32))])
+def test_forcing_term_keeps_the_exact_newton_solution(monkeypatch, pot, shape):
+    # each Krylov solve stops at max(min(ETA_MAX, |F|_inf), ETA_MIN): loose while
+    # the Newton residual F is large, so it takes fewer matvecs than solving
+    # every step to 1e-10, for the same steps and the same phi
+    steps = record_forcing(monkeypatch)
+    sol = solve_geodesic(pot, *shape, [1e-1, 1e-2])
+    assert len(steps) == sol.newton_steps > 0
+    for norm, rtol in steps:
+        assert 1e-10 <= rtol <= min(1e-3, norm)
+    assert steps[0][1] == 1e-3 and steps[-1][1] < 1e-3
+    monkeypatch.undo()
+    record_forcing(monkeypatch, rtol=1e-10)
+    exact = solve_geodesic(pot, *shape, [1e-1, 1e-2])
+    assert np.max(np.abs(sol.phi - exact.phi)) <= 1e-12 * np.max(np.abs(exact.phi))
+    assert sol.newton_steps == exact.newton_steps
+    assert sol.halvings == exact.halvings == 0
+    assert sol.krylov_matvecs < exact.krylov_matvecs
