@@ -26,7 +26,6 @@ closed form failed its own endpoint or angle check.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -39,7 +38,7 @@ from .counterexample import TorusPotential, build_h, jets_at_origin, obstruction
 from .errors import ConsistencyError, GeodesicDomainError, NumericError
 from .jet_propagation import ObstructionReport, order_residual, propagate
 from .pde_crosscheck import crosscheck_report, dump_phi_csv, solve_geodesic
-from .report_io import dumps_json, parse_potential, parse_side
+from .report_io import dumps_json, fields_of, parse_potential, parse_side
 from .second_jet import (
     SecondJetBoundary,
     connectable,
@@ -111,7 +110,7 @@ def _cmd_second_jet(args):
         },
     }
     report.update(_path_report(path))
-    return report, _path_plot(path, "second-jet path")
+    return report, lambda: _path_plot(path, "second-jet path")
 
 
 def _cmd_propagate(args):
@@ -135,7 +134,7 @@ def _cmd_propagate(args):
     }
     if isinstance(result, ObstructionReport):
         report = {"command": "propagate", "config": config, "type": "obstruction"}
-        report.update(dataclasses.asdict(result))
+        report.update(fields_of(result))
         return report, None
     report = {
         "command": "propagate",
@@ -152,7 +151,7 @@ def _cmd_propagate(args):
         "beyond_scope_orders": list(result.beyond_scope_orders),
         "near_resonance_warnings": [list(w) for w in result.near_resonance_warnings],
     }
-    return report, _path_plot(result.path2, "propagation base path")
+    return report, lambda: _path_plot(result.path2, "propagation base path")
 
 
 def _cmd_counterexample(args):
@@ -163,10 +162,14 @@ def _cmd_counterexample(args):
         "command": "counterexample",
         "config": {"n": args.n, "nodes": nodes, "package_version": __version__},
     }
-    report.update(dataclasses.asdict(demo))
-    jets = jets_at_origin(build_h(args.n), 2)
-    path = solve_bvp(SecondJetBoundary(0.0, 0.0, jets[2][0], jets[2][1]), grid)
-    return report, _path_plot(path, f"h_{args.n} second-jet path")
+    report.update(fields_of(demo))
+
+    def plot():
+        jets = jets_at_origin(build_h(args.n), 2)
+        path = solve_bvp(SecondJetBoundary(0.0, 0.0, jets[2][0], jets[2][1]), grid)
+        return _path_plot(path, f"h_{args.n} second-jet path")
+
+    return report, plot
 
 
 def _cmd_pde_check(args):
@@ -215,7 +218,7 @@ def _cmd_pde_check(args):
         "epsilon_relative_error": rep.epsilon_relative_error,
     }
     cols = np.column_stack([rep.t[1:-1], rep.a[1:-1], rep.b[1:-1], rep.sigma2])
-    return report, ("t a b sigma2", cols, "pde cross-check")
+    return report, lambda: ("t a b sigma2", cols, "pde cross-check")
 
 
 def _write_plot(prefix: str, payload) -> None:
@@ -297,7 +300,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        report, plot_payload = _HANDLERS[args.command](args)
+        report, plot = _HANDLERS[args.command](args)
+        payload = plot() if args.plot and plot is not None else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -316,8 +320,8 @@ def main(argv=None) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if args.plot and plot_payload is not None:
-        _write_plot(args.plot, plot_payload)
+    if payload is not None:
+        _write_plot(args.plot, payload)
     return EXIT_OK
 
 

@@ -288,11 +288,15 @@ def source_K1(lower: JetHierarchy, order: int) -> list[CoefficientSeries]:
     return [CoefficientSeries(lower.grid, row) for row in frame.orient(frame.source(order))]
 
 
-def _mode_sources(frame: _Frame, order: int):
-    """U diagonal per node and K1 in the q basis of one order."""
+def _finite_mode_sources(frame: _Frame, order: int):
+    """U diagonal per node and K1 in the q basis of one order; NumericError if not finite."""
     n = order // 2
-    u_nodes = u_eigenvalues(n, frame.A)
-    return u_nodes, q_adjoint(n) @ (frame.source(order) / u_nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_nodes = u_eigenvalues(n, frame.A)
+        k_modes = q_adjoint(n) @ (frame.source(order) / u_nodes)
+    if not np.isfinite(k_modes).all():
+        raise NumericError(f"the K1 source of order {order} is not finite")
+    return u_nodes, k_modes
 
 
 def order_residual(hier: JetHierarchy, order: int) -> float:
@@ -332,17 +336,12 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
         p0 = frame.orient(jets0.get(order, np.zeros(n + 1)))
         p1 = frame.orient(jets1.get(order, np.zeros(n + 1)))
         mu = 4.0 * frame.eps * np.arange(n + 1)
-        multiple, resonant, near = _classify(mu)
+        _, resonant, near = _classify(mu)
+        warnings.extend((order, int(mode)) for mode in np.flatnonzero(near))
+        if resonant.any():  # a resonant top mode is reported, a resonant lower one refused
+            return _compatibility(frame, order, p0, p1, tuple(warnings))
+        u_nodes, k_modes = _finite_mode_sources(frame, order)
         with np.errstate(over="ignore", invalid="ignore"):
-            u_nodes, k_modes = _mode_sources(frame, order)
-            if not np.isfinite(k_modes).all():
-                raise NumericError(f"the K1 source of order {order} is not finite")
-            if resonant[:n].any():  # mode k tops order 2k, which reported it already
-                raise ConsistencyError(f"a mode of order {order} resonated after its own order")
-            warnings.extend((order, int(mode)) for mode in np.flatnonzero(near))
-            if resonant[n]:
-                return _resonant_report(frame, order, k_modes[n], p0, p1, int(multiple[n]),
-                                        tuple(warnings))
             f0 = q_adjoint(n) @ (p0 / u_nodes[:, 0])
             f1 = q_adjoint(n) @ (p1 / u_nodes[:, -1])
             f, df = _vary_constants(grid, mu, k_modes, f0, f1, np.zeros(n + 1, int))
@@ -363,17 +362,27 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
     return hier
 
 
-def _resonant_report(frame, order, k_top, p0, p1, multiple, warnings) -> ObstructionReport:
-    n, fact = order // 2, fischer_weights(order // 2)
-    w0, w1 = d_weights(n, frame.A[0]), d_weights(n, frame.A[-1])
-    sign = -((-1.0) ** multiple)
-    lhs = math.fsum(w0 * fact * p0) + sign * math.fsum(w1 * fact * p1)
-    K = _source_pairing(frame.grid, k_top, multiple)
+def _compatibility(frame: _Frame, order: int, p0, p1, warnings) -> ObstructionReport:
+    """Obstruction data of `order`, whose top mode must resonate and no lower one:
+    mode k tops order 2k, which reports it.  A K1 that is not finite is a NumericError."""
+    n = order // 2
+    multiple, resonant, _ = _classify(4.0 * frame.eps * np.arange(n + 1))
+    if resonant[:n].any():
+        raise ConsistencyError(f"a mode of order {order} resonated after its own order")
+    if not resonant[n]:
+        raise ValueError(
+            f"order {order} is not resonant: 4*eps*{n} = {4.0 * frame.eps * n} "
+            "is not a multiple of pi"
+        )
+    k_top, m = _finite_mode_sources(frame, order)[1][n], int(multiple[n])
+    fact, w0, w1 = fischer_weights(n), d_weights(n, frame.A[0]), d_weights(n, frame.A[-1])
+    lhs = math.fsum(w0 * fact * p0) - (-1.0) ** m * math.fsum(w1 * fact * p1)
+    K = _source_pairing(frame.grid, k_top, m)
     residual = abs(lhs - K)
     return ObstructionReport(
         resonant_order=order, u=frame.orient(w0), v=frame.orient(w1), K=K, lhs=lhs,
         residual=residual, satisfied=residual < COMPAT_TOL, epsilon=frame.eps,
-        resonant_mode=n, multiple=multiple, near_resonance_warnings=warnings,
+        resonant_mode=n, multiple=m, near_resonance_warnings=warnings,
     )
 
 
@@ -383,21 +392,16 @@ def compatibility_check(
     """Obstruction data for the resonant order sitting above `lower`.
 
     The hierarchy must contain every order below; the top mode of the target
-    order must be resonant, otherwise the call is an invalid state.
+    order must be resonant, otherwise the call is an invalid state.  The guards
+    of propagate's resonant order hold here too: a resonant lower mode raises
+    ConsistencyError and a K1 source that is not finite raises NumericError.
     """
     if order is None:
         order = max(lower.orders.keys(), default=2) + 2
     n = order // 2
     frame = lower._frame
-    mu = 4.0 * frame.eps * n
-    multiple, resonant, _ = _classify(np.array([mu]))
-    if not resonant[0]:
-        raise ValueError(
-            f"order {order} is not resonant: 4*eps*{n} = {mu} is not a multiple of pi"
-        )
     p0 = frame.orient(np.asarray(phi0_order_jets, dtype=float))
     p1 = frame.orient(np.asarray(phi1_order_jets, dtype=float))
     if p0.shape != (n + 1,) or p1.shape != (n + 1,):
         raise ValueError(f"order-{order} jets need {n + 1} coefficients")
-    k_top = _mode_sources(frame, order)[1][n]
-    return _resonant_report(frame, order, k_top, p0, p1, int(multiple[0]), ())
+    return _compatibility(frame, order, p0, p1, ())

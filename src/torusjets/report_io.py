@@ -20,6 +20,11 @@ import numpy as np
 from .counterexample import TorusPotential, jets_at_origin
 
 
+def fields_of(obj) -> dict:
+    """A dataclass's fields by name; unlike dataclasses.asdict, arrays are not copied."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"reports must not contain non-finite numbers, got {x}")
@@ -47,10 +52,7 @@ def _encode(obj, pieces: list, indent: int, level: int) -> None:
         else:
             _encode(obj.tolist(), pieces, indent, level)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        _encode(
-            {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)},
-            pieces, indent, level,
-        )
+        _encode(fields_of(obj), pieces, indent, level)
     elif isinstance(obj, dict):
         if not obj:
             pieces.append("{}")

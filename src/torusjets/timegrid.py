@@ -5,11 +5,13 @@ Chebyshev-Gauss-Lobatto nodes mapped to [0, 1].  The grid carries a spectral
 differentiation matrix (barycentric form with the negative-sum trick on the
 diagonal), Clenshaw-Curtis quadrature weights and, formed on first use, the
 integration matrix J, (J v)_i = int_0^{t_i} v, exact for the interpolant of v.
+make_grid hands out one shared, read-only grid per node count.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +36,8 @@ class TimeGrid:
 
     @functools.cached_property
     def integration_matrix(self) -> np.ndarray:
-        """J with (J v)_i = int_0^{t_i} v, formed on first use and kept on the grid."""
-        return _integration_matrix(self.node_count - 1)
+        """J with (J v)_i = int_0^{t_i} v, formed on first use and kept on the grid, read-only."""
+        return _read_only(_integration_matrix(self.node_count - 1))
 
 
 @dataclass(frozen=True)
@@ -55,11 +57,27 @@ class CoefficientSeries:
 
 
 def make_grid(node_count: int = DEFAULT_NODES) -> TimeGrid:
-    """Build the Chebyshev-Gauss-Lobatto grid with node_count points."""
+    """The Chebyshev-Gauss-Lobatto grid with node_count points.
+
+    Grids are memoised per node count, so every caller of one size shares one
+    grid, and its J once formed; their arrays are read-only.  The memo keeps
+    the 4 most recent sizes, at worst 4 grids at MAX_NODES: 4 x (D + J) =
+    256 MiB.
+    """
     if node_count < MIN_NODES:
         raise ValueError(f"node_count must be >= {MIN_NODES}, got {node_count}")
     if node_count > MAX_NODES:
         raise ValueError(f"node_count must be <= {MAX_NODES}, got {node_count}")
+    return _make_grid(operator.index(node_count))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=4)
+def _make_grid(node_count: int) -> TimeGrid:
     n = node_count - 1
     # t_j = (1 - cos(pi j / n)) / 2, assembled from the sin^2 half-angle form
     # and mirrored so that the nodes are exactly symmetric about 1/2.
@@ -79,7 +97,9 @@ def make_grid(node_count: int = DEFAULT_NODES) -> TimeGrid:
     np.fill_diagonal(diff, 0.0)
     np.fill_diagonal(diff, -diff.sum(axis=1))
 
-    return TimeGrid(nodes=nodes, diff_matrix=diff, quad_weights=_clenshaw_curtis(n) * 0.5)
+    weights = _clenshaw_curtis(n) * 0.5
+    return TimeGrid(nodes=_read_only(nodes), diff_matrix=_read_only(diff),
+                    quad_weights=_read_only(weights))
 
 
 def _integration_matrix(n: int) -> np.ndarray:

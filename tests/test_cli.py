@@ -224,6 +224,20 @@ def test_counterexample_demo(capsys):
     assert rep["chi"] == math.exp(-3)
 
 
+def test_counterexample_builds_its_plot_only_under_the_flag(capsys, tmp_path, monkeypatch):
+    solved = []
+    real_solve = cli.solve_bvp
+    monkeypatch.setattr(cli, "solve_bvp", lambda *a: solved.append(1) or real_solve(*a))
+    plain = run_cli(capsys, "counterexample", "--n", "3")
+    assert plain[0] == 0 and solved == []
+    prefix = str(tmp_path / "h3")
+    plotted = run_cli(capsys, "counterexample", "--n", "3", "--plot", prefix)
+    assert plotted == plain and solved == [1]
+    dat = (tmp_path / "h3.dat").read_text().splitlines()
+    assert dat[0] == "# t a b sigma1 sigma2" and len(dat) == 1 + 64
+    assert "h_3 second-jet path" in (tmp_path / "h3.gp").read_text()
+
+
 def test_counterexample_small_n_is_input_error(capsys):
     code, _, err = run_cli(capsys, "counterexample", "--n", "2")
     assert code == 2

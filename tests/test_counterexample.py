@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from torusjets import counterexample, jet_propagation
 from torusjets.counterexample import (
     TorusPotential,
     _sin_even_power,
@@ -12,6 +13,7 @@ from torusjets.counterexample import (
     jets_at_origin,
     obstruction_demo,
 )
+from torusjets.errors import ConsistencyError, NumericError
 from torusjets.jet_propagation import ObstructionReport, propagate
 from torusjets.timegrid import make_grid
 
@@ -224,3 +226,59 @@ def test_pairing_shift_linear_in_chi():
     d1 = one.lhs - base.lhs
     d2 = two.lhs - base.lhs
     assert abs(d2 - 2 * d1) < 1e-10 * abs(d1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_single_run_demo_matches_two_full_runs(n):
+    demo = obstruction_demo(n, GRID)
+    zero = {2: np.zeros(2)}
+    rep = propagate(zero, jets_at_origin(build_h(n), 2 * n), 2 * n, GRID)
+    rep_t = propagate(
+        zero, jets_at_origin(build_h_tilde(n, demo.kappa, demo.chi), 2 * n), 2 * n, GRID
+    )
+    assert isinstance(rep, ObstructionReport) and isinstance(rep_t, ObstructionReport)
+    for old in (rep, rep_t):
+        assert np.array_equal(demo.u, old.u)
+        assert np.array_equal(demo.v, old.v)
+        assert demo.K == old.K
+    assert demo.lhs_h == rep.lhs
+    assert demo.lhs_htilde == rep_t.lhs
+    assert demo.difference == rep_t.lhs - rep.lhs
+
+
+def test_demo_refuses_a_perturbation_below_the_top_order(monkeypatch):
+    def moved(n, kappa, chi):
+        base = build_h_tilde(n, kappa, chi)
+        return TorusPotential(base.terms + ((1e-3, 2 * n - 2, 0),), n=n, kappa=kappa, chi=chi)
+
+    monkeypatch.setattr(counterexample, "build_h_tilde", moved)
+    with pytest.raises(ConsistencyError, match="below order 8"):
+        obstruction_demo(4)
+
+
+def _h_with(extra, base_n=None):
+    """A build_h stand-in: h_(base_n or n) with `extra` terms added."""
+    return lambda n: TorusPotential(build_h(base_n or n).terms + extra, n=n)
+
+
+@pytest.mark.parametrize("n, patch, error, message", [
+    # h_n scaled by 0.9: eps < pi/(4n), so no order up to 2n resonates
+    (3, ("build_h", lambda n: TorusPotential(tuple((0.9 * c, px, py) for c, px, py in
+                                                   build_h(n).terms), n=n)),
+     ConsistencyError, "expected a resonance by order 6, got a hierarchy"),
+    (6, ("build_h", _h_with((), base_n=3)), ConsistencyError, "resonance at order 6, expected 12"),
+    (3, ("EPSILON_TOL", -1.0), ConsistencyError, "deviates from pi/"),
+    (7, None, ConsistencyError, "all pairing weights vanish"),
+    (3, ("COMPAT_TOL", math.inf), ConsistencyError, "both compatibility conditions hold"),
+    # the huge order-4 jets overflow K1 at the resonant order 6 for n = 3, below it for n = 4
+    (3, ("build_h", _h_with(((1e300, 4, 0),))), NumericError, "K1 source of order 6"),
+    (4, ("build_h", _h_with(((1e300, 4, 0),))), NumericError, "K1 source of order 6"),
+    (3, ("build_h", _h_with(((1e308, 4, 0),))), NumericError, "solution of order 4"),
+])
+def test_every_demo_guard_still_fires(monkeypatch, n, patch, error, message):
+    if patch is not None:
+        name, value = patch
+        module = jet_propagation if name == "COMPAT_TOL" else counterexample
+        monkeypatch.setattr(module, name, value)
+    with pytest.raises(error, match=message):
+        obstruction_demo(n, GRID)

@@ -6,7 +6,7 @@ import pytest
 
 from torusjets import jet_propagation
 from torusjets.counterexample import build_h, jets_at_origin
-from torusjets.errors import GeodesicDomainError, NumericError
+from torusjets.errors import ConsistencyError, GeodesicDomainError, NumericError
 from torusjets.jet_propagation import (
     JetHierarchy,
     ModeProblem,
@@ -309,6 +309,7 @@ def test_propagate_builds_J_once_and_solves_no_linear_system(monkeypatch):
     def refused(name):
         return lambda *args, **kwargs: solved.append(name)
 
+    timegrid._make_grid.cache_clear()  # an earlier test may have formed J on the shared grid
     monkeypatch.setattr(timegrid, "_integration_matrix", counting_build)
     monkeypatch.setattr(numpy.linalg, "solve", refused("numpy.linalg.solve"))
     monkeypatch.setattr(scipy.linalg, "lu_factor", refused("scipy.linalg.lu_factor"))
@@ -317,6 +318,8 @@ def test_propagate_builds_J_once_and_solves_no_linear_system(monkeypatch):
     assert isinstance(hier, JetHierarchy) and max(hier.orders) == 40
     assert built == [63]  # J is formed once, on first use, and kept on the grid
     assert solved == []
+    propagate(jets0, jets1, 40, make_grid(64))
+    assert built == [63]  # a later call of the same size shares the grid and its J
 
 
 @pytest.mark.parametrize("theta", [0.3, -0.3, NEAR, -NEAR])
@@ -445,6 +448,24 @@ def test_compatibility_check_rejects_bad_shape():
     lower = propagate(jets0, jets1, 4, GRID)
     with pytest.raises(ValueError, match="coefficients"):
         compatibility_check(np.zeros(3), np.zeros(4), lower)
+
+
+def test_compatibility_check_refuses_a_resonant_lower_mode():
+    # eps = pi/8: mode 4 tops the resonant order 8, and mode 2 of order 4 resonates too
+    path2 = solve_bvp(family_boundary(math.pi / 4), GRID)
+    assert abs(path2.epsilon - math.pi / 8) < 1e-12
+    with pytest.raises(ConsistencyError, match="mode of order 8 resonated after its own order"):
+        compatibility_check(np.zeros(5), np.zeros(5), JetHierarchy(path2, {}), order=8)
+
+
+def test_compatibility_check_refuses_a_source_that_is_not_finite():
+    # eps = pi/16 resonates at order 8, whose K1 pairs orders 4 and 6: 1e200^2 overflows
+    jets0, jets1 = h_family_jets(4, 2)
+    path2 = solve_bvp(SecondJetBoundary(*jets0[2], *jets1[2]), GRID)
+    huge = CoefficientSeries(GRID, 1e200 * GRID.nodes**2)
+    lower = JetHierarchy(path2, {4: [huge] * 3, 6: [huge] * 4})
+    with pytest.raises(NumericError, match="K1 source of order 8 is not finite"):
+        compatibility_check(np.zeros(5), np.zeros(5), lower, order=8)
 
 
 def test_reversed_orientation_swaps_pairing_weights():

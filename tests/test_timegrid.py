@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusjets import timegrid
 from torusjets.timegrid import (
+    MAX_NODES,
     CoefficientSeries,
     DEFAULT_NODES,
     MIN_NODES,
@@ -22,6 +24,28 @@ def test_min_node_count_enforced():
     with pytest.raises(ValueError):
         make_grid(MIN_NODES - 1)
     make_grid(MIN_NODES)
+
+
+def test_make_grid_shares_one_grid_per_node_count():
+    assert make_grid(17) is make_grid(17)
+    assert make_grid(17) is not make_grid(33)
+
+
+def test_grid_arrays_are_read_only():
+    g = make_grid(17)
+    for arr in (g.nodes, g.diff_matrix, g.quad_weights, g.integration_matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+
+
+def test_out_of_range_sizes_raise_before_the_memo():
+    before = timegrid._make_grid.cache_info()
+    for count in (MIN_NODES - 1, MAX_NODES + 1):
+        with pytest.raises(ValueError, match="node_count"):
+            make_grid(count)
+    assert timegrid._make_grid.cache_info() == before
 
 
 def test_nodes_endpoints_and_symmetry():
