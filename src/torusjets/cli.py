@@ -10,8 +10,9 @@ Exit codes:
 
 - 0: success.
 - 2: input error (ValueError, OSError): malformed arguments, files or specs,
-  a grid above MAX_NODES, a pde-check grid above MAX_GRID_POINTS, and a
-  second-jet boundary that is not connectable.
+  a grid above MAX_NODES, a pde-check grid above MAX_GRID_POINTS, a jet
+  order above MAX_ORDER (propagate --max-order, or 2n for counterexample
+  --n), and a second-jet boundary that is not connectable.
 - 3: mathematical precondition failure (GeodesicDomainError), such as a
   propagate boundary that is not space-like.
 - 4: numeric failure: a solver that did not converge, a propagated order that

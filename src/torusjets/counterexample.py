@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConsistencyError
-from .jet_propagation import ObstructionReport, compatibility_check, propagate
+from .jet_propagation import MAX_ORDER, ObstructionReport, compatibility_check, propagate
 from .poly_ops import fischer_weights
 from .timegrid import DEFAULT_NODES, TimeGrid, make_grid
 
@@ -130,6 +130,8 @@ def jets_at_origin(potential: TorusPotential, order: int) -> dict[int, np.ndarra
     """
     if order < 2 or order % 2:
         raise ValueError(f"order must be even and >= 2, got {order}")
+    if order > MAX_ORDER:
+        raise ValueError(f"order must be <= {MAX_ORDER}, got {order}")
     half = order // 2
     jets = {2 * d: np.zeros(d + 1) for d in range(1, half + 1)}
     for coeff, px, py in potential.terms:

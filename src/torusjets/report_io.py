@@ -1,23 +1,30 @@
 """Report serialization and potential-spec parsing for the CLI.
 
-JSON is the single canonical report format.  Floats are rendered with 17
-significant digits so that every value round-trips bit-identically through
-json.loads; numpy scalars and arrays, dataclasses and enums are converted
-structurally.
+JSON is the single canonical report format.  orjson writes it in compiled
+code, with shortest round-trip float digits, so every value parses back
+bit-identically through json.loads.  numpy scalars and arrays go through
+their float64 or int lists, dataclasses through their fields and enums by
+value; a non-finite number is refused, where orjson would write null.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
-import json
 import math
 import numbers
-from itertools import repeat
 
 import numpy as np
+import orjson
 
 from .counterexample import TorusPotential, jets_at_origin
+
+# orjson's own dataclass path writes the instance __dict__, memoised properties
+# included, so dataclasses pass through to _plain, which writes their fields.
+_JSON_OPTIONS = (
+    orjson.OPT_INDENT_2 | orjson.OPT_NON_STR_KEYS | orjson.OPT_APPEND_NEWLINE
+    | orjson.OPT_PASSTHROUGH_DATACLASS
+)
+_INT_RANGE = range(-(1 << 63), 1 << 64)  # what orjson writes; it raises a bare TypeError beyond
 
 
 def fields_of(obj) -> dict:
@@ -25,74 +32,44 @@ def fields_of(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"reports must not contain non-finite numbers, got {x}")
-    return format(x, ".17g")
+def _is_dataclass_instance(obj) -> bool:
+    return dataclasses.is_dataclass(obj) and not isinstance(obj, type)
 
 
-def _encode(obj, pieces: list, indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if obj is None:
-        pieces.append("null")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        pieces.append("true" if obj else "false")
-    elif isinstance(obj, enum.Enum):
-        _encode(obj.value, pieces, indent, level)
-    elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        pieces.append(_format_float(float(obj)))
-    elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
+def _require_encodable(obj) -> None:
+    """ValueError on a non-finite number or an int beyond 64 bits anywhere in `obj`."""
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"reports must not contain non-finite numbers, got {obj}")
+    elif isinstance(obj, int):
+        if obj not in _INT_RANGE:
+            raise ValueError(f"reports hold integers of at most 64 bits, got {obj}")
     elif isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype.kind == "f" and obj.size:
-            _encode_float_array(obj, pieces, pad, pad_in)
-        else:
-            _encode(obj.tolist(), pieces, indent, level)
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        _encode(fields_of(obj), pieces, indent, level)
+        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
+            _require_encodable(float(obj[~np.isfinite(obj)][0]))
     elif isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                key = str(key)
-            pieces.append(pad_in + json.dumps(key) + ": ")
-            _encode(val, pieces, indent, level + 1)
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
-        pieces.append(pad + "}")
+        for value in obj.values():
+            _require_encodable(value)
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for i, val in enumerate(obj):
-            pieces.append(pad_in)
-            _encode(val, pieces, indent, level + 1)
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
-        pieces.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+        for value in obj:
+            _require_encodable(value)
+    elif _is_dataclass_instance(obj):
+        _require_encodable(fields_of(obj))
 
 
-def _encode_float_array(arr: np.ndarray, pieces: list, pad: str, pad_in: str) -> None:
-    """A nonempty 1-D float array in the list layout, checked and joined at once."""
-    finite = np.isfinite(arr)
-    if not finite.all():
-        _format_float(float(arr[~finite][0]))  # raises the error of the list path
-    body = (",\n" + pad_in).join(map(format, arr.tolist(), repeat(".17g")))
-    pieces.append("[\n" + pad_in + body + "\n" + pad + "]")
+def _plain(obj):
+    """orjson's fallback: numpy values as (float64) lists, dataclasses as their fields."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if _is_dataclass_instance(obj):
+        return fields_of(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def dumps_json(obj, indent: int = 2) -> str:
-    """Serialize a report structure with 17-significant-digit floats."""
-    pieces: list = []
-    _encode(obj, pieces, indent, 0)
-    return "".join(pieces) + "\n"
+def dumps_json(obj) -> str:
+    """Serialize a report structure: 2-space indent, shortest round-trip floats."""
+    _require_encodable(obj)
+    return orjson.dumps(obj, default=_plain, option=_JSON_OPTIONS).decode()
 
 
 def _number(value, what: str, whole: bool = False):

@@ -1,10 +1,14 @@
+import dataclasses
+import enum
 import json
 import math
 
+import numpy as np
 import pytest
 
-from torusjets import cli, pde_crosscheck, timegrid
+from torusjets import cli, counterexample, jet_propagation, pde_crosscheck, timegrid
 from torusjets.cli import NODES_ENV_VAR, main
+from torusjets.report_io import fields_of
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +87,48 @@ def test_output_file_and_rerun_identical(capsys, tmp_path):
     run_cli(capsys, "second-jet", *FAMILY, "--output", str(out_file))
     assert out_file.read_text() == first
     assert json.loads(first)["causal_class"] == "SpaceLike"
+
+
+def report_floats(obj) -> np.ndarray:
+    """Every number of a report structure, before or after JSON, as float64 in document order."""
+    if dataclasses.is_dataclass(obj):
+        return report_floats(fields_of(obj))
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return np.concatenate([np.zeros(0)] + [report_floats(value) for value in obj])
+    if obj is None or isinstance(obj, (str, enum.Enum)):
+        return np.zeros(0)
+    return np.ravel(np.asarray(obj, dtype=float))
+
+
+REPORT_RUNS = {
+    "second-jet": ["second-jet", *FAMILY],
+    "propagate": ["propagate", "--spec", "{spec}", "--max-order", "16", "--nodes", "33"],
+    "counterexample": ["counterexample", "--n", "4"],
+    "pde-check": ["pde-check", "--spec", "{spec}", "--nt", "9", "--nx", "16", "--ny", "16",
+                  "--delta", "1e-1,1e-2", "--nodes", "16"],
+}
+REPORT_SPECS = {
+    "propagate": {"phi0": {"terms": [[0.02, 2, 0], [0.03, 0, 2]]},
+                  "phi1": {"terms": [[0.05, 2, 0], [-0.01, 0, 2], [0.3, 4, 2]]}},
+    "pde-check": {"terms": [[0.1, 2, 0], [-0.1, 0, 2]]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_RUNS))
+def test_reports_parse_back_bit_for_bit_and_rerun_identical(capsys, tmp_path, monkeypatch, command):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(REPORT_SPECS.get(command)))
+    argv = [arg.format(spec=spec) for arg in REPORT_RUNS[command]]
+    sent, real_dumps = [], cli.dumps_json
+    monkeypatch.setattr(cli, "dumps_json", lambda report: sent.append(report) or real_dumps(report))
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0, first[2]
+    assert run_cli(capsys, *argv) == first
+    produced, parsed = report_floats(sent[0]), report_floats(json.loads(first[1]))
+    assert produced.size == parsed.size > 10
+    assert np.array_equal(produced.view(np.int64), parsed.view(np.int64))
 
 
 def test_plot_artifacts(capsys, tmp_path):
@@ -345,6 +391,26 @@ def test_oversized_grid_is_rejected_before_allocation(capsys, monkeypatch):
         assert code == 2, argv
         assert out == ""
         assert f"<= {timegrid.MAX_NODES}" in err
+
+
+def test_oversized_order_is_rejected_before_allocation(capsys, tmp_path, monkeypatch):
+    class NoArrays:
+        def __getattr__(self, name):
+            raise AssertionError(f"a jet table reached numpy.{name}")
+
+    monkeypatch.setattr(counterexample, "np", NoArrays())
+    monkeypatch.setattr(jet_propagation, "np", NoArrays())
+    terms = write_spec(tmp_path, {"terms": [[0.1, 2, 0], [-0.1, 0, 2]]})
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps({"phi0": {"jets": {"2": [0, 0]}},
+                                  "phi1": {"jets": {"2": [0.1, -0.1]}}}))
+    for argv in (["propagate", "--spec", terms, "--max-order", "100000"],
+                 ["propagate", "--spec", str(tables), "--max-order", "100000"],
+                 ["counterexample", "--n", "100000"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert f"<= {jet_propagation.MAX_ORDER}" in err
 
 
 def test_oversized_pde_grid_is_rejected_before_allocation(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from torusjets.counterexample import (
     obstruction_demo,
 )
 from torusjets.errors import ConsistencyError, NumericError
-from torusjets.jet_propagation import ObstructionReport, propagate
+from torusjets.jet_propagation import MAX_ORDER, ObstructionReport, propagate
 from torusjets.timegrid import make_grid
 
 GRID = make_grid(64)
@@ -88,6 +89,9 @@ def test_jets_validation():
         jets_at_origin(p, 0)
     with pytest.raises(ValueError):
         jets_at_origin(p, 5)
+    with pytest.raises(ValueError, match=f"<= {MAX_ORDER}"):
+        jets_at_origin(p, MAX_ORDER + 2)
+    assert sorted(jets_at_origin(p, MAX_ORDER)) == list(range(2, MAX_ORDER + 1, 2))
 
 
 def test_jets_h3_second_order():
@@ -244,6 +248,21 @@ def test_single_run_demo_matches_two_full_runs(n):
     assert demo.lhs_h == rep.lhs
     assert demo.lhs_htilde == rep_t.lhs
     assert demo.difference == rep_t.lhs - rep.lhs
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_demo_forms_each_mode_source_once(monkeypatch, n):
+    formed = Counter()
+    real = jet_propagation._finite_mode_sources
+
+    def counting(frame, order):
+        formed[order] += 1
+        return real(frame, order)
+
+    monkeypatch.setattr(jet_propagation, "_finite_mode_sources", counting)
+    obstruction_demo(n, GRID)
+    # propagate forms orders 4..2n-2, and the two checks of order 2n share one top source
+    assert formed == {order: 1 for order in range(4, 2 * n + 1, 2)}
 
 
 def test_demo_refuses_a_perturbation_below_the_top_order(monkeypatch):

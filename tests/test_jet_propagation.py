@@ -186,6 +186,8 @@ def test_propagate_validation():
         propagate(zeros2, zeros2, 3, GRID)
     with pytest.raises(ValueError, match="max_order"):
         propagate(zeros2, zeros2, 2, GRID)
+    with pytest.raises(ValueError, match=f"max_order must be <= {jet_propagation.MAX_ORDER}"):
+        propagate(zeros2, zeros2, jet_propagation.MAX_ORDER + 2, GRID)
 
 
 def test_propagate_needs_spacelike_path():
@@ -375,6 +377,34 @@ def test_k1_formed_once_per_order(monkeypatch):
     once = {order: 1 for order in range(4, 21, 2)}
     assert formed == once  # propagate formed each K1; the residuals read it
     assert stored == once  # and no order was stored twice
+
+
+def k1_left_row_loop(frame, order):
+    """K1 / (1 + 2a + 2b) with every pair looping over the left factor's rows r."""
+    n = order // 2
+    out = np.zeros((n + 1, frame.grid.node_count))
+    for i in range(2, n):
+        fi, fj = frame.factors.get(2 * i), frame.factors.get(2 * (n + 1 - i))
+        if fi is not None and fj is not None:
+            left, right = fi[[0, 2, 3]], fj[1:]
+            conv = np.zeros((3, n + 2, frame.grid.node_count))
+            for r in range(i + 1):
+                conv[:, r:r + n + 2 - i] += left[:, r, None] * right
+            out += conv[0, :-1]
+            out += conv[1, :-1]
+            out += conv[2, 1:]
+    return out / frame.Z
+
+
+@pytest.mark.parametrize("theta, swapped", [(0.05, False), (-0.05, True)])
+def test_k1_matches_the_left_row_loop_bit_for_bit(theta, swapped):
+    jets0, jets1 = family_jets(theta, 24, seed=29)
+    frame = propagate(jets0, jets1, 24, GRID)._frame
+    assert frame.swapped == swapped
+    for order in range(6, 25, 2):
+        k1, reference = jet_propagation._k1_divided(frame, order), k1_left_row_loop(frame, order)
+        assert np.array_equal(k1, reference)
+        assert np.array_equal(np.signbit(k1), np.signbit(reference))
 
 
 @pytest.mark.parametrize("theta, max_order, seed", [(0.05, 20, 21), (-0.3, 12, 11), (0.3, 12, 11)])

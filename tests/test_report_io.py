@@ -1,4 +1,5 @@
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -43,13 +44,20 @@ def test_numpy_and_enum_encoding():
     }
 
 
-def test_dataclass_and_int_keys():
-    @dataclass
-    class Row:
-        label: str
-        weight: float
+@dataclass
+class Row:
+    label: str
+    weight: float
 
-    text = dumps_json({"rows": [Row("a", 1.5)], "by_order": {2: [1.0], 4: [0.5]}})
+    @functools.cached_property
+    def doubled(self) -> float:
+        return 2 * self.weight
+
+
+def test_dataclass_and_int_keys():
+    row = Row("a", 1.5)
+    assert row.doubled == 3.0  # a memoised property is not a field and stays out
+    text = dumps_json({"rows": [row], "by_order": {2: [1.0], 4: [0.5]}})
     back = json.loads(text)
     assert back["rows"] == [{"label": "a", "weight": 1.5}]
     assert back["by_order"] == {"2": [1.0], "4": [0.5]}
@@ -72,7 +80,7 @@ def test_arrays_encode_like_lists(name):
     arr = ARRAYS[name]
     assert dumps_json({"a": arr}) == dumps_json({"a": arr.tolist()})
     nested, nested_lists = [arr, {"b": [arr]}], [arr.tolist(), {"b": [arr.tolist()]}]
-    assert dumps_json(nested, indent=4) == dumps_json(nested_lists, indent=4)
+    assert dumps_json(nested) == dumps_json(nested_lists)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -87,6 +95,24 @@ def test_non_finite_rejected():
         dumps_json({"x": math.inf})
     with pytest.raises(ValueError, match="finite"):
         dumps_json({"x": math.nan})
+    with pytest.raises(ValueError, match="finite"):
+        dumps_json({"rows": [Row("a", 1.0), Row("b", math.nan)]})
+
+
+@pytest.mark.parametrize("big", [2**64, -(2**63) - 1, 10**30])
+def test_integers_beyond_64_bits_rejected(big):
+    with pytest.raises(ValueError, match=str(big)):
+        dumps_json({"count": [big]})
+
+
+def test_64_bit_integer_extremes_encode():
+    extremes = [2**64 - 1, -(2**63), np.uint64(2**64 - 1), np.int64(-(2**63))]
+    assert json.loads(dumps_json(extremes)) == [2**64 - 1, -(2**63)] * 2
+
+
+def test_strings_roundtrip():
+    texts = ["σ₂ ≈ ε·π", "quote \" and back\\slash", "tab\tnew\nline\u0001", ""]
+    assert json.loads(dumps_json({"texts": texts, "ε": texts[0]})) == {"texts": texts, "ε": texts[0]}
 
 
 def test_unserializable_rejected():
