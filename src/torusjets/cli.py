@@ -303,10 +303,8 @@ def main(argv=None) -> int:
     try:
         report, plot = _HANDLERS[args.command](args)
         payload = plot() if args.plot and plot is not None else None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+        text = dumps_json(report)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except GeodesicDomainError as exc:
@@ -315,7 +313,6 @@ def main(argv=None) -> int:
     except (NumericError, ConsistencyError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    text = dumps_json(report)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)

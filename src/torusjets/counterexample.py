@@ -7,8 +7,10 @@ below order 2n untouched but shifts the order-2n compatibility pairing by an
 exactly known amount.  obstruction_demo propagates h_n once, up to the order
 below 2n, and checks both potentials against that one hierarchy.
 
-Taylor coefficients are kept as exact rationals until they are handed to the
-propagation routines, so resonance detection never sees series roundoff.
+The Taylor coefficients at the origin and the derivatives behind the C^B norm
+are read off the power reduction of sin(u)^(2m) into cosines.  The former stay
+exact rationals until the propagation routines take them, so resonance
+detection never sees series roundoff.
 """
 
 from __future__ import annotations
@@ -86,25 +88,19 @@ def build_h_tilde(n: int, kappa: int, chi: float) -> TorusPotential:
     )
 
 
-@lru_cache(maxsize=None)
+def _cosine_table(m: int) -> tuple[tuple[int, Fraction], ...]:
+    """(f, a) pairs, exact, with sin(u)^(2m) = sum a cos(f u) by power reduction:
+    sin(u)^(2m) = 4^-m sum_(j=-m..m) (-1)^j C(2m, m+j) cos(2ju)."""
+    return tuple((2 * j, Fraction((-1) ** j * (1 + (j > 0)) * math.comb(2 * m, m + j), 4**m))
+                 for j in range(m + 1))
+
+
 def _sin_even_power(m: int, max_half: int) -> tuple[Fraction, ...]:
-    """Coefficients of u^(2k), k = 0..max_half, of sin(u)^(2m), exact."""
-    if m == 0:
-        return (Fraction(1),) + (Fraction(0),) * max_half
-    if m == 1:
-        out = [Fraction(0)] * (max_half + 1)
-        for k in range(1, max_half + 1):
-            out[k] = Fraction((-1) ** (k + 1) * 2 ** (2 * k - 1), math.factorial(2 * k))
-        return tuple(out)
-    prev = _sin_even_power(m - 1, max_half)
-    base = _sin_even_power(1, max_half)
-    out = [Fraction(0)] * (max_half + 1)
-    for i in range(m - 1, max_half + 1):
-        if prev[i] == 0:
-            continue
-        for j in range(1, max_half - i + 1):
-            out[i + j] += prev[i] * base[j]
-    return tuple(out)
+    """Coefficients of u^(2k), k = 0..max_half, of sin(u)^(2m), exact: the u^(2k)
+    coefficient of cos(f u) is (-1)^k f^(2k) / (2k)!."""
+    table = _cosine_table(m)
+    return tuple((-1) ** k * sum(a * f ** (2 * k) for f, a in table) / math.factorial(2 * k)
+                 for k in range(max_half + 1))
 
 
 @lru_cache(maxsize=None)
@@ -141,48 +137,32 @@ def jets_at_origin(potential: TorusPotential, order: int) -> dict[int, np.ndarra
     return jets
 
 
-@lru_cache(maxsize=None)
-def _trig_chain(power: int, deriv: int) -> tuple[tuple[int, int, int], ...]:
-    """(i, j, c) triples with d^deriv/du^deriv sin^power u = sum c sin^i cos^j."""
-    if deriv == 0:
-        return ((power, 0, 1),)
-    out: dict[tuple[int, int], int] = {}
-    for i, j, c in _trig_chain(power, deriv - 1):
-        if i > 0:
-            key = (i - 1, j + 1)
-            out[key] = out.get(key, 0) + c * i
-        if j > 0:
-            key = (i + 1, j - 1)
-            out[key] = out.get(key, 0) - c * j
-    return tuple((i, j, c) for (i, j), c in out.items() if c != 0)
-
-
-def _chain_values(power: int, deriv: int, s: np.ndarray, c: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    for i, j, w in _trig_chain(power, deriv):
-        out += float(w) * s**i * c**j
+def _chain_values(power: int, deriv: int, u: np.ndarray) -> np.ndarray:
+    """d^deriv/du^deriv sin(u)^power at the samples u, from the cosine table of the power."""
+    out = np.zeros_like(u)
+    for f, a in _cosine_table(power // 2):
+        out += float(a) * f**deriv * np.cos(f * u + deriv * math.pi / 2)
     return out
 
 
 def cb_norm_report(potential: TorusPotential, B: int) -> float:
     """Grid-sup estimate of the C^B norm.
 
-    Every mixed derivative up to total order B is formed symbolically on the
-    sin/cos representation and sampled on a uniform 256x256 torus grid; the
+    Every mixed derivative up to total order B is read off the power-reduced
+    cosine tables of the terms and sampled on a uniform 256x256 torus grid; the
     result is an estimate (a lower bound of the true sup), adequate for decay
     trends rather than certified bounds.
     """
     if B < 0:
         raise ValueError(f"B must be >= 0, got {B}")
     u = np.linspace(-math.pi, math.pi, NORM_GRID, endpoint=False)
-    s, c = np.sin(u), np.cos(u)
     worst = 0.0
     for dx in range(B + 1):
         for dy in range(B + 1 - dx):
             grid = np.zeros((NORM_GRID, NORM_GRID))
             for coeff, px, py in potential.terms:
-                fx = _chain_values(px, dx, s, c)
-                fy = _chain_values(py, dy, s, c)
+                fx = _chain_values(px, dx, u)
+                fy = _chain_values(py, dy, u)
                 grid += coeff * np.outer(fx, fy)
             worst = max(worst, float(np.max(np.abs(grid))))
     return worst

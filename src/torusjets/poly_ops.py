@@ -137,30 +137,25 @@ def boost_squared(n: int) -> PolyOperator:
 
 
 def eigenbasis_q(n: int) -> list[PolyVector]:
-    """Vectors q_k, k = 0..n, with B^2 q_k = (2k)^2 q_k."""
+    """Vectors q_k, k = 0..n, with B^2 q_k = (2k)^2 q_k.
+
+    y -> -y swaps the two products of q_k and fixes even-even coefficients, so
+    on this basis q_k is twice (x+y)^(n+k) (x-y)^(n-k), for k = 0 too."""
     basis = PolyBasis(2 * n, Parity.EVEN_EVEN)
-    out = []
-    for k in range(n + 1):
-        full = _binom_product(n + k, n - k)
-        if k:
-            mirror = _binom_product(n - k, n + k)
-            full = [u + v for u, v in zip(full, mirror)]
-        else:
-            full = [2 * u for u in full]
-        coeffs = np.array([float(full[e]) for e in range(0, 2 * n + 1, 2)])
-        out.append(PolyVector(basis, coeffs))
-    return out
+    return [PolyVector(basis, np.array([float(2 * c) for c in _binom_product(n + k, n - k)[::2]]))
+            for k in range(n + 1)]
 
 
 def _binom_product(p: int, m: int) -> list[int]:
-    """Coefficients of (x+y)^p (x-y)^m by ascending y exponent (exact ints)."""
-    u = [math.comb(p, i) for i in range(p + 1)]
-    v = [math.comb(m, i) * (-1) ** i for i in range(m + 1)]
-    out = [0] * (p + m + 1)
-    for i, ui in enumerate(u):
-        for j, vj in enumerate(v):
-            out[i + j] += ui * vj
-    return out
+    """Coefficients c_e of (x+y)^p (x-y)^m by ascending y exponent e (exact ints).
+
+    f = (1+y)^p (1-y)^m solves (1 - y^2) f' = (p - m - (p+m) y) f, so c_0 = 1 and
+    (e+1) c_(e+1) = (p-m) c_e - (p+m-e+1) c_(e-1): O(p+m) steps, not O(p m).
+    """
+    c = [0, 1]  # c[e + 1] holds c_e, after c_(-1) = 0
+    for e in range(p + m):
+        c.append(((p - m) * c[e + 1] - (p + m - e + 1) * c[e]) // (e + 1))
+    return c[1:]
 
 
 @functools.lru_cache(maxsize=64)
@@ -201,16 +196,23 @@ def fischer_weights(n: int) -> np.ndarray:
         raise NumericError(f"the Fischer weights of degree {2 * n} overflow a float") from None
 
 
+def apply_laplacian(n: int, p: np.ndarray) -> np.ndarray:
+    """d_xx + d_yy from even-even degree-2n coefficient arrays p to degree 2n-2.
+
+    Row i of the result, x^(2n-2-2i) y^(2i), takes d_xx of row i and d_yy of row i+1.
+    """
+    p = np.asarray(p, dtype=float)
+    j, k = _exponents(n, Parity.EVEN_EVEN, p.ndim - 1)
+    jx, ky = j[:-1], k[1:]
+    return p[:-1] * jx * (jx - 1) + p[1:] * ky * (ky - 1)
+
+
 def apply_EA(n: int, A, p: np.ndarray) -> np.ndarray:
     """E_A = (A^2 x^2 + A^-2 y^2) Laplacian applied to even-even coefficient arrays p."""
     A = _check_A(A)
-    p = np.asarray(p, dtype=float)
-    j, k = _exponents(n, Parity.EVEN_EVEN, p.ndim - 1)
-    lap_x, lap_y = j * (j - 1), k * (k - 1)
-    out = (A * A * lap_x + lap_y / (A * A)) * p
-    out[:-1] += A * A * lap_y[1:] * p[1:]      # x^2 * d_yy term
-    out[1:] += lap_x[:-1] / (A * A) * p[:-1]   # y^2 * d_xx term
-    return out
+    lap = apply_laplacian(n, p)
+    pad = np.zeros_like(lap[:1])
+    return A * A * np.concatenate([lap, pad]) + np.concatenate([pad, lap]) / (A * A)
 
 
 def apply_SA(n: int, A, p: np.ndarray) -> np.ndarray:

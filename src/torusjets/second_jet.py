@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, GeodesicDomainError
+from .errors import ConsistencyError, GeodesicDomainError, NumericError
 from .timegrid import CoefficientSeries, TimeGrid, integrate
 
 TIE_TOL = 1e-12
@@ -334,15 +334,19 @@ def _chord_hyperbola(p0: HalfPlanePoint, p1: HalfPlanePoint) -> Hyperbola | None
 
 
 def ode_residual(path: SecondJetPath) -> float:
-    """Max nodewise residual of the jet equations for the stored path."""
+    """Max nodewise residual of the jet equations on the path; NumericError if not finite."""
     grid = path.grid
     d = grid.diff_matrix
     a, b = path.a.values, path.b.values
     z = 1.0 + 2.0 * a + 2.0 * b
     da, db = d @ a, d @ b
-    ra = d @ da - 4.0 * da * da / z
-    rb = d @ db - 4.0 * db * db / z
-    return float(max(np.max(np.abs(ra)), np.max(np.abs(rb))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ra = d @ da - 4.0 * da * da / z
+        rb = d @ db - 4.0 * db * db / z
+        residual = float(max(np.max(np.abs(ra)), np.max(np.abs(rb))))
+    if not math.isfinite(residual):
+        raise NumericError(f"the jet-equation residual of the path is {residual}")
+    return residual
 
 
 def arc_epsilon(path: SecondJetPath) -> float:

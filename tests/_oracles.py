@@ -242,6 +242,23 @@ def q_poly(n: int, k: int):
     return poly_add(first, second)
 
 
+def sin_power_series(power: int, half: int):
+    """Coefficients of u^(2k), k = 0..half, of sin(u)^power, exact.
+
+    A repeated Cauchy product with the sine series u - u^3/3! + ..., truncated
+    at degree 2*half.
+    """
+    size = 2 * half + 1
+    sine = [Fraction(0)] * size
+    for d in range(1, size, 2):
+        sine[d] = Fraction((-1) ** (d // 2), math.factorial(d))
+    out = [Fraction(1)] + [Fraction(0)] * (size - 1)
+    for _ in range(power):
+        out = [sum((out[i] * sine[d - i] for i in range(d) if sine[d - i]), Fraction(0))
+               for d in range(size)]
+    return out[::2]
+
+
 def u_eigenvalue_exact(n: int, i: int, A: Fraction) -> Fraction:
     """Eigenvalue of U on x^(2n-2i) y^(2i) for rational A (exact)."""
     return (A * A + 1) ** (n - i) * (1 + 1 / (A * A)) ** i

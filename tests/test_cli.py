@@ -64,6 +64,16 @@ def test_second_jet_invalid_boundary_is_input_error(capsys):
     assert "a0 + b0 + 1/2 > 0" in err
 
 
+def test_second_jet_overflowing_residual_is_numeric_error(capsys):
+    # a stationary boundary at 1e200: the jet-equation residual overflows to inf
+    code, out, err = run_cli(capsys, "second-jet", "--a0", "1e200", "--b0", "1e200",
+                             "--a1", "1e200", "--b1", "1e200")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numeric error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_nodes_flag_and_env(capsys, monkeypatch):
     rep = run_json(capsys, "second-jet", *FAMILY, "--nodes", "24")
     assert len(rep["t"]) == 24

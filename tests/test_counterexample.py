@@ -7,6 +7,7 @@ import pytest
 from torusjets import counterexample, jet_propagation
 from torusjets.counterexample import (
     TorusPotential,
+    _chain_values,
     _sin_even_power,
     build_h,
     build_h_tilde,
@@ -17,6 +18,8 @@ from torusjets.counterexample import (
 from torusjets.errors import ConsistencyError, NumericError
 from torusjets.jet_propagation import MAX_ORDER, ObstructionReport, propagate
 from torusjets.timegrid import make_grid
+
+from _oracles import sin_power_series
 
 GRID = make_grid(64)
 
@@ -121,6 +124,13 @@ def test_jets_perturbation_sits_at_top_order():
     assert np.array_equal(diff, expected)
 
 
+def test_sin_powers_match_the_cauchy_product_series():
+    for m in range(13):
+        ref = tuple(sin_power_series(2 * m, 30))
+        for half in range(31):
+            assert _sin_even_power(m, half) == ref[:half + 1]
+
+
 def fraction_loop_jets(potential, order):
     """Taylor jets by the exact-rational loop, one nonzero product at a time."""
     half = order // 2
@@ -163,10 +173,31 @@ def test_cb_norm_of_zero_potential():
 
 
 def test_cb_norm_sup_of_family():
-    # sup |h_n| = c * sup |sin^2 x - sin^2 y| = c, and the grid hits pi/2
+    # sup |h_n| = c * sup |sin^2 x - sin^2 y| = c, and the grid hits pi/2; for
+    # B >= 1, d^B/dx^B sin^2 x = -2^(B-1) cos(2x + B pi/2) peaks at 2^(B-1) on
+    # the grid, and the mixed derivatives of h_n vanish
     for n in (3, 5, 10):
         c = 0.5 * math.sin(math.pi / (2 * n))
         assert abs(cb_norm_report(build_h(n), 0) - c) < 1e-13
+        for B in range(1, 11):
+            want = c * 2.0 ** (B - 1)
+            assert abs(cb_norm_report(build_h(n), B) - want) <= 1e-13 * want
+
+
+def test_chain_values_match_mpmath_taylor():
+    # The cosine sum is accurate relative to its largest terms: 1e-12 relative
+    # where sin^12 u is not small, but 2e-11 at u = 0.3, where sin^12 u = 4.4e-7
+    # is a sum of terms as large as 0.39.  There it stays within 1e-14 of the
+    # largest value of the same derivative over the points.
+    mpmath = pytest.importorskip("mpmath")
+    points = np.array([0.3, 1.1, 2.5, -2.0])
+    with mpmath.workdps(40):
+        series = [mpmath.taylor(lambda v: mpmath.sin(v) ** 12, x, 10) for x in points]
+    for d in range(11):
+        want = np.array([float(s[d] * mpmath.factorial(d)) for s in series])
+        err = np.abs(_chain_values(12, d, points) - want)
+        assert np.all(err[1:] <= 1e-12 * np.abs(want[1:]))
+        assert err[0] <= 1e-14 * np.max(np.abs(want))
 
 
 def test_cb_norm_family_decreases_with_n():

@@ -11,6 +11,7 @@ from torusjets.poly_ops import (
     PolyVector,
     apply_EA,
     apply_SA,
+    apply_laplacian,
     apply_d_operator,
     boost,
     boost_squared,
@@ -37,6 +38,9 @@ from _oracles import (
     ea_op,
     even_even_from_poly,
     matrix_of_operator,
+    poly_add,
+    poly_diff,
+    poly_from_even_even,
     q_poly,
     sa_op,
     solve_fraction_system,
@@ -107,6 +111,20 @@ def test_mixing_derivation_on_powers_of_x_plus_y(n):
     vec = PolyVector(PolyBasis(m, Parity.FULL), coeffs)
     image = boost(n).apply(vec)
     assert np.array_equal(image.coeffs, m * coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 11])
+def test_apply_laplacian_matches_exact_differentiation(n):
+    # integer coefficients keep every product exact, so the match is exact
+    rng = np.random.default_rng(40 + n)
+    vecs = [[int(c) for c in rng.integers(-50, 51, n + 1)] for _ in range(3)]
+    refs = []
+    for vec in vecs:
+        p = poly_from_even_even(vec, 2 * n)
+        lap = poly_add(poly_diff(poly_diff(p, "x"), "x"), poly_diff(poly_diff(p, "y"), "y"))
+        refs.append([float(c) for c in even_even_from_poly(lap, 2 * n - 2)])
+    assert np.array_equal(apply_laplacian(n, np.array(vecs[0])), refs[0])
+    assert np.array_equal(apply_laplacian(n, np.array(vecs).T), np.array(refs).T)
 
 
 @pytest.mark.parametrize("n,A", [(2, 2.0), (3, 2.0), (4, 2.0)])
@@ -184,7 +202,7 @@ def test_op_U_diagonal():
 
 # --- eigenstructure ------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 30])
 def test_q_vectors_exact(n):
     vecs = eigenbasis_q(n)
     for k, vec in enumerate(vecs):
