@@ -10,18 +10,20 @@ Exit codes:
 
 - 0: success.
 - 2: input error (ValueError, OSError): malformed arguments, files or specs,
-  a grid above MAX_NODES, a pde-check grid above MAX_GRID_POINTS, a jet
-  order above MAX_ORDER (propagate --max-order, or 2n for counterexample
-  --n), and a second-jet boundary that is not connectable.
+  an --output or --plot path that cannot be written, a grid above
+  MAX_NODES, a pde-check grid above MAX_GRID_POINTS, a jet order above
+  MAX_ORDER (propagate --max-order, or 2n for counterexample --n), and a
+  second-jet boundary that is not connectable.
 - 3: mathematical precondition failure (GeodesicDomainError), such as a
   propagate boundary that is not space-like.
 - 4: numeric failure: a solver that did not converge, a propagated order that
   is not finite, or Fischer weights past the float range (NumericError); or an
   identity that must hold numerically and did not (ConsistencyError).
 
-second-jet solves every causal class in closed form and iterates nowhere, so
-it no longer exits 4 for non-convergence; from it, 4 can only mean that a
-closed form failed its own endpoint or angle check.
+second-jet solves every causal class in closed form and iterates nowhere.
+It exits 4 when a closed form fails its own endpoint or angle check, when the
+light-like rise or the jet-equation residual of the path leaves the float
+range, and never for non-convergence.
 """
 
 from __future__ import annotations
@@ -304,6 +306,13 @@ def main(argv=None) -> int:
         report, plot = _HANDLERS[args.command](args)
         payload = plot() if args.plot and plot is not None else None
         text = dumps_json(report)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        if payload is not None:
+            _write_plot(args.plot, payload)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -313,13 +322,6 @@ def main(argv=None) -> int:
     except (NumericError, ConsistencyError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if payload is not None:
-        _write_plot(args.plot, payload)
     return EXIT_OK
 
 

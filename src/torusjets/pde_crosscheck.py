@@ -9,10 +9,8 @@ quadratic convergence of an exact step (Dembo, Eisenstat and Steihaug, SIAM
 J. Numer. Anal. 19, 1982). TorusPotential admits only even sin powers, so the
 data, the equation and every Newton iterate are even in x and in y: the solve
 runs, exactly, on the even-even quarter (x indices 0..nx/2, y indices
-0..ny/2) with reflective halos, each point weighted by its multiplicity in
-the full grid (1 on a mirror line, 2 elsewhere, per axis). Second jets
-extracted at the central fiber feed the sigma_2 and eps diagnostics of the
-closed form.
+0..ny/2) with reflective halos. Second jets extracted at the central fiber
+feed the sigma_2 and eps diagnostics of the closed form.
 """
 
 from __future__ import annotations
@@ -33,9 +31,9 @@ RESIDUAL_SCALE = 1e-9
 # Forcing-term bounds of the inexact Newton step (see _newton_step).
 ETA_MAX = 1e-3
 ETA_MIN = 1e-10
-# The quarter solve holds about 57 arrays of its (nt, nx/2+1, ny/2+1) points at
+# The quarter solve holds about 50 arrays of its (nt, nx/2+1, ny/2+1) points at
 # its peak (phi, residual, stencil coefficients, halo, about 33 Krylov vectors):
-# 122 bytes a full-grid point, the tracemalloc peak at 33 x 64 x 64; 122 MiB here.
+# 105 bytes a full-grid point, the tracemalloc peak at 33 x 64 x 64; 105 MiB here.
 MAX_GRID_POINTS = 2**20
 
 
@@ -121,25 +119,21 @@ def _newton_step(fields, dt, hx, hy, res):
     J v = (1 + Lap phi) v_tt + phi_tt Lap v - 2 grad(phi_t).grad(v_t), v = 0 on
     the end slices, is a 15-point stencil; each matvec copies v into one halo
     buffer, refreshes its reflective faces and sums the stencil from slices.
-    lgmres works in the full-grid norm sum(w v^2), w the multiplicity: a vector
-    holds v on the quarter, doubled where w = 4, then the w = 2 entries again
-    (exact in binary, so a flat v stays flat). The preconditioner inverts the
-    Dirichlet c D_tt, c the full-grid mean of 1 + Lap phi, on every column:
+    A Krylov vector is the quarter field raveled, so lgmres works in the
+    quarter's own Euclidean norm. The preconditioner inverts the Dirichlet
+    c D_tt, c the full-grid mean of 1 + Lap phi, on every column:
     G_ij = -min(i, j) (m + 1 - max(i, j)) / (m + 1) dt^2 / c, m = nt - 2.
     """
     metric, phitt, gx, gy = fields
     m, qx, qy = phitt.shape
-    w = np.multiply.outer(*[np.r_[1.0, np.full(q - 2, 2.0), 1.0] for q in (qx, qy)])
-    scale = np.where(w == 4.0, 2.0, 1.0)
-    twin = np.flatnonzero(w == 2.0)
-    nq, size = m * qx * qy, m * (qx * qy + twin.size)
-    wt = metric * (scale / dt**2)
-    wx = phitt * (scale / hx**2)
-    wy = phitt * (scale / hy**2)
+    size = m * qx * qy
+    wt = metric / dt**2
+    wx = phitt / hx**2
+    wy = phitt / hy**2
     centre = -2.0 * (wt + wx + wy)
     # -2 (phi_t)_x (v_t)_x is -gx / (2 dt hx) times the x difference of v(t+dt) - v(t-dt)
-    cx = gx * (scale / (-2.0 * dt * hx))
-    cy = gy * (scale / (-2.0 * dt * hy))
+    cx = gx / (-2.0 * dt * hx)
+    cy = gy / (-2.0 * dt * hy)
 
     halo = np.zeros((m + 2, qx + 2, qy + 2))
     inner = halo[1:-1]
@@ -147,13 +141,6 @@ def _newton_step(fields, dt, hx, hy, res):
     vt = np.empty((m, qx + 2, qy + 2))
     term = np.empty((m, qx, qy))
     matvecs = 0
-
-    def head(vec):  # the quarter entries of a Krylov vector, as an (m, qx, qy) view
-        return vec[:nq].reshape(m, qx, qy)
-
-    def twins(vec):
-        vec[nq:] = head(vec).reshape(m, -1)[:, twin].ravel()
-        return vec
 
     def accumulate(out, coeff, combine, first, second):
         combine(first, second, out=term)
@@ -163,37 +150,33 @@ def _newton_step(fields, dt, hx, hy, res):
     def matvec(flat):
         nonlocal matvecs
         matvecs += 1
-        np.divide(head(flat), scale, out=core)
+        core[...] = flat.reshape(m, qx, qy)
         _reflect(inner)
         np.subtract(halo[2:], halo[:-2], out=vt)
-        vec = np.empty(size)
-        out = np.multiply(centre, core, out=head(vec))
+        out = centre * core
         accumulate(out, wt, np.add, halo[2:, 1:-1, 1:-1], halo[:-2, 1:-1, 1:-1])
         accumulate(out, wx, np.add, inner[:, 2:, 1:-1], inner[:, :-2, 1:-1])
         accumulate(out, wy, np.add, inner[:, 1:-1, 2:], inner[:, 1:-1, :-2])
         accumulate(out, cx, np.subtract, vt[:, 2:, 1:-1], vt[:, :-2, 1:-1])
         accumulate(out, cy, np.subtract, vt[:, 1:-1, 2:], vt[:, 1:-1, :-2])
-        return twins(vec)
+        return out.ravel()
 
+    w = np.multiply.outer(*[np.r_[1.0, np.full(q - 2, 2.0), 1.0] for q in (qx, qy)])
     c = float(np.sum(metric * w)) / (m * float(np.sum(w)))
     i = np.arange(1.0, m + 1.0)
     green = np.minimum.outer(i, i) * (m + 1.0 - np.maximum.outer(i, i))
     green *= -(dt**2) / ((m + 1.0) * c)
 
     def precond(flat):
-        vec = np.empty(size)
-        np.matmul(green, head(flat).reshape(m, -1), out=head(vec).reshape(m, -1))
-        return twins(vec)
+        return (green @ flat.reshape(m, -1)).ravel()
 
     op = LinearOperator((size, size), matvec=matvec, dtype=float)
     pc = LinearOperator((size, size), matvec=precond, dtype=float)
-    rhs = np.empty(size)
-    np.multiply(res, -scale, out=head(rhs))
     eta = max(min(ETA_MAX, float(np.max(np.abs(res)))), ETA_MIN)
-    step, info = lgmres(op, twins(rhs), M=pc, rtol=eta, atol=0.0, maxiter=400)
+    step, info = lgmres(op, -res.ravel(), M=pc, rtol=eta, atol=0.0, maxiter=400)
     if info != 0:
         raise NumericError(f"linear solver stalled in the Newton step (info={info})")
-    return head(step) / scale, matvecs
+    return step.reshape(m, qx, qy), matvecs
 
 
 def solve_geodesic(

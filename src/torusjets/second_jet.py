@@ -188,19 +188,16 @@ def solve_bvp(boundary: SecondJetBoundary, grid: TimeGrid) -> SecondJetPath:
     - Light-like: both ends lie on one null line, X - Z = const (b fixed)
       or X + Z = const (a fixed), on which the moving jet obeys
       (1/Z)'' = 0; 1/Z interpolates 1/Z0 and 1/Z1 affinely and stays > 0.
+    - Stationary: the light-like form, which is the constant path at dZ = 0.
     """
     p0, p1 = to_halfplane(boundary)
     cls = classify(p0, p1)
 
-    if cls is CausalClass.STATIONARY:
-        a = np.full_like(grid.nodes, boundary.a0)
-        b = np.full_like(grid.nodes, boundary.b0)
-        return _assemble(boundary, cls, grid, a, b, sigma2=0.0, swapped=False)
     if cls is CausalClass.SPACE_LIKE:
         return _solve_spacelike(boundary, p0, p1, grid)
-    if cls is CausalClass.LIGHT_LIKE:
-        return _solve_lightlike(boundary, p0, p1, grid)
-    return _solve_timelike(boundary, p0, p1, grid)
+    if cls is CausalClass.TIME_LIKE:
+        return _solve_timelike(boundary, p0, p1, grid)
+    return _solve_lightlike(boundary, cls, p0, p1, grid)
 
 
 def _solve_spacelike(boundary, p0, p1, grid) -> SecondJetPath:
@@ -289,29 +286,29 @@ def _solve_timelike(boundary, p0, p1, grid) -> SecondJetPath:
     )
 
 
-def _solve_lightlike(boundary, p0, p1, grid) -> SecondJetPath:
+def _solve_lightlike(boundary, cls, p0, p1, grid) -> SecondJetPath:
     t = grid.nodes
     dz = 2.0 * ((boundary.a1 - boundary.a0) + (boundary.b1 - boundary.b0))
     # 1/Z = (1 - t)/Z0 + t/Z1, so Z - Z0 = Z0 dZ t / ((1 - t) Z1 + t Z0).
+    rate = 0.5 * p0.Z * dz
+    if not math.isfinite(rate):
+        raise NumericError(f"the light-like rise Z0 dZ / 2 = {rate} is past the float range")
     denom = (1.0 - t) * p1.Z + t * p0.Z
-    half_rise = 0.5 * p0.Z * dz * t / denom
+    half_rise = rate * t / denom
     a, b = np.full_like(t, boundary.a0), np.full_like(t, boundary.b0)
     moving = a if abs(boundary.b1 - boundary.b0) <= abs(boundary.a1 - boundary.a0) else b
     moving += half_rise
     return _assemble(
-        boundary, CausalClass.LIGHT_LIKE, grid, a, b,
+        boundary, cls, grid, a, b,
         sigma2=0.0, swapped=False, sigma1=0.5 * dz / denom,
         hyperbola=_chord_hyperbola(p0, p1),
     )
 
 
-def _assemble(boundary, cls, grid, a, b, *, sigma2, swapped,
-              epsilon=None, A=None, sigma1=None, hyperbola=None) -> SecondJetPath:
-    z = 1.0 + 2.0 * a + 2.0 * b
-    if np.any(z <= 0):
+def _assemble(boundary, cls, grid, a, b, *, sigma2, swapped, sigma1,
+              epsilon=None, A=None, hyperbola=None) -> SecondJetPath:
+    if np.any(1.0 + 2.0 * a + 2.0 * b <= 0):
         raise GeodesicDomainError("path leaves the half-plane: 1 + 2a + 2b <= 0 at a node")
-    if sigma1 is None:
-        sigma1 = (grid.diff_matrix @ a + grid.diff_matrix @ b) / z
     return SecondJetPath(
         boundary=boundary,
         causal_class=cls,
@@ -329,8 +326,10 @@ def _assemble(boundary, cls, grid, a, b, *, sigma2, swapped,
 def _chord_hyperbola(p0: HalfPlanePoint, p1: HalfPlanePoint) -> Hyperbola | None:
     if abs(p1.X - p0.X) <= TIE_TOL:
         return None
-    lam = (p0.Z**2 - p1.Z**2 - p0.X**2 + p1.X**2) / (2.0 * (p1.X - p0.X))
-    return Hyperbola(lam=lam, c_value=p0.Z**2 - (p0.X - lam) ** 2)
+    # differences and products, which overflow to inf where a ** would raise
+    dx = p1.X - p0.X
+    lam = ((p0.Z - p1.Z) * (p0.Z + p1.Z) + dx * (p1.X + p0.X)) / (2.0 * dx)
+    return Hyperbola(lam=lam, c_value=(p0.Z - p0.X + lam) * (p0.Z + p0.X - lam))
 
 
 def ode_residual(path: SecondJetPath) -> float:

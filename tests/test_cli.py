@@ -74,6 +74,26 @@ def test_second_jet_overflowing_residual_is_numeric_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("nodes", ["64", "8"])
+def test_second_jet_overflowing_lightlike_rise_is_numeric_error(capsys, nodes):
+    # a light-like pair at 1e300: Z0 dZ / 2 and the squares of Z overflow
+    code, out, err = run_cli(capsys, "second-jet", "--a0", "1e300", "--b0", "1e300",
+                             "--a1", "1e300", "--b1", "1e-300", "--nodes", nodes)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numeric error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_output_into_missing_directory_is_input_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "second-jet", *FAMILY, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "No such file or directory" in err
+    assert "Traceback" not in err
+
+
 def test_nodes_flag_and_env(capsys, monkeypatch):
     rep = run_json(capsys, "second-jet", *FAMILY, "--nodes", "24")
     assert len(rep["t"]) == 24

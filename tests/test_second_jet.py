@@ -139,6 +139,7 @@ def test_stationary_path():
     assert path.causal_class is CausalClass.STATIONARY
     assert np.all(path.a.values == 0.1)
     assert np.all(path.b.values == 0.2)
+    assert np.all(path.sigma1.values == 0.0)
     assert path.sigma2 == 0.0
     assert path.epsilon is None
     assert ode_residual(path) < 1e-9
