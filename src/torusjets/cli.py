@@ -12,18 +12,23 @@ Exit codes:
 - 2: input error (ValueError, OSError): malformed arguments, files or specs,
   an --output or --plot path that cannot be written, a grid above
   MAX_NODES, a pde-check grid above MAX_GRID_POINTS, a jet order above
-  MAX_ORDER (propagate --max-order, or 2n for counterexample --n), and a
+  MAX_ORDER (propagate --max-order, or 2n for counterexample --n), a jet
+  order whose propagation frame on the grid passes MAX_FRAME_FLOATS, and a
   second-jet boundary that is not connectable.
 - 3: mathematical precondition failure (GeodesicDomainError), such as a
-  propagate boundary that is not space-like.
+  propagate boundary that is not space-like; propagate classifies the
+  2-jets before it solves them.
 - 4: numeric failure: a solver that did not converge, a propagated order that
   is not finite, or Fischer weights past the float range (NumericError); or an
   identity that must hold numerically and did not (ConsistencyError).
 
 second-jet solves every causal class in closed form and iterates nowhere.
-It exits 4 when a closed form fails its own endpoint or angle check, when the
-light-like rise or the jet-equation residual of the path leaves the float
-range, and never for non-convergence.
+The class is the sign of dX^2 - dZ^2 = -16 da db, with a jet difference
+within one ulp of max(Z0, Z1) taken as zero.  Every path must meet both
+boundary jets within ENDPOINT_TOL * max(Z0, Z1).  It exits 4 when a path
+misses that check or the space-like angle check, when a node leaves the
+half-plane by rounding, when the light-like rise or the jet-equation
+residual of the path leaves the float range, and never for non-convergence.
 """
 
 from __future__ import annotations

@@ -55,6 +55,12 @@ COMPAT_TOL = 1e-8
 # 2-core x86 machine, with a 250 MiB peak RSS, and the cost grows about as the
 # order cubed.
 MAX_ORDER = 400
+# The frame keeps about 7 (n + 1) N floats for each stored order 2n = 4..max_order on N
+# nodes.  Peak RSS with the 1e-6 saddle, one BLAS thread: 188 MiB at order 400 on 64
+# nodes (9.1e6 floats), 331 MiB at order 100 on 2049 nodes (1.9e7) and 467 MiB at order
+# 130 on 2049 nodes (3.2e7), about 62 MiB plus 14 bytes a float.  So this budget, 3.4e7
+# floats, keeps a propagation under about 0.5 GiB.
+MAX_FRAME_FLOATS = 2**25
 
 
 @dataclass(frozen=True)
@@ -229,12 +235,16 @@ class _Frame:
         return coeffs[::-1] if self.swapped else coeffs
 
 
+def _require_spacelike(cls: CausalClass) -> None:
+    if cls is not CausalClass.SPACE_LIKE:
+        raise GeodesicDomainError(
+            f"propagation needs a space-like second-jet path, got {cls.value}"
+        )
+
+
 def _make_frame(path2: SecondJetPath, orders: dict | None = None) -> _Frame:
     """The frame of `path2`, holding `orders` (lists of series) if given."""
-    if path2.causal_class is not CausalClass.SPACE_LIKE:
-        raise GeodesicDomainError(
-            f"propagation needs a space-like second-jet path, got {path2.causal_class.value}"
-        )
+    _require_spacelike(path2.causal_class)
     frame = _Frame(
         grid=path2.grid, path2=path2, swapped=path2.swapped_axes, eps=path2.epsilon,
         A=path2.A.values, Z=1.0 + 2.0 * path2.a.values + 2.0 * path2.b.values,
@@ -332,18 +342,30 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
     phi0_jets and phi1_jets map even orders to even-even monomial coefficient
     vectors (index i holds the x^(2m-2i) y^(2i) coefficient of the degree-2m
     part).  Returns a JetHierarchy, or an ObstructionReport when a mode of
-    some order is resonant.  Each order's modes are classified from mu = 4 eps k
-    first; a resonant top mode goes to the report unsolved, and otherwise one
-    variation-of-constants call solves all n + 1 modes.  An order whose K1 or
-    solution is not finite stops the propagation with NumericError.
+    some order is resonant.  The 2-jets are classified before they are solved,
+    and boundary jets that are not space-like raise GeodesicDomainError.  Each
+    order's modes are classified from mu = 4 eps k first; a resonant top mode
+    goes to the report unsolved, and otherwise one variation-of-constants call
+    solves all n + 1 modes.  An order whose K1 or solution is not finite stops
+    the propagation with NumericError.  A max_order whose frame on the grid
+    would pass MAX_FRAME_FLOATS is refused with ValueError before any allocation.
     """
     if max_order < 4 or max_order % 2:
         raise ValueError(f"max_order must be even and >= 4, got {max_order}")
     if max_order > MAX_ORDER:
         raise ValueError(f"max_order must be <= {MAX_ORDER}, got {max_order}")
+    frame_floats = 7 * grid.node_count * sum(range(3, max_order // 2 + 2))
+    if frame_floats > MAX_FRAME_FLOATS:
+        raise ValueError(
+            f"max_order {max_order} on {grid.node_count} nodes needs a frame of about "
+            f"{frame_floats} floats, over the budget of {MAX_FRAME_FLOATS}"
+        )
     jets0 = _normalize_jets(phi0_jets, "phi0")
     jets1 = _normalize_jets(phi1_jets, "phi1")
-    path2 = solve_bvp(SecondJetBoundary(*jets0[2], *jets1[2]), grid)
+    # Python floats, which overflow to inf without a RuntimeWarning
+    boundary = SecondJetBoundary(*jets0[2].tolist(), *jets1[2].tolist())
+    _require_spacelike(boundary.causal_class)
+    path2 = solve_bvp(boundary, grid)
     frame = _make_frame(path2)
 
     beyond: list[int] = []

@@ -85,12 +85,17 @@ def _halo(u: np.ndarray) -> np.ndarray:
 
 
 def _metric(phi: np.ndarray, hx, hy, delta) -> tuple[np.ndarray, float]:
-    """1 + Lap phi on every slice and its minimum; NumericError unless positive."""
+    """1 + Lap phi on every slice and its minimum; NumericError unless positive.
+
+    Lap phi has mean zero, so a phi near the float range degenerates the metric
+    anyway; its overflow reads as a minimum of -inf or nan and is refused too.
+    """
     pad = _halo(phi)
-    lap = (pad[:, 2:, 1:-1] - 2.0 * phi + pad[:, :-2, 1:-1]) / hx**2
-    metric = 1.0 + (lap + (pad[:, 1:-1, 2:] - 2.0 * phi + pad[:, 1:-1, :-2]) / hy**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lap = (pad[:, 2:, 1:-1] - 2.0 * phi + pad[:, :-2, 1:-1]) / hx**2
+        metric = 1.0 + (lap + (pad[:, 1:-1, 2:] - 2.0 * phi + pad[:, 1:-1, :-2]) / hy**2)
     zmin = float(np.min(metric))
-    if zmin <= 0.0:
+    if not zmin > 0.0:
         raise NumericError(
             f"metric degenerated: min(1 + Lap phi) = {zmin:.6e} at delta = {delta:.3e}; "
             "reduce the boundary amplitude or enlarge delta"

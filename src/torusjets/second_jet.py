@@ -7,11 +7,13 @@ fiber, and the geodesic equation reduces to
 
 The substitution Z = 1 + 2a + 2b, X = 2a - 2b turns this into the geodesic
 flow of the Lorentz metric (dX^2 - dZ^2)/Z^2 on the upper half-plane.  The
-causal class of a boundary pair is read off the chords |X1 - X0| vs |Z1 - Z0|,
-and each class has a closed-form path: a constant (stationary), a hyperbola
-arc Z^2 - (X - lam)^2 = C > 0 (space-like), an arc of one branch of
+causal class of a boundary pair is the sign of dX^2 - dZ^2 = -16 da db, with
+da = a1 - a0, db = b1 - b0, and a difference within one ulp of max(Z0, Z1)
+taken as zero.  Each class has a closed-form path: a constant (stationary), a
+hyperbola arc Z^2 - (X - lam)^2 = C > 0 (space-like), an arc of one branch of
 (X - lam)^2 - Z^2 = r^2 or a vertical line (time-like), and a null line
-X -+ Z = const with 1/Z affine in t (light-like).
+X -+ Z = const with 1/Z affine in t (light-like).  Every path must pass both
+boundary jets within ENDPOINT_TOL * max(Z0, Z1), or it is refused.
 
 sigma2 = a' b' / (1 + 2a + 2b)^2 = (Z'^2 - X'^2) / (16 Z^2) is a constant of
 motion: -epsilon^2 for space-like data, with 4*epsilon the Lorentz arc length,
@@ -32,7 +34,6 @@ import numpy as np
 from .errors import ConsistencyError, GeodesicDomainError, NumericError
 from .timegrid import CoefficientSeries, TimeGrid, integrate
 
-TIE_TOL = 1e-12
 ENDPOINT_TOL = 1e-9
 
 
@@ -56,6 +57,13 @@ class SecondJetBoundary:
         for name, a, b in (("a0 + b0", self.a0, self.b0), ("a1 + b1", self.a1, self.b1)):
             if not (a + b + 0.5 > 0):
                 raise ValueError(f"boundary requires {name} + 1/2 > 0")
+
+    @property
+    def causal_class(self) -> CausalClass:
+        """Class of connectable jets, by the sign rule on their own da and db."""
+        p0, p1 = to_halfplane(self)
+        _require_connectable(p0, p1)
+        return _causal_class(self.a1 - self.a0, self.b1 - self.b0, max(p0.Z, p1.Z))
 
 
 @dataclass(frozen=True)
@@ -111,27 +119,29 @@ def connectable(p0: HalfPlanePoint, p1: HalfPlanePoint) -> bool:
 
 
 def _require_connectable(p0: HalfPlanePoint, p1: HalfPlanePoint) -> None:
-    if connectable(p0, p1):
-        return
     # Name the failing inequality in boundary terms: Z1+Z0 > X1-X0 is
     # a0 + b1 + 1/2 > 0 and Z1+Z0 > X0-X1 is a1 + b0 + 1/2 > 0.
-    if p1.Z + p0.Z <= p1.X - p0.X:
-        raise GeodesicDomainError("not connectable: a0 + b1 + 1/2 > 0 violated")
-    raise GeodesicDomainError("not connectable: a1 + b0 + 1/2 > 0 violated")
+    if not connectable(p0, p1):
+        side = "a0 + b1" if p1.Z + p0.Z <= p1.X - p0.X else "a1 + b0"
+        raise GeodesicDomainError(f"not connectable: {side} + 1/2 > 0 violated")
+
+
+def _causal_class(da: float, db: float, scale: float) -> CausalClass:
+    """The sign rule: dX^2 - dZ^2 = -16 da db exactly.  A difference within 2^-52 scale,
+    one ulp of scale = max(Z0, Z1), is zero: the light-like or constant path that then
+    stands in misses its endpoint by at most that much."""
+    tie = 2.0**-52 * scale
+    a_moves, b_moves = abs(da) > tie, abs(db) > tie
+    if a_moves and b_moves:
+        return CausalClass.SPACE_LIKE if (da < 0) != (db < 0) else CausalClass.TIME_LIKE
+    return CausalClass.LIGHT_LIKE if a_moves or b_moves else CausalClass.STATIONARY
 
 
 def classify(p0: HalfPlanePoint, p1: HalfPlanePoint) -> CausalClass:
-    """Causal class of a connectable pair, with ties resolved at 1e-12."""
+    """Causal class of a connectable pair, by the sign rule on da, db = (dZ +- dX)/4."""
     _require_connectable(p0, p1)
-    dx = abs(p1.X - p0.X)
-    dz = abs(p1.Z - p0.Z)
-    if dx <= TIE_TOL and dz <= TIE_TOL:
-        return CausalClass.STATIONARY
-    if abs(dz - dx) <= TIE_TOL:
-        return CausalClass.LIGHT_LIKE
-    if dz < dx:
-        return CausalClass.SPACE_LIKE
-    return CausalClass.TIME_LIKE
+    dx, dz = p1.X - p0.X, p1.Z - p0.Z
+    return _causal_class(0.25 * (dz + dx), 0.25 * (dz - dx), max(p0.Z, p1.Z))
 
 
 def distance(p0: HalfPlanePoint, p1: HalfPlanePoint) -> float:
@@ -140,23 +150,23 @@ def distance(p0: HalfPlanePoint, p1: HalfPlanePoint) -> float:
     if cls is not CausalClass.SPACE_LIKE:
         raise GeodesicDomainError(f"distance needs space-like separation, got {cls.value}")
     dx, dz = p1.X - p0.X, p1.Z - p0.Z
-    return _arc_length(0.25 * (dx - dz) * (dx + dz) / (p0.Z * p1.Z))
+    # each factor divided by its own Z, so that no product of small Z underflows
+    return _arc_length(0.25 * ((dx - dz) / p0.Z) * ((dx + dz) / p1.Z))
 
 
 def _arc_length(sin2: float) -> float:
-    """D = 2 asin(sqrt(sin2)) from sin^2(D/2) = (dX^2 - dZ^2) / (4 Z0 Z1) in (0, 1]."""
-    if not 0.0 < sin2 <= 1.0 + TIE_TOL:
-        raise ConsistencyError(f"sin^2(D/2) = {sin2} outside (0, 1]")
+    """D = 2 asin(sqrt(sin2)) from sin^2(D/2) = (dX^2 - dZ^2) / (4 Z0 Z1) < 1, rounding aside."""
+    if not 0.0 < sin2 < math.inf:
+        raise ConsistencyError(f"sin^2(D/2) = {sin2} is not positive and finite")
     return 2.0 * math.asin(math.sqrt(min(sin2, 1.0)))
 
 
 def epsilon_from_boundary(boundary: SecondJetBoundary) -> float:
     """epsilon = D/4 < pi/4 for space-like boundary jets, with D taken from the jets."""
-    p0, p1 = to_halfplane(boundary)
-    cls = classify(p0, p1)
+    cls = boundary.causal_class
     if cls is not CausalClass.SPACE_LIKE:
         raise GeodesicDomainError(f"epsilon needs space-like boundary jets, got {cls.value}")
-    return _arc_length(_jet_sin2(boundary, p0, p1)) / 4.0
+    return _arc_length(_jet_sin2(boundary, *to_halfplane(boundary))) / 4.0
 
 
 def _jet_sin2(boundary: SecondJetBoundary, p0: HalfPlanePoint, p1: HalfPlanePoint) -> float:
@@ -170,7 +180,10 @@ def solve_bvp(boundary: SecondJetBoundary, grid: TimeGrid) -> SecondJetPath:
     No class iterates.  A connectable pair (S = Z0 + Z1 > |dX|) has exactly
     one geodesic from p0 at t = 0 to p1 at t = 1.  sigma2 is constant along
     a geodesic, and sigma2 <= 0 means |X'| >= |Z'| all along, so the class
-    of the chord is the class of every geodesic joining its ends.
+    of the chord is the class of every geodesic joining its ends: the sign
+    rule of boundary.causal_class.  Every class meets one endpoint contract:
+    a path that misses a boundary jet by more than ENDPOINT_TOL * max(Z0, Z1)
+    is refused with ConsistencyError.
 
     - Space-like: sin^2(D/2) = (dX^2 - dZ^2)/(4 Z0 Z1) = -4 da db/(Z0 Z1) < 1
       by S > |dX|, so the arc of length D = 4*epsilon < pi exists and is
@@ -190,9 +203,8 @@ def solve_bvp(boundary: SecondJetBoundary, grid: TimeGrid) -> SecondJetPath:
       (1/Z)'' = 0; 1/Z interpolates 1/Z0 and 1/Z1 affinely and stays > 0.
     - Stationary: the light-like form, which is the constant path at dZ = 0.
     """
+    cls = boundary.causal_class
     p0, p1 = to_halfplane(boundary)
-    cls = classify(p0, p1)
-
     if cls is CausalClass.SPACE_LIKE:
         return _solve_spacelike(boundary, p0, p1, grid)
     if cls is CausalClass.TIME_LIKE:
@@ -202,8 +214,7 @@ def solve_bvp(boundary: SecondJetBoundary, grid: TimeGrid) -> SecondJetPath:
 
 def _solve_spacelike(boundary, p0, p1, grid) -> SecondJetPath:
     swapped = p1.X < p0.X
-    x0, x1 = (-p0.X, -p1.X) if swapped else (p0.X, p1.X)
-
+    x0 = -p0.X if swapped else p0.X
     sin2 = _jet_sin2(boundary, p0, p1)
     D = _arc_length(sin2)
     eps = D / 4.0
@@ -221,21 +232,13 @@ def _solve_spacelike(boundary, p0, p1, grid) -> SecondJetPath:
     if not (0.0 < beta0 and 0.0 < beta0 + sign * D < math.pi):
         raise ConsistencyError("hyperbola angle left (0, pi); endpoints inconsistent")
     beta = beta0 + sign * D * grid.nodes
-    ct = math.sin(beta0)
-    xc = sign * math.cos(beta0)
-    sin_psi = np.sin(beta)
-    zn = ct / sin_psi
-    xn = np.sin(D * grid.nodes) / sin_psi
-    Z = p0.Z * zn
-    X = x0 + p0.Z * xn
-    lam = x0 + p0.Z * xc
-    if abs(X[-1] - x1) > ENDPOINT_TOL or abs(Z[-1] - p1.Z) > ENDPOINT_TOL:
-        raise ConsistencyError("closed-form endpoint drifted past 1e-9")
+    ct, sin_psi = math.sin(beta0), np.sin(beta)
+    Z = p0.Z * (ct / sin_psi)
+    X = x0 + p0.Z * (np.sin(D * grid.nodes) / sin_psi)
+    lam = x0 + p0.Z * (sign * math.cos(beta0))
     if swapped:
-        X = -X
-        lam = -lam
-    a = (Z + X - 1.0) / 4.0
-    b = (Z - X - 1.0) / 4.0
+        X, lam = -X, -lam
+    a, b = (Z + X - 1.0) / 4.0, (Z - X - 1.0) / 4.0
     # A = tan(psi/2) and sigma1 = eps (A - 1/A) = -2 eps cot(psi), both from beta
     half = np.tan(beta / 2.0)
     return _assemble(
@@ -251,11 +254,13 @@ def _solve_timelike(boundary, p0, p1, grid) -> SecondJetPath:
     dz, dx = 2.0 * (da + db), 2.0 * (da - db)
     # kappa = sign(dZ dX) Z0 / r, with r from
     # 4 dX^2 r^2 = (dZ^2 - dX^2)(S^2 - dX^2) = 256 da db (a0+b1+1/2)(a1+b0+1/2),
-    # written in the jets so that neither edge of the time-like cone cancels.
+    # written in the jets so that neither edge of the time-like cone cancels,
+    # and rooted factor by factor so that da db neither overflows nor underflows.
     reach = (boundary.a0 + boundary.b1 + 0.5) * (boundary.a1 + boundary.b0 + 0.5)
-    kappa = math.copysign(p0.Z, dz) * dx / (8.0 * math.sqrt(da * db * reach))
+    root = math.sqrt(abs(da)) * math.sqrt(abs(db)) * math.sqrt(reach)
+    kappa = math.copysign(p0.Z, dz) * dx / (8.0 * root)
     c = math.hypot(1.0, kappa)  # coth(s0)
-    c_m1 = kappa * kappa / (1.0 + c)
+    c_m1 = kappa * (kappa / (1.0 + c))
     # ds = s1 - s0 = log y, where y = e^ds solves cosh(ds) + c sinh(ds) = Z0/Z1.
     # log1p gets y - 1 when Z falls and 1/y - 1 when it rises, each formed as
     # a product of positive factors.
@@ -264,24 +269,23 @@ def _solve_timelike(boundary, p0, p1, grid) -> SecondJetPath:
     gap = abs(dz) / p1.Z * (1.0 + (rho + 1.0) / (q1 + c))
     ds = math.log1p(gap / (1.0 + c)) if dz < 0 else -math.log1p(gap / (rho + q1))
     h = ds * grid.nodes
-    eh, sh = np.exp(h), np.sinh(h)
     # g = cosh(h) + c sinh(h) as e^h (1 - (c - 1)(e^-2h - 1)/2), which is e^h
     # on a vertical chord; g - 1 and g'/ds = sinh(h) + c cosh(h) as sums of
-    # like-signed terms.
-    g = eh * (1.0 - 0.5 * c_m1 * np.expm1(-2.0 * h))
-    g_m1 = np.expm1(h) + c_m1 * sh
-    Z = p0.Z / g
-    # 4 (a - a0) = dZ + dX and 4 (b - b0) = dZ - dX along the path, with
-    # dZ = -Z (g - 1) and dX = -kappa Z sinh(h).
-    a = boundary.a0 - 0.25 * Z * (g_m1 + kappa * sh)
-    b = boundary.b0 - 0.25 * Z * (g_m1 - kappa * sh)
-    miss = max(abs(a[-1] - boundary.a1), abs(b[-1] - boundary.b1))
-    if not miss <= ENDPOINT_TOL * max(p0.Z, p1.Z):
-        raise ConsistencyError(f"time-like closed form missed its endpoint by {miss:.3g}")
+    # like-signed terms.  Past the float range they turn inf or nan, and the
+    # endpoint check refuses the path.
+    with np.errstate(over="ignore", invalid="ignore"):
+        eh, sh = np.exp(h), np.sinh(h)
+        g = eh * (1.0 - 0.5 * c_m1 * np.expm1(-2.0 * h))
+        g_m1 = np.expm1(h) + c_m1 * sh
+        Z = p0.Z / g
+        # 4 (a - a0) = dZ + dX and 4 (b - b0) = dZ - dX along the path, with
+        # dZ = -Z (g - 1) and dX = -kappa Z sinh(h).
+        a = boundary.a0 - 0.25 * Z * (g_m1 + kappa * sh)
+        b = boundary.b0 - 0.25 * Z * (g_m1 - kappa * sh)
+        sigma1 = -0.5 * ds * (eh + c_m1 * np.cosh(h)) / g  # Z' / (2 Z)
     return _assemble(
         boundary, CausalClass.TIME_LIKE, grid, a, b,
-        sigma2=(ds / 4.0) ** 2, swapped=False,
-        sigma1=-0.5 * ds * (eh + c_m1 * np.cosh(h)) / g,  # Z' / (2 Z)
+        sigma2=(ds / 4.0) ** 2, swapped=False, sigma1=sigma1,
         hyperbola=_chord_hyperbola(p0, p1),
     )
 
@@ -294,10 +298,9 @@ def _solve_lightlike(boundary, cls, p0, p1, grid) -> SecondJetPath:
     if not math.isfinite(rate):
         raise NumericError(f"the light-like rise Z0 dZ / 2 = {rate} is past the float range")
     denom = (1.0 - t) * p1.Z + t * p0.Z
-    half_rise = rate * t / denom
     a, b = np.full_like(t, boundary.a0), np.full_like(t, boundary.b0)
     moving = a if abs(boundary.b1 - boundary.b0) <= abs(boundary.a1 - boundary.a0) else b
-    moving += half_rise
+    moving += rate * t / denom
     return _assemble(
         boundary, cls, grid, a, b,
         sigma2=0.0, swapped=False, sigma1=0.5 * dz / denom,
@@ -307,35 +310,31 @@ def _solve_lightlike(boundary, cls, p0, p1, grid) -> SecondJetPath:
 
 def _assemble(boundary, cls, grid, a, b, *, sigma2, swapped, sigma1,
               epsilon=None, A=None, hyperbola=None) -> SecondJetPath:
-    if np.any(1.0 + 2.0 * a + 2.0 * b <= 0):
-        raise GeodesicDomainError("path leaves the half-plane: 1 + 2a + 2b <= 0 at a node")
-    return SecondJetPath(
-        boundary=boundary,
-        causal_class=cls,
-        a=CoefficientSeries(grid, a),
-        b=CoefficientSeries(grid, b),
-        sigma1=CoefficientSeries(grid, sigma1),
-        sigma2=sigma2,
-        swapped_axes=swapped,
-        epsilon=epsilon,
-        A=None if A is None else CoefficientSeries(grid, A),
-        hyperbola=hyperbola,
-    )
+    """The path of any class, which must meet both boundary jets within ENDPOINT_TOL max(Z0, Z1).
+    The exact path never leaves the half-plane, so a node outside it is rounding: NumericError."""
+    miss = np.abs([a[0] - boundary.a0, b[0] - boundary.b0,
+                   a[-1] - boundary.a1, b[-1] - boundary.b1]).max()  # nan stays nan
+    if not miss <= ENDPOINT_TOL * max(p.Z for p in to_halfplane(boundary)):
+        raise ConsistencyError(f"{cls.value} closed form missed its endpoint by {miss:.3g}")
+    if not np.all(1.0 + 2.0 * a + 2.0 * b > 0):
+        raise NumericError("path leaves the half-plane: 1 + 2a + 2b <= 0 at a node")
+    a, b, sigma1 = (CoefficientSeries(grid, v) for v in (a, b, sigma1))
+    return SecondJetPath(boundary, cls, a, b, sigma1, sigma2, swapped, epsilon,
+                         None if A is None else CoefficientSeries(grid, A), hyperbola)
 
 
 def _chord_hyperbola(p0: HalfPlanePoint, p1: HalfPlanePoint) -> Hyperbola | None:
-    if abs(p1.X - p0.X) <= TIE_TOL:
+    dx = p1.X - p0.X
+    if dx == 0.0:  # a vertical chord
         return None
     # differences and products, which overflow to inf where a ** would raise
-    dx = p1.X - p0.X
     lam = ((p0.Z - p1.Z) * (p0.Z + p1.Z) + dx * (p1.X + p0.X)) / (2.0 * dx)
     return Hyperbola(lam=lam, c_value=(p0.Z - p0.X + lam) * (p0.Z + p0.X - lam))
 
 
 def ode_residual(path: SecondJetPath) -> float:
     """Max nodewise residual of the jet equations on the path; NumericError if not finite."""
-    grid = path.grid
-    d = grid.diff_matrix
+    d = path.grid.diff_matrix
     a, b = path.a.values, path.b.values
     z = 1.0 + 2.0 * a + 2.0 * b
     da, db = d @ a, d @ b

@@ -1,10 +1,15 @@
+import contextlib
 import dataclasses
 import enum
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torusjets import cli, counterexample, jet_propagation, pde_crosscheck, timegrid
 from torusjets.cli import NODES_ENV_VAR, main
@@ -83,6 +88,17 @@ def test_second_jet_overflowing_lightlike_rise_is_numeric_error(capsys, nodes):
     assert out == ""
     assert err.startswith("numeric error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("a1", ["1e4", "1e6"])
+def test_second_jet_steep_spacelike_chords_meet_their_endpoints(capsys, a1):
+    # the endpoint check is relative to max(Z0, Z1) = 1 + 2 a1 - 0.2, not absolute
+    rep = run_json(capsys, "second-jet", "--a0", "0", "--b0", "0", "--a1", a1, "--b1=-0.1")
+    assert rep["causal_class"] == "SpaceLike"
+    scale = 1 + 2 * float(a1) - 0.2
+    assert abs(rep["a"][0]) <= 1e-9 * scale and abs(rep["b"][0]) <= 1e-9 * scale
+    assert abs(rep["a"][-1] - float(a1)) <= 1e-9 * scale
+    assert abs(rep["b"][-1] + 0.1) <= 1e-9 * scale
 
 
 def test_output_into_missing_directory_is_input_error(capsys, tmp_path):
@@ -223,6 +239,18 @@ def test_propagate_timelike_is_domain_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "propagate", "--spec", spec, "--max-order", "4")
     assert code == 3
     assert "space-like" in err
+
+
+def test_propagate_classifies_before_it_solves(capsys, tmp_path, monkeypatch):
+    # a time-like 2-jet far from the origin is refused as time-like, before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("propagate solved the 2-jets before classifying them")
+
+    monkeypatch.setattr(jet_propagation, "solve_bvp", no_solve)
+    spec = write_spec(tmp_path, {"phi1": {"jets": {"2": [1e9, 0.125]}}})
+    code, out, err = run_cli(capsys, "propagate", "--spec", spec, "--max-order", "4")
+    assert code == 3 and out == ""
+    assert "space-like" in err and "TimeLike" in err
 
 
 def test_propagate_missing_spec_file(capsys, tmp_path):
@@ -443,6 +471,25 @@ def test_oversized_order_is_rejected_before_allocation(capsys, tmp_path, monkeyp
         assert f"<= {jet_propagation.MAX_ORDER}" in err
 
 
+def test_oversized_frame_is_rejected_before_allocation(capsys, tmp_path, monkeypatch):
+    class NoArrays:
+        def __getattr__(self, name):
+            raise AssertionError(f"propagate reached numpy.{name}")
+
+    monkeypatch.setattr(jet_propagation, "np", NoArrays())
+    tables = write_spec(tmp_path, {"phi0": {"jets": {"2": [0, 0]}},
+                                   "phi1": {"jets": {"2": [0.1, -0.1]}}})
+    argv = ["propagate", "--spec", tables, "--max-order", "400", "--nodes", "2049"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"budget of {jet_propagation.MAX_FRAME_FLOATS}" in err
+    # order 400 on 64 nodes and the bench's order 40 on 129 pass the budget and
+    # go on to allocate
+    for order, nodes in (("400", "64"), ("40", "129")):
+        with pytest.raises(AssertionError, match="propagate reached numpy"):
+            main(["propagate", "--spec", tables, "--max-order", order, "--nodes", nodes])
+
+
 def test_oversized_pde_grid_is_rejected_before_allocation(capsys, monkeypatch):
     class NoArrays:
         def __getattr__(self, name):
@@ -488,3 +535,77 @@ def test_cached_parser_behaves_as_a_fresh_one(capsys, monkeypatch):
     assert cached[0] == cached[4] == 0
     monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
     assert run_all() == cached
+
+
+# --- the exit contract, fuzzed ----------------------------------------------------
+
+# jets of every size: any float (nan, inf and subnormals included), size 1, and
+# log-uniform magnitudes over the float range
+NUMBERS = st.one_of(
+    st.floats(),
+    st.floats(-0.25, 1.0),
+    st.builds(lambda sign, exp: sign * 10.0**exp,
+              st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0)),
+)
+EVEN = st.integers(0, 3).map(lambda k: 2 * k)
+TERMS = st.lists(st.tuples(st.one_of(NUMBERS, st.floats(-0.1, 0.1)), EVEN, EVEN).map(list),
+                 min_size=1, max_size=3)
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, spec payload or None) of one call, drawn over a subcommand's numeric inputs."""
+    command = draw(st.sampled_from(["second-jet", "propagate", "counterexample", "pde-check"]))
+    nodes = f"--nodes={draw(st.integers(6, 33))}"
+    if command == "second-jet":
+        return [command, *(f"--{k}={draw(NUMBERS)!r}" for k in ("a0", "b0", "a1", "b1")),
+                nodes], None
+    if command == "counterexample":
+        return [command, f"--n={draw(st.integers(1, 8))}", nodes], None
+    if command == "pde-check":
+        deltas = draw(st.lists(st.one_of(NUMBERS, st.floats(1e-3, 1.0)), min_size=1, max_size=2))
+        return [command, "--nt=9", "--nx=16", "--ny=16", f"--delta={','.join(map(repr, deltas))}",
+                nodes], {"terms": draw(TERMS)}
+    jets = st.builds(lambda a, b: {"jets": {"2": [a, b]}}, NUMBERS, NUMBERS)
+    sides = st.one_of(jets, TERMS.map(lambda terms: {"terms": terms}))
+    spec = draw(st.one_of(sides, st.fixed_dictionaries({"phi0": sides, "phi1": sides})))
+    order = draw(st.one_of(EVEN.map(lambda k: k + 4), st.integers(-1, 13)))
+    return [command, f"--max-order={order}", nodes], spec
+
+
+def run_contract(argv: list, spec, spec_path) -> int:
+    """Exit code of one in-process call; fails on a traceback, a warning or a missed endpoint."""
+    if spec is not None:
+        spec_path.write_text(json.dumps(spec))
+        argv = [*argv, f"--spec={spec_path}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert not caught, (argv, [str(w.message) for w in caught])
+    if code == 0 and argv[0] == "second-jet":
+        rep = json.loads(out.getvalue())
+        a0, b0, a1, b1 = (rep["config"][k] for k in ("a0", "b0", "a1", "b1"))
+        scale = max(1 + 2 * a0 + 2 * b0, 1 + 2 * a1 + 2 * b1)
+        ends = [rep["a"][0] - a0, rep["b"][0] - b0, rep["a"][-1] - a1, rep["b"][-1] - b1]
+        assert max(map(abs, ends)) <= 1e-9 * scale, argv
+    return code
+
+
+@pytest.fixture(scope="module")
+def fuzz_spec(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "spec.json"
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(cli_calls())
+# draws that once leaked overflow warnings: a steep time-like 2-jet, and inputs near 9e307
+@example((["second-jet", "--a0=-2.6e-45", "--b0=4.7e-80", "--a1=2.8e158", "--b1=1.4e165"], None))
+@example((["propagate", "--max-order=4"], {"jets": {"2": [0.0, 8.98846567431158e307]}}))
+@example((["pde-check", "--nt=9", "--nx=16", "--ny=16", "--delta=1.0"],
+          {"terms": [[8.98846567431158e307, 0, 2]]}))
+def test_fuzzed_numeric_inputs_keep_the_exit_contract(fuzz_spec, call):
+    run_contract(*call, fuzz_spec)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -87,6 +88,21 @@ def test_classify_examples():
     assert classify(HalfPlanePoint(0, 1), HalfPlanePoint(0, 1)) is CausalClass.STATIONARY
     with pytest.raises(GeodesicDomainError, match="not connectable"):
         classify(HalfPlanePoint(0, 1), HalfPlanePoint(3, 1))
+    # near-ties: (0, 0) to (1/2 - db, db) has max(Z0, Z1) = 2, so the tie is 2^-51;
+    # db at half of it is zero, at twice it moves, in both sign senses
+    near_ties = [
+        (2.0**-52, CausalClass.LIGHT_LIKE), (-(2.0**-52), CausalClass.LIGHT_LIKE),
+        (2.0**-50, CausalClass.TIME_LIKE), (-(2.0**-50), CausalClass.SPACE_LIKE),
+    ]
+    for db, cls in near_ties:
+        boundary = SecondJetBoundary(0.0, 0.0, 0.5 - db, db)
+        p0, p1 = to_halfplane(boundary)
+        assert max(p0.Z, p1.Z) == 2.0
+        assert classify(p0, p1) is cls, db
+        path = solve_bvp(boundary, GRID)
+        assert path.causal_class is cls, db
+        ends = [path.a.values[0], path.b.values[0], path.a.values[-1], path.b.values[-1]]
+        assert np.max(np.abs(np.subtract(ends, [0.0, 0.0, 0.5 - db, db]))) <= 1e-9 * 2.0
 
 
 def test_distance_examples():
@@ -96,6 +112,10 @@ def test_distance_examples():
     assert abs(d - math.pi / 4) < 1e-14
     with pytest.raises(GeodesicDomainError):
         distance(HalfPlanePoint(0, 1), HalfPlanePoint(0, 2))
+    # the first pair scaled by 1e-200, where Z0 Z1 underflows to 0; the relative tie
+    # keeps it space-like
+    d = distance(HalfPlanePoint(0, 1e-200), HalfPlanePoint(1e-200, 1e-200))
+    assert abs(d - math.pi / 3) < 1e-14
 
 
 @settings(max_examples=60, deadline=None)
@@ -360,6 +380,16 @@ def test_closed_form_matches_oracle(name, closed_form_oracle):
     db = derivative(path.b).values
     sigma2_nodes = da * db / (1 + 2 * a + 2 * b) ** 2
     assert np.max(np.abs(sigma2_nodes - path.sigma2)) <= 1e-12
+
+
+def test_lightlike_path_off_its_endpoint_is_refused():
+    # a grid whose last node stops short of t = 1 nudges the light-like path off
+    # its endpoint by about 2e-7, far past 1e-9 max(Z0, Z1) = 1.4e-9
+    short = dataclasses.replace(GRID, nodes=GRID.nodes * (1.0 - 1e-6))
+    boundary = SecondJetBoundary(0.0, 0.0, 0.2, 0.0)
+    assert solve_bvp(boundary, GRID).causal_class is CausalClass.LIGHT_LIKE
+    with pytest.raises(ConsistencyError, match="LightLike closed form missed its endpoint"):
+        solve_bvp(boundary, short)
 
 
 def test_timelike_overflow_is_refused():
