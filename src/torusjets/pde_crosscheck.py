@@ -11,6 +11,12 @@ data, the equation and every Newton iterate are even in x and in y: the solve
 runs, exactly, on the even-even quarter (x indices 0..nx/2, y indices
 0..ny/2) with reflective halos. Second jets extracted at the central fiber
 feed the sigma_2 and eps diagnostics of the closed form.
+
+scipy is imported on the first Newton step, not with the module: loading
+scipy.sparse.linalg takes about 0.34 s and 27 MiB (2-core x86-64 host, scipy
+1.17), which second-jet, propagate and counterexample would otherwise pay at
+start-up without ever solving. LinearOperator stays readable as a module
+attribute through __getattr__.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .counterexample import TorusPotential
 from .errors import NumericError
@@ -35,6 +40,27 @@ ETA_MIN = 1e-10
 # its peak (phi, residual, stencil coefficients, halo, about 33 Krylov vectors):
 # 105 bytes a full-grid point, the tracemalloc peak at 33 x 64 x 64; 105 MiB here.
 MAX_GRID_POINTS = 2**20
+
+
+def lgmres(A, b, *args, **kwargs):
+    """scipy.sparse.linalg.lgmres, imported on its first call.
+
+    It must stay a module global that _newton_step looks up at each call:
+    bench/tracing.py wraps torusjets.pde_crosscheck.lgmres to time the solves
+    and count matvecs, and tests replace it by setattr on this module. A name
+    bound inside _newton_step would bypass both.
+    """
+    from scipy.sparse.linalg import lgmres as scipy_lgmres
+
+    return scipy_lgmres(A, b, *args, **kwargs)
+
+
+def __getattr__(name):
+    if name == "LinearOperator":
+        from scipy.sparse.linalg import LinearOperator
+
+        return LinearOperator
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +155,8 @@ def _newton_step(fields, dt, hx, hy, res):
     c D_tt, c the full-grid mean of 1 + Lap phi, on every column:
     G_ij = -min(i, j) (m + 1 - max(i, j)) / (m + 1) dt^2 / c, m = nt - 2.
     """
+    from scipy.sparse.linalg import LinearOperator
+
     metric, phitt, gx, gy = fields
     m, qx, qy = phitt.shape
     size = m * qx * qy

@@ -1,0 +1,97 @@
+"""A fresh interpreter loads scipy only once pde-check solves.
+
+The pytest process has loaded scipy long before these tests run, so each check
+runs in a new interpreter started with sys.executable and PYTHONPATH=src.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CHILD = r"""
+import json
+import sys
+from pathlib import Path
+
+tmp = Path(sys.argv[1])
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+import torusjets
+import torusjets.cli
+from torusjets import pde_crosscheck
+
+state = {"import": scipy_modules()}
+propagate_spec = tmp / "propagate.json"
+propagate_spec.write_text(json.dumps({
+    "phi0": {"terms": [[0.02, 2, 0], [0.03, 0, 2]]},
+    "phi1": {"terms": [[0.05, 2, 0], [-0.01, 0, 2], [0.3, 4, 2]]},
+}))
+pde_spec = tmp / "pde.json"
+pde_spec.write_text(json.dumps({"terms": [[0.1, 2, 0], [-0.1, 0, 2]]}))
+runs = [
+    ("second-jet", ["second-jet", "--a0", "0", "--b0", "0", "--a1", "0.25", "--b1", "-0.25",
+                    "--nodes", "17"]),
+    ("propagate", ["propagate", "--spec", str(propagate_spec), "--max-order", "8",
+                   "--nodes", "17"]),
+    ("counterexample", ["counterexample", "--n", "3"]),
+    ("pde-check", ["pde-check", "--spec", str(pde_spec), "--nt", "9", "--nx", "16",
+                   "--ny", "16", "--delta", "1e-1,1e-2", "--nodes", "16"]),
+]
+codes = {}
+for name, argv in runs:
+    codes[name] = torusjets.cli.main(argv + ["--output", str(tmp / f"{name}.json")])
+    state[name] = scipy_modules()
+
+import scipy.sparse.linalg
+
+try:
+    pde_crosscheck.NoSuchName
+    unknown = "no error"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({
+    "codes": codes,
+    "scipy_after": state,
+    "same_operator": pde_crosscheck.LinearOperator is scipy.sparse.linalg.LinearOperator,
+    "unknown": unknown,
+}))
+"""
+
+
+@pytest.fixture(scope="module")
+def cold(tmp_path_factory):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    tmp = tmp_path_factory.mktemp("cold")
+    done = subprocess.run([sys.executable, "-c", CHILD, str(tmp)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_every_call_succeeds(cold):
+    assert cold["codes"] == dict.fromkeys(
+        ["second-jet", "propagate", "counterexample", "pde-check"], 0)
+
+
+@pytest.mark.parametrize("step", ["import", "second-jet", "propagate", "counterexample"])
+def test_no_scipy_before_the_pde_check(cold, step):
+    assert cold["scipy_after"][step] == []
+
+
+def test_pde_check_loads_the_krylov_solver(cold):
+    assert "scipy.sparse.linalg" in cold["scipy_after"]["pde-check"]
+
+
+def test_linear_operator_resolves_and_other_names_do_not(cold):
+    assert cold["same_operator"] is True
+    assert "NoSuchName" in cold["unknown"]
