@@ -26,9 +26,9 @@ second-jet solves every causal class in closed form and iterates nowhere.
 The class is the sign of dX^2 - dZ^2 = -16 da db, with a jet difference
 within one ulp of max(Z0, Z1) taken as zero.  Every path must meet both
 boundary jets within ENDPOINT_TOL * max(Z0, Z1).  It exits 4 when a path
-misses that check or the space-like angle check, when a node leaves the
-half-plane by rounding, when the light-like rise or the jet-equation
-residual of the path leaves the float range, and never for non-convergence.
+misses that check, when a node leaves the half-plane by rounding, when Z0 or
+Z1 or the jet-equation residual of the path leaves the float range, and never
+for non-convergence.
 """
 
 from __future__ import annotations
@@ -47,13 +47,7 @@ from .errors import ConsistencyError, GeodesicDomainError, NumericError
 from .jet_propagation import ObstructionReport, order_residual, propagate
 from .pde_crosscheck import crosscheck_report, dump_phi_csv, solve_geodesic
 from .report_io import dumps_json, fields_of, parse_potential, parse_side
-from .second_jet import (
-    SecondJetBoundary,
-    connectable,
-    ode_residual,
-    solve_bvp,
-    to_halfplane,
-)
+from .second_jet import SecondJetBoundary, ode_residual, solve_bvp
 from .timegrid import DEFAULT_NODES, make_grid
 
 NODES_ENV_VAR = "GJL_DEFAULT_NODES"
@@ -103,11 +97,10 @@ def _path_plot(path, title: str):
 
 def _cmd_second_jet(args):
     boundary = SecondJetBoundary(a0=args.a0, b0=args.b0, a1=args.a1, b1=args.b1)
-    p0, p1 = to_halfplane(boundary)
-    if not connectable(p0, p1):
-        side = "a0 + b1 + 1/2 > 0" if boundary.a0 + boundary.b1 + 0.5 <= 0 \
-            else "a1 + b0 + 1/2 > 0"
-        raise ValueError(f"boundary not connectable: {side} violated")
+    try:
+        boundary.require_connectable()
+    except GeodesicDomainError as exc:  # bad input to this command
+        raise ValueError(f"boundary {exc}") from None
     nodes = _resolve_nodes(args)
     path = solve_bvp(boundary, make_grid(nodes))
     report = {

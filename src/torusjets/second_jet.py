@@ -6,19 +6,35 @@ fiber, and the geodesic equation reduces to
     a'' = 4 a'^2 / (1 + 2a + 2b),      b'' = 4 b'^2 / (1 + 2a + 2b).
 
 The substitution Z = 1 + 2a + 2b, X = 2a - 2b turns this into the geodesic
-flow of the Lorentz metric (dX^2 - dZ^2)/Z^2 on the upper half-plane.  The
-causal class of a boundary pair is the sign of dX^2 - dZ^2 = -16 da db, with
-da = a1 - a0, db = b1 - b0, and a difference within one ulp of max(Z0, Z1)
-taken as zero.  Each class has a closed-form path: a constant (stationary), a
-hyperbola arc Z^2 - (X - lam)^2 = C > 0 (space-like), an arc of one branch of
-(X - lam)^2 - Z^2 = r^2 or a vertical line (time-like), and a null line
-X -+ Z = const with 1/Z affine in t (light-like).  Every path must pass both
-boundary jets within ENDPOINT_TOL * max(Z0, Z1), or it is refused.
+flow of the Lorentz metric (dX^2 - dZ^2)/Z^2 on the upper half-plane: de
+Sitter space dS2 in flat slicing.  It embeds as the quadric <P, P> = 1 of the
+Minkowski form <P, P> = v^2 - p q through
+
+    p = 1/Z,   v = X/Z,   q = (X^2 - Z^2)/Z,
+
+and its geodesics are the sections by planes through the origin (Spradlin,
+Strominger and Volovich, "Les Houches lectures on de Sitter space",
+hep-th/0110007).  So the geodesic from P0 at t = 0 to P1 at t = 1 is the
+Minkowski form of Shoemake's "slerp", P = S(1 - t) P0 + S(t) P1, and since
+1/Z and X/Z are linear in P,
+
+    1/Z = alpha/Z0 + beta/Z1,   X/Z = alpha X0/Z0 + beta X1/Z1,
+    alpha = S(1 - t),  beta = S(t),
+
+with S(tau) = sin(tau D)/sin D, sinh(tau D)/sinh D or tau as the ends are
+space-like, time-like or light-like separated.  D is the Lorentz length of the
+chord: 4 Z0 Z1 sin^2(D/2) = |dX^2 - dZ^2| = 16 |da db|, with da = a1 - a0 and
+db = b1 - b0, and sinh in place of sin for time-like ends.
+
+The causal class of a boundary pair is the sign of dX^2 - dZ^2 = -16 da db,
+with a difference within one ulp of max(Z0, Z1) taken as zero.  Every path
+must pass both boundary jets within ENDPOINT_TOL * max(Z0, Z1), or it is
+refused.
 
 sigma2 = a' b' / (1 + 2a + 2b)^2 = (Z'^2 - X'^2) / (16 Z^2) is a constant of
-motion: -epsilon^2 for space-like data, with 4*epsilon the Lorentz arc length,
-(ds/4)^2 for time-like data, with ds the proper time, and 0 for light-like
-data.  On a space-like path a' / (1 + 2a + 2b) = epsilon * A with
+motion: -(D/4)^2 for space-like data, with epsilon = D/4, (D/4)^2 for
+time-like data, with D the proper time, and 0 for light-like data.  On a
+space-like path a' / (1 + 2a + 2b) = epsilon * A with
 A = tan(2*epsilon*t + theta0) > 0 once the axes are oriented so that a is the
 increasing jet.
 """
@@ -27,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +52,7 @@ from .errors import ConsistencyError, GeodesicDomainError, NumericError
 from .timegrid import CoefficientSeries, TimeGrid, integrate
 
 ENDPOINT_TOL = 1e-9
+_TINY = sys.float_info.min
 
 
 class CausalClass(enum.Enum):
@@ -58,12 +76,14 @@ class SecondJetBoundary:
             if not (a + b + 0.5 > 0):
                 raise ValueError(f"boundary requires {name} + 1/2 > 0")
 
+    def require_connectable(self) -> None:
+        """Refuse jets that no geodesic joins, by Z0 + Z1 > |dX| read off the jets."""
+        _require_reach(*_reaches(self))
+
     @property
     def causal_class(self) -> CausalClass:
         """Class of connectable jets, by the sign rule on their own da and db."""
-        p0, p1 = to_halfplane(self)
-        _require_connectable(p0, p1)
-        return _causal_class(self.a1 - self.a0, self.b1 - self.b0, max(p0.Z, p1.Z))
+        return _ends(self)[0]
 
 
 @dataclass(frozen=True)
@@ -99,17 +119,21 @@ class SecondJetPath:
     swapped_axes: bool
     epsilon: float | None = None
     A: CoefficientSeries | None = None
-    hyperbola: Hyperbola | None = None
 
     @property
     def grid(self) -> TimeGrid:
         return self.a.grid
 
+    @property
+    def hyperbola(self) -> Hyperbola | None:
+        """The level set through both ends; None for a vertical chord."""
+        return _chord_hyperbola(*to_halfplane(self.boundary))
+
 
 def to_halfplane(boundary: SecondJetBoundary) -> tuple[HalfPlanePoint, HalfPlanePoint]:
     """Map boundary jets to half-plane endpoints via Z = 1+2a+2b, X = 2a-2b."""
-    p0 = HalfPlanePoint(2 * boundary.a0 - 2 * boundary.b0, 1 + 2 * boundary.a0 + 2 * boundary.b0)
-    p1 = HalfPlanePoint(2 * boundary.a1 - 2 * boundary.b1, 1 + 2 * boundary.a1 + 2 * boundary.b1)
+    p0 = HalfPlanePoint(2 * (boundary.a0 - boundary.b0), 1 + 2 * (boundary.a0 + boundary.b0))
+    p1 = HalfPlanePoint(2 * (boundary.a1 - boundary.b1), 1 + 2 * (boundary.a1 + boundary.b1))
     return p0, p1
 
 
@@ -118,12 +142,23 @@ def connectable(p0: HalfPlanePoint, p1: HalfPlanePoint) -> bool:
     return p1.Z + p0.Z > abs(p1.X - p0.X)
 
 
-def _require_connectable(p0: HalfPlanePoint, p1: HalfPlanePoint) -> None:
-    # Name the failing inequality in boundary terms: Z1+Z0 > X1-X0 is
-    # a0 + b1 + 1/2 > 0 and Z1+Z0 > X0-X1 is a1 + b0 + 1/2 > 0.
-    if not connectable(p0, p1):
-        side = "a0 + b1" if p1.Z + p0.Z <= p1.X - p0.X else "a1 + b0"
+def _require_reach(r0: float, r1: float) -> None:
+    """Z0 + Z1 > |dX| is r0 = (Z0 + Z1 - dX)/4 = a0 + b1 + 1/2 > 0 and
+    r1 = (Z0 + Z1 + dX)/4 = a1 + b0 + 1/2 > 0; name the failing inequality."""
+    if not (r0 > 0 and r1 > 0):
+        side = "a1 + b0" if r0 > 0 else "a0 + b1"
         raise GeodesicDomainError(f"not connectable: {side} + 1/2 > 0 violated")
+
+
+def _ends(boundary: SecondJetBoundary) -> tuple[CausalClass, float, float, float, float]:
+    """(class, Z0, Z1, da, db) of connectable jets whose Z lie in the float range.
+    Z = 1 + 2 (a + b) = 2 (a + b + 1/2) is positive wherever the boundary is valid."""
+    boundary.require_connectable()
+    z0, z1 = 1.0 + 2.0 * (boundary.a0 + boundary.b0), 1.0 + 2.0 * (boundary.a1 + boundary.b1)
+    if not max(z0, z1) < math.inf:
+        raise NumericError(f"Z0 = {z0} and Z1 = {z1}: Z = 1 + 2a + 2b is past the float range")
+    da, db = boundary.a1 - boundary.a0, boundary.b1 - boundary.b0
+    return _causal_class(da, db, max(z0, z1)), z0, z1, da, db
 
 
 def _causal_class(da: float, db: float, scale: float) -> CausalClass:
@@ -139,9 +174,29 @@ def _causal_class(da: float, db: float, scale: float) -> CausalClass:
 
 def classify(p0: HalfPlanePoint, p1: HalfPlanePoint) -> CausalClass:
     """Causal class of a connectable pair, by the sign rule on da, db = (dZ +- dX)/4."""
-    _require_connectable(p0, p1)
-    dx, dz = p1.X - p0.X, p1.Z - p0.Z
+    dx, dz, s = p1.X - p0.X, p1.Z - p0.Z, p0.Z + p1.Z
+    _require_reach(0.25 * (s - dx), 0.25 * (s + dx))
     return _causal_class(0.25 * (dz + dx), 0.25 * (dz - dx), max(p0.Z, p1.Z))
+
+
+def _half_angle(da, db, r0, r1, z0, z1) -> tuple[float, float]:
+    """sin(D/2) and cos(D/2) of space-like ends, sinh and cosh of time-like ones, from
+    Z0 Z1 sin^2(D/2) = 4 |da db| and Z0 Z1 cos^2(D/2) = ((Z0 + Z1)^2 - dX^2)/4 = 4 r0 r1
+    (the same with sinh and cosh), each factor divided by its own Z."""
+    return 2.0 * _root(abs(da) / z0, abs(db) / z1), 2.0 * _root(r0 / z0, r1 / z1)
+
+
+def _root(x: float, y: float) -> float:
+    """sqrt(x y) in one rounding, or factor by factor where x y leaves the normal range."""
+    xy = x * y
+    return math.sqrt(xy) if _TINY < xy < math.inf else math.sqrt(x) * math.sqrt(y)
+
+
+def _space_angle(da, db, r0, r1, z0, z1) -> tuple[float, float, float]:
+    """(D, sin(D/2), cos(D/2)) of space-like ends, D in (0, pi), each half angle read off
+    the smaller of its sine and cosine, where asin and acos keep their digits."""
+    sn, cs = _half_angle(da, db, r0, r1, z0, z1)
+    return 2.0 * (math.asin(sn) if sn <= cs else math.acos(cs)), sn, cs
 
 
 def distance(p0: HalfPlanePoint, p1: HalfPlanePoint) -> float:
@@ -149,178 +204,134 @@ def distance(p0: HalfPlanePoint, p1: HalfPlanePoint) -> float:
     cls = classify(p0, p1)
     if cls is not CausalClass.SPACE_LIKE:
         raise GeodesicDomainError(f"distance needs space-like separation, got {cls.value}")
-    dx, dz = p1.X - p0.X, p1.Z - p0.Z
-    # each factor divided by its own Z, so that no product of small Z underflows
-    return _arc_length(0.25 * ((dx - dz) / p0.Z) * ((dx + dz) / p1.Z))
-
-
-def _arc_length(sin2: float) -> float:
-    """D = 2 asin(sqrt(sin2)) from sin^2(D/2) = (dX^2 - dZ^2) / (4 Z0 Z1) < 1, rounding aside."""
-    if not 0.0 < sin2 < math.inf:
-        raise ConsistencyError(f"sin^2(D/2) = {sin2} is not positive and finite")
-    return 2.0 * math.asin(math.sqrt(min(sin2, 1.0)))
+    dx, dz, s = p1.X - p0.X, p1.Z - p0.Z, p0.Z + p1.Z
+    return _space_angle(0.25 * (dz + dx), 0.25 * (dz - dx), 0.25 * (s - dx), 0.25 * (s + dx),
+                        p0.Z, p1.Z)[0]
 
 
 def epsilon_from_boundary(boundary: SecondJetBoundary) -> float:
     """epsilon = D/4 < pi/4 for space-like boundary jets, with D taken from the jets."""
-    cls = boundary.causal_class
+    cls, z0, z1, da, db = _ends(boundary)
     if cls is not CausalClass.SPACE_LIKE:
         raise GeodesicDomainError(f"epsilon needs space-like boundary jets, got {cls.value}")
-    return _arc_length(_jet_sin2(boundary, *to_halfplane(boundary))) / 4.0
+    return _space_angle(da, db, *_reaches(boundary), z0, z1)[0] / 4.0
 
 
-def _jet_sin2(boundary: SecondJetBoundary, p0: HalfPlanePoint, p1: HalfPlanePoint) -> float:
-    """sin^2(D/2) from the jets: dX^2 - dZ^2 = -16 da db cancels at no edge."""
-    return -4.0 * (boundary.a1 - boundary.a0) * (boundary.b1 - boundary.b0) / (p0.Z * p1.Z)
+def _reaches(boundary: SecondJetBoundary) -> tuple[float, float]:
+    """r0 = a0 + b1 + 1/2 = (Z0 + Z1 - dX)/4 and r1 = a1 + b0 + 1/2 = (Z0 + Z1 + dX)/4."""
+    return boundary.a0 + boundary.b1 + 0.5, boundary.a1 + boundary.b0 + 0.5
 
 
 def solve_bvp(boundary: SecondJetBoundary, grid: TimeGrid) -> SecondJetPath:
     """Solve the second-jet boundary value problem on the grid, in closed form.
 
-    No class iterates.  A connectable pair (S = Z0 + Z1 > |dX|) has exactly
-    one geodesic from p0 at t = 0 to p1 at t = 1.  sigma2 is constant along
-    a geodesic, and sigma2 <= 0 means |X'| >= |Z'| all along, so the class
-    of the chord is the class of every geodesic joining its ends: the sign
-    rule of boundary.causal_class.  Every class meets one endpoint contract:
-    a path that misses a boundary jet by more than ENDPOINT_TOL * max(Z0, Z1)
-    is refused with ConsistencyError.
+    No class iterates.  A connectable pair, r0 = a0 + b1 + 1/2 > 0 and
+    r1 = a1 + b0 + 1/2 > 0, has exactly one geodesic from p0 at t = 0 to p1
+    at t = 1, and one formula evaluates it for every class: the slerp of the
+    module docstring.  <P0, P1> = 1 + 8 da db / (Z0 Z1), and
+    4 Z0 Z1 (1 + <P0, P1>) = 32 r0 r1 > 0, so P1 != -P0 and P0, P1 span the
+    one plane whose section is the geodesic; its class is the sign rule of
+    boundary.causal_class.
 
-    - Space-like: sin^2(D/2) = (dX^2 - dZ^2)/(4 Z0 Z1) = -4 da db/(Z0 Z1) < 1
-      by S > |dX|, so the arc of length D = 4*epsilon < pi exists and is
-      unique.
-    - Time-like: for dX != 0 the chord fixes lam, and 4 dX^2 r^2 =
-      (dZ^2 - dX^2)(S^2 - dX^2) > 0.  X0 - lam = (dZ S - dX^2)/(2 dX) and
-      X1 - lam = (dZ S + dX^2)/(2 dX) share the sign of dZ dX, because
-      |dX| < |dZ| < S: both ends lie on one branch, Z = r/sinh(s), with the
-      proper time s running affinely between s_i = asinh(r/Z_i) > 0.  The
-      path is evaluated as Z = Z0/g and X = X0 - kappa Z sinh(h), with
-      h = (s1 - s0) t, kappa = sign(dZ dX) Z0/r and
-      g = sinh(s0 + h)/sinh(s0) = cosh(h) + coth(s0) sinh(h); lam, r and
-      s_i, unbounded near a vertical chord, are never formed.  At dX = 0,
-      kappa = 0 and this is the vertical line Z = Z0 (Z1/Z0)^t.
-    - Light-like: both ends lie on one null line, X - Z = const (b fixed)
-      or X + Z = const (a fixed), on which the moving jet obeys
-      (1/Z)'' = 0; 1/Z interpolates 1/Z0 and 1/Z1 affinely and stays > 0.
-    - Stationary: the light-like form, which is the constant path at dZ = 0.
+    - Space-like: <P0, P1> = cos D, with sin^2(D/2) = -4 da db/(Z0 Z1) and
+      cos^2(D/2) = 4 r0 r1/(Z0 Z1), so D = 4*epsilon is in (0, pi).  The
+      section is an ellipse, and its arc of length D < pi from P0 to P1 is
+      the only one on which alpha, beta >= 0 keep 1/Z > 0.
+    - Time-like: <P0, P1> = cosh D > 1 puts both ends on one branch of the
+      section's hyperbola, joined by the arc of proper time D.
+    - Light-like: <P0, P1> = 1 and P1 - P0 is null, so the segment
+      (1 - t) P0 + t P1 lies on the quadric: a null line X -+ Z = const on
+      which 1/Z is affine in t.  Stationary pairs take the same form.
+
+    The jets are formed as increments from the end that dominates 1/Z:
+
+        4 (a - a0) = Z (g + 4 beta da / Z1),   4 (a - a1) = Z (g - 4 alpha da / Z0),
+
+    and the same for b, with the bend g = 1 - alpha - beta in a form that
+    cancels nowhere; g = 0 on a null line, so a jet that does not move stays
+    exact.  sigma1 = Z'/(2 Z) = -Z (alpha'/Z0 + beta'/Z1)/2, whose two terms
+    cancel, is taken in closed forms that keep its digits: epsilon (A - 1/A)
+    on a space-like path, +-(D/2) coth(s) with the proper time s carried from
+    the higher end on a time-like one, and Z dZ/(2 Z0 Z1) on a null line.
+    Every class meets one endpoint contract: a path that misses a boundary jet
+    by more than ENDPOINT_TOL * max(Z0, Z1) is refused with ConsistencyError,
+    and one whose rounded jets leave the half-plane with NumericError.
     """
-    cls = boundary.causal_class
-    p0, p1 = to_halfplane(boundary)
+    cls, z0, z1, da, db = _ends(boundary)
+    tau = grid.end_distances  # rows t and 1 - t
+    sigma1, sigma2, swapped, eps, A, bend = None, 0.0, False, None, None, None
+    # shares: rows beta/Z1 and alpha/Z0, the two ends' parts of 1/Z; bend: g/4
     if cls is CausalClass.SPACE_LIKE:
-        return _solve_spacelike(boundary, p0, p1, grid)
-    if cls is CausalClass.TIME_LIKE:
-        return _solve_timelike(boundary, p0, p1, grid)
-    return _solve_lightlike(boundary, cls, p0, p1, grid)
+        D, sn, cs = _space_angle(da, db, *_reaches(boundary), z0, z1)
+        sin_d, h = 2.0 * sn * cs, (0.5 * D) * tau
+        s = np.sin(h)
+        shares = s * np.cos(h) * _column(2.0 / sin_d / z1, 2.0 / sin_d / z0)  # sin(tau D)/sin D
+        bend = (-0.5 / cs) * s[0] * s[1]
+        sigma2, swapped, eps = -(0.25 * D) ** 2, da < 0, 0.25 * D
+        A = _tan_half_psi(h, sn, sin_d, 2.0 * (da + db), z0, z1)
+        sigma1 = eps * (A - 1.0 / A)
+    elif cls is CausalClass.TIME_LIKE:
+        sh, ch = _half_angle(da, db, *_reaches(boundary), z0, z1)
+        D = 2.0 * math.asinh(sh)
+        h = -D * tau
+        e, em = np.exp(h), np.expm1(h)
+        # sinh(tau D)/sinh D = e^((tau - 1) D) (e^(-2 tau D) - 1)/(e^(-2D) - 1), with
+        # e^(-2x) - 1 = (e^-x - 1)(e^-x + 1): a product of like-signed factors that
+        # neither overflows nor cancels
+        scale = 1.0 / math.expm1(-2.0 * D)
+        shares = e[::-1] * em * (1.0 + e) * _column(scale / z1, scale / z0)
+        bend = (0.25 / (1.0 + math.exp(-D))) * em[0] * em[1]
+        sigma2 = (0.25 * D) ** 2
+        # Z = r/sinh(s) on the branch, with the proper time s smallest at the higher end:
+        # s_hi = asinh(r/Z_hi), r = sinh(D) Z0 Z1/|dX|, infinite on a vertical chord.
+        # sigma1 = Z'/(2Z) = +-(D/2) coth(s), with s carried from that end
+        rising, dx = da + db > 0, 2.0 * (da - db)
+        r_hi = 2.0 * (sh * min(z0, z1)) * (ch / abs(dx)) if dx else math.inf
+        proper = math.asinh(r_hi) + D * tau[1 if rising else 0]
+        sigma1 = (0.5 * D if rising else -0.5 * D) / np.tanh(proper)
+    else:
+        shares = tau * _column(1.0 / z1, 1.0 / z0)
+    u1, u0 = shares
+    Z = 1.0 / (u0 + u1)
+    # beta/alpha rises with t, so the nodes nearer p0 in 1/Z are a prefix
+    k = int(np.count_nonzero(u1 <= u0))
+    jets = np.multiply.outer((da, db), np.concatenate((u1[:k], -u0[k:])))
+    if bend is not None:
+        jets += bend
+    jets *= Z
+    jets += np.array(((boundary.a0, boundary.a1), (boundary.b0, boundary.b1))).repeat(
+        (k, Z.size - k), axis=1)
+    a, b = jets
+    if sigma1 is None:  # light-like: (1/Z)' = 1/Z1 - 1/Z0 = -dZ/(Z0 Z1)
+        sigma1 = (da + db) / max(z0, z1) / min(z0, z1) * Z
 
-
-def _solve_spacelike(boundary, p0, p1, grid) -> SecondJetPath:
-    swapped = p1.X < p0.X
-    x0 = -p0.X if swapped else p0.X
-    sin2 = _jet_sin2(boundary, p0, p1)
-    D = _arc_length(sin2)
-    eps = D / 4.0
-    # Normalize with the isometry (X, Z) -> ((X - X0)/Z0, Z/Z0); then
-    # Z(t) = sin(2 theta0)/sin(psi) and X(t) = sin(D t)/sin(psi) with
-    # psi = D t + 2 theta0 and cot(2 theta0) = w / sin D, where
-    # w = Z0/Z1 - cos D = 2 sin^2(D/2) - dZ/Z1.  psi is carried as its angle
-    # beta from the end of (0, pi) it starts nearer, so that sin(psi) keeps
-    # its digits where psi comes within D of 0 or pi: psi = beta when w >= 0,
-    # pi - beta when the chord rises steeply enough for w < 0.
-    dz = 2.0 * ((boundary.a1 - boundary.a0) + (boundary.b1 - boundary.b0))
-    w = 2.0 * sin2 - dz / p1.Z
-    sign = 1.0 if w >= 0 else -1.0  # cos(psi) = sign cos(beta)
-    beta0 = math.atan2(math.sin(D), abs(w))
-    if not (0.0 < beta0 and 0.0 < beta0 + sign * D < math.pi):
-        raise ConsistencyError("hyperbola angle left (0, pi); endpoints inconsistent")
-    beta = beta0 + sign * D * grid.nodes
-    ct, sin_psi = math.sin(beta0), np.sin(beta)
-    Z = p0.Z * (ct / sin_psi)
-    X = x0 + p0.Z * (np.sin(D * grid.nodes) / sin_psi)
-    lam = x0 + p0.Z * (sign * math.cos(beta0))
-    if swapped:
-        X, lam = -X, -lam
-    a, b = (Z + X - 1.0) / 4.0, (Z - X - 1.0) / 4.0
-    # A = tan(psi/2) and sigma1 = eps (A - 1/A) = -2 eps cot(psi), both from beta
-    half = np.tan(beta / 2.0)
-    return _assemble(
-        boundary, CausalClass.SPACE_LIKE, grid, a, b,
-        sigma2=-(eps**2), swapped=swapped, epsilon=eps,
-        A=half if sign > 0 else 1.0 / half, sigma1=-2.0 * eps * sign / np.tan(beta),
-        hyperbola=Hyperbola(lam=lam, c_value=(p0.Z * ct) ** 2),
-    )
-
-
-def _solve_timelike(boundary, p0, p1, grid) -> SecondJetPath:
-    da, db = boundary.a1 - boundary.a0, boundary.b1 - boundary.b0
-    dz, dx = 2.0 * (da + db), 2.0 * (da - db)
-    # kappa = sign(dZ dX) Z0 / r, with r from
-    # 4 dX^2 r^2 = (dZ^2 - dX^2)(S^2 - dX^2) = 256 da db (a0+b1+1/2)(a1+b0+1/2),
-    # written in the jets so that neither edge of the time-like cone cancels,
-    # and rooted factor by factor so that da db neither overflows nor underflows.
-    reach = (boundary.a0 + boundary.b1 + 0.5) * (boundary.a1 + boundary.b0 + 0.5)
-    root = math.sqrt(abs(da)) * math.sqrt(abs(db)) * math.sqrt(reach)
-    kappa = math.copysign(p0.Z, dz) * dx / (8.0 * root)
-    c = math.hypot(1.0, kappa)  # coth(s0)
-    c_m1 = kappa * (kappa / (1.0 + c))
-    # ds = s1 - s0 = log y, where y = e^ds solves cosh(ds) + c sinh(ds) = Z0/Z1.
-    # log1p gets y - 1 when Z falls and 1/y - 1 when it rises, each formed as
-    # a product of positive factors.
-    rho = p0.Z / p1.Z
-    q1 = math.hypot(rho, kappa)
-    gap = abs(dz) / p1.Z * (1.0 + (rho + 1.0) / (q1 + c))
-    ds = math.log1p(gap / (1.0 + c)) if dz < 0 else -math.log1p(gap / (rho + q1))
-    h = ds * grid.nodes
-    # g = cosh(h) + c sinh(h) as e^h (1 - (c - 1)(e^-2h - 1)/2), which is e^h
-    # on a vertical chord; g - 1 and g'/ds = sinh(h) + c cosh(h) as sums of
-    # like-signed terms.  Past the float range they turn inf or nan, and the
-    # endpoint check refuses the path.
-    with np.errstate(over="ignore", invalid="ignore"):
-        eh, sh = np.exp(h), np.sinh(h)
-        g = eh * (1.0 - 0.5 * c_m1 * np.expm1(-2.0 * h))
-        g_m1 = np.expm1(h) + c_m1 * sh
-        Z = p0.Z / g
-        # 4 (a - a0) = dZ + dX and 4 (b - b0) = dZ - dX along the path, with
-        # dZ = -Z (g - 1) and dX = -kappa Z sinh(h).
-        a = boundary.a0 - 0.25 * Z * (g_m1 + kappa * sh)
-        b = boundary.b0 - 0.25 * Z * (g_m1 - kappa * sh)
-        sigma1 = -0.5 * ds * (eh + c_m1 * np.cosh(h)) / g  # Z' / (2 Z)
-    return _assemble(
-        boundary, CausalClass.TIME_LIKE, grid, a, b,
-        sigma2=(ds / 4.0) ** 2, swapped=False, sigma1=sigma1,
-        hyperbola=_chord_hyperbola(p0, p1),
-    )
-
-
-def _solve_lightlike(boundary, cls, p0, p1, grid) -> SecondJetPath:
-    t = grid.nodes
-    dz = 2.0 * ((boundary.a1 - boundary.a0) + (boundary.b1 - boundary.b0))
-    # 1/Z = (1 - t)/Z0 + t/Z1, so Z - Z0 = Z0 dZ t / ((1 - t) Z1 + t Z0).
-    rate = 0.5 * p0.Z * dz
-    if not math.isfinite(rate):
-        raise NumericError(f"the light-like rise Z0 dZ / 2 = {rate} is past the float range")
-    denom = (1.0 - t) * p1.Z + t * p0.Z
-    a, b = np.full_like(t, boundary.a0), np.full_like(t, boundary.b0)
-    moving = a if abs(boundary.b1 - boundary.b0) <= abs(boundary.a1 - boundary.a0) else b
-    moving += rate * t / denom
-    return _assemble(
-        boundary, cls, grid, a, b,
-        sigma2=0.0, swapped=False, sigma1=0.5 * dz / denom,
-        hyperbola=_chord_hyperbola(p0, p1),
-    )
-
-
-def _assemble(boundary, cls, grid, a, b, *, sigma2, swapped, sigma1,
-              epsilon=None, A=None, hyperbola=None) -> SecondJetPath:
-    """The path of any class, which must meet both boundary jets within ENDPOINT_TOL max(Z0, Z1).
-    The exact path never leaves the half-plane, so a node outside it is rounding: NumericError."""
-    miss = np.abs([a[0] - boundary.a0, b[0] - boundary.b0,
-                   a[-1] - boundary.a1, b[-1] - boundary.b1]).max()  # nan stays nan
-    if not miss <= ENDPOINT_TOL * max(p.Z for p in to_halfplane(boundary)):
+    miss = max(abs(a[0] - boundary.a0), abs(b[0] - boundary.b0),
+               abs(a[-1] - boundary.a1), abs(b[-1] - boundary.b1))
+    if not miss <= ENDPOINT_TOL * max(z0, z1):
         raise ConsistencyError(f"{cls.value} closed form missed its endpoint by {miss:.3g}")
-    if not np.all(1.0 + 2.0 * a + 2.0 * b > 0):
+    # the exact path never leaves the half-plane, so a node outside it, or nan, is rounding;
+    # checked in the form every reader of the jets forms Z
+    if not (1.0 + 2.0 * a + 2.0 * b).min() > 0:
         raise NumericError("path leaves the half-plane: 1 + 2a + 2b <= 0 at a node")
-    a, b, sigma1 = (CoefficientSeries(grid, v) for v in (a, b, sigma1))
-    return SecondJetPath(boundary, cls, a, b, sigma1, sigma2, swapped, epsilon,
-                         None if A is None else CoefficientSeries(grid, A), hyperbola)
+    return SecondJetPath(boundary, cls, CoefficientSeries(grid, a), CoefficientSeries(grid, b),
+                         CoefficientSeries(grid, sigma1), sigma2, swapped, eps,
+                         None if A is None else CoefficientSeries(grid, A))
+
+
+def _column(x: float, y: float) -> np.ndarray:
+    return np.array(((x,), (y,)))
+
+
+def _tan_half_psi(h, sn, sin_d, dz, z0, z1) -> np.ndarray:
+    """A = tan(psi/2) on a space-like path, with psi = psi0 + D t in (0, pi) and
+    cot(psi0) = (Z0/Z1 - cos D)/sin D.  psi is carried from t = 0 when psi0 is the
+    smaller end angle, and as pi - psi from t = 1 otherwise, so that a steep chord's small
+    angle keeps its digits; one linear angle per path keeps A' = (D/2)(1 + A^2) to rounding."""
+    w0 = 2.0 * sn * sn - dz / z1  # sin D cot(psi0)
+    w1 = 2.0 * sn * sn + dz / z0  # sin D cot(chi1), chi1 = pi - psi at t = 1
+    if w0 >= w1:
+        return np.tan(h[0] + 0.5 * math.atan2(sin_d, w0))
+    return 1.0 / np.tan(h[1] + 0.5 * math.atan2(sin_d, w1))
 
 
 def _chord_hyperbola(p0: HalfPlanePoint, p1: HalfPlanePoint) -> Hyperbola | None:
@@ -337,11 +348,11 @@ def ode_residual(path: SecondJetPath) -> float:
     d = path.grid.diff_matrix
     a, b = path.a.values, path.b.values
     z = 1.0 + 2.0 * a + 2.0 * b
-    da, db = d @ a, d @ b
     with np.errstate(over="ignore", invalid="ignore"):
+        da, db = d @ a, d @ b
         ra = d @ da - 4.0 * da * da / z
         rb = d @ db - 4.0 * db * db / z
-        residual = float(max(np.max(np.abs(ra)), np.max(np.abs(rb))))
+        residual = float(np.max(np.abs((ra, rb))))  # nan stays nan
     if not math.isfinite(residual):
         raise NumericError(f"the jet-equation residual of the path is {residual}")
     return residual

@@ -39,6 +39,11 @@ class TimeGrid:
         """J with (J v)_i = int_0^{t_i} v, formed on first use and kept on the grid, read-only."""
         return _read_only(_integration_matrix(self.node_count - 1))
 
+    @functools.cached_property
+    def end_distances(self) -> np.ndarray:
+        """Rows t and 1 - t, each node's distance from the two ends, kept on the grid, read-only."""
+        return _read_only(np.stack([self.nodes, 1.0 - self.nodes]))
+
 
 @dataclass(frozen=True)
 class CoefficientSeries:

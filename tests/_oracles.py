@@ -1,7 +1,8 @@
 """Independent reference implementations used to pin expected test values.
 
 Nothing here imports from torusjets: the jet ODE is integrated with a plain
-RK4 shooting method, polynomial operators are rebuilt by symbolic
+RK4 shooting method, its path is evaluated at 50 digits (mpmath) from the
+hyperbola geometry of its half-plane picture, polynomial operators are rebuilt by symbolic
 differentiation on exact-rational bivariate polynomials, and linear systems
 are solved by fraction-preserving elimination.  Agreement between these
 routines and the package is what the tests assert.
@@ -129,6 +130,53 @@ def shoot_jet_paths(a0, b0, a1, b1, t_nodes, density=96, iters=60):
         ra, rb = miss(sa, sb)
         m0 = merit(ra, rb)
     return _integrate(a0, b0, sa, sb, t_nodes, density)
+
+
+# ---------------------------------------------------------------------------
+# The 2-jet path at 50 digits from the hyperbola and branch geometry of the
+# half-plane Z = 1 + 2a + 2b, X = 2a - 2b with metric (dX^2 - dZ^2)/Z^2.
+# ---------------------------------------------------------------------------
+
+def jet_path_mp(a0, b0, a1, b1, t_nodes, dps=50):
+    """(a, b) at t_nodes, each rounded to float from a 50-digit evaluation.
+
+    Through two ends with dX != 0 passes one level set Z^2 - (X - lam)^2 = C.
+    For C > 0 (space-like) the arc is Z = sqrt(C)/sin(psi), X = lam - sqrt(C) cot(psi),
+    with the Lorentz arc length psi affine in t.  For C < 0 (time-like) it is the branch
+    Z = r/sinh(s), X = lam + sign(X0 - lam) r coth(s), r^2 = -C, with the proper time s
+    affine in t; a vertical chord is Z = Z0 (Z1/Z0)^t.  For C = 0 (light-like) the
+    path runs along the null line X - X0 = (dX/dZ)(Z - Z0) with 1/Z affine in t.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        mp = mpmath.mpf
+        a0, b0, a1, b1 = (mp(float(v)) for v in (a0, b0, a1, b1))
+        z0, z1 = 1 + 2 * (a0 + b0), 1 + 2 * (a1 + b1)
+        x0, x1 = 2 * (a0 - b0), 2 * (a1 - b1)
+        dx, dz = x1 - x0, z1 - z0
+        ts = [mp(float(t)) for t in t_nodes]
+        if dx == 0:
+            points = [(x0, z0 * (z1 / z0) ** t) for t in ts]
+        elif dx * dx == dz * dz:
+            zs = [1 / ((1 - t) / z0 + t / z1) for t in ts]
+            points = [(x0 + dx / dz * (z - z0), z) for z in zs]
+        else:
+            lam = ((z0 - z1) * (z0 + z1) + dx * (x1 + x0)) / (2 * dx)
+            c = z0 * z0 - (x0 - lam) ** 2
+            if c > 0:
+                root = mpmath.sqrt(c)
+                psi0, psi1 = (mpmath.atan2(root, lam - x) for x in (x0, x1))
+                psis = [psi0 + (psi1 - psi0) * t for t in ts]
+                points = [(lam - root * mpmath.cot(p), root / mpmath.sin(p)) for p in psis]
+            else:
+                r, side = mpmath.sqrt(-c), mpmath.sign(x0 - lam)
+                s0, s1 = mpmath.asinh(r / z0), mpmath.asinh(r / z1)
+                ss = [s0 + (s1 - s0) * t for t in ts]
+                points = [(lam + side * r * mpmath.coth(s), r / mpmath.sinh(s)) for s in ss]
+        a = np.array([float((z + x - 1) / 4) for x, z in points])
+        b = np.array([float((z - x - 1) / 4) for x, z in points])
+    return a, b
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_second_jet_overflowing_residual_is_numeric_error(capsys):
 
 @pytest.mark.parametrize("nodes", ["64", "8"])
 def test_second_jet_overflowing_lightlike_rise_is_numeric_error(capsys, nodes):
-    # a light-like pair at 1e300: Z0 dZ / 2 and the squares of Z overflow
+    # a light-like pair at 1e300: the path is finite, its jet-equation residual is not
     code, out, err = run_cli(capsys, "second-jet", "--a0", "1e300", "--b0", "1e300",
                              "--a1", "1e300", "--b1", "1e-300", "--nodes", nodes)
     assert code == 4
@@ -90,15 +90,43 @@ def test_second_jet_overflowing_lightlike_rise_is_numeric_error(capsys, nodes):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("a1", ["1e4", "1e6"])
-def test_second_jet_steep_spacelike_chords_meet_their_endpoints(capsys, a1):
-    # the endpoint check is relative to max(Z0, Z1) = 1 + 2 a1 - 0.2, not absolute
-    rep = run_json(capsys, "second-jet", "--a0", "0", "--b0", "0", "--a1", a1, "--b1=-0.1")
-    assert rep["causal_class"] == "SpaceLike"
-    scale = 1 + 2 * float(a1) - 0.2
-    assert abs(rep["a"][0]) <= 1e-9 * scale and abs(rep["b"][0]) <= 1e-9 * scale
-    assert abs(rep["a"][-1] - float(a1)) <= 1e-9 * scale
-    assert abs(rep["b"][-1] + 0.1) <= 1e-9 * scale
+STEEP_CHORDS = [
+    *(pytest.param(("0", "0", a1, "-0.1"), "SpaceLike", id=a1)
+      for a1 in ("1e4", "1e6", "1e7", "1e8", "1e10", "1e12")),
+    *(pytest.param(("0", "0", a1, "0.125"), "TimeLike", id=f"timelike-{a1}")
+      for a1 in ("1e4", "1e6", "1e7", "1e8", "1e10", "1e12")),
+    pytest.param(("5.06e56", "2.62e63", "44.84", "0"), "TimeLike", id="fall-from-2.62e63"),
+    pytest.param(("0", "0", "1e80", "1e80"), "TimeLike", id="vertical-1e80"),
+    pytest.param(("0", "0", "1e150", "1e150"), "TimeLike", id="vertical-1e150"),
+]
+
+
+@pytest.mark.parametrize("jets, cls", STEEP_CHORDS)
+def test_second_jet_steep_spacelike_chords_meet_their_endpoints(capsys, jets, cls):
+    # steep chords of both classes, whose ends differ in Z by up to 1e63; the endpoint
+    # check is relative to max(Z0, Z1), not absolute
+    flags = (f"--{k}={v}" for k, v in zip(("a0", "b0", "a1", "b1"), jets))
+    rep = run_json(capsys, "second-jet", *flags)
+    assert rep["causal_class"] == cls
+    a0, b0, a1, b1 = map(float, jets)
+    scale = max(1 + 2 * (a0 + b0), 1 + 2 * (a1 + b1))
+    assert abs(rep["a"][0] - a0) <= 1e-9 * scale and abs(rep["b"][0] - b0) <= 1e-9 * scale
+    assert abs(rep["a"][-1] - a1) <= 1e-9 * scale and abs(rep["b"][-1] - b1) <= 1e-9 * scale
+
+
+def test_second_jet_connectability_is_read_off_the_jets(capsys):
+    # a1 + b0 + 1/2 = 1e17 > 0, though Z0 + Z1 and |dX| both round to 2e17
+    rep = run_json(capsys, "second-jet", "--a0", "0", "--b0", "0", "--a1", "1e17", "--b1", "0")
+    assert rep["causal_class"] == "LightLike"
+    assert rep["a"][-1] == 1e17 and rep["b"] == [0.0] * 64
+
+
+def test_second_jet_z_past_the_float_range_is_numeric_error(capsys):
+    # connectable jets whose Z1 = 1 + 2 (a1 + b1) overflows to inf
+    code, out, err = run_cli(capsys, "second-jet", "--a0", "0", "--b0", "0",
+                             "--a1", "1e308", "--b1", "1e308")
+    assert code == 4 and out == ""
+    assert err.startswith("numeric error:") and "past the float range" in err
 
 
 def test_output_into_missing_directory_is_input_error(capsys, tmp_path):
@@ -607,5 +635,10 @@ def fuzz_spec(tmp_path_factory):
 @example((["propagate", "--max-order=4"], {"jets": {"2": [0.0, 8.98846567431158e307]}}))
 @example((["pde-check", "--nt=9", "--nx=16", "--ny=16", "--delta=1.0"],
           {"terms": [[8.98846567431158e307, 0, 2]]}))
+# a light-like rise to 6e305 whose D-matrix residual overflows: it once read 0.0, not nan;
+# and jets of 1e16 whose 1 + 2a + 2b rounds to 0 at t = 0, though Z0 = 1 + 2 (a0 + b0) = 1
+@example((["second-jet", "--a0=0.0", "--b0=0.0", "--a1=0.0", "--b1=6.1076776948888994e+305",
+           "--nodes=22"], None))
+@example((["second-jet", "--a0=-1e+16", "--b0=1e+16", "--a1=0.0", "--b1=1e+16", "--nodes=8"], None))
 def test_fuzzed_numeric_inputs_keep_the_exit_contract(fuzz_spec, call):
     run_contract(*call, fuzz_spec)

@@ -22,7 +22,7 @@ from torusjets.second_jet import (
 )
 from torusjets.timegrid import CoefficientSeries, derivative, make_grid
 
-from _oracles import shoot_jet_paths
+from _oracles import jet_path_mp, shoot_jet_paths
 
 GRID = make_grid(64)
 
@@ -392,7 +392,39 @@ def test_lightlike_path_off_its_endpoint_is_refused():
         solve_bvp(boundary, short)
 
 
-def test_timelike_overflow_is_refused():
-    # the jets overflow the closed form; the path must be refused, not NaN
-    with np.errstate(all="ignore"), pytest.raises(ConsistencyError, match="endpoint"):
-        solve_bvp(SecondJetBoundary(0.0, 0.0, 1e200, 1e200), GRID)
+def assert_matches_mp_oracle(bdry, tol=1e-13):
+    """The path within tol * max(Z0, Z1) of the 50-digit oracle at every node."""
+    path = solve_bvp(SecondJetBoundary(*bdry), GRID)
+    a_mp, b_mp = jet_path_mp(*bdry, GRID.nodes)
+    scale = max(1 + 2 * (bdry[0] + bdry[1]), 1 + 2 * (bdry[2] + bdry[3]))
+    err = max(np.max(np.abs(path.a.values - a_mp)), np.max(np.abs(path.b.values - b_mp)))
+    assert err <= tol * scale, (bdry, err / scale)
+    return path
+
+
+def test_vertical_chord_to_1e200_matches_oracle():
+    # a proper time of about 462: the sinh ratio is formed from e^-x and e^-x - 1 alone
+    path = assert_matches_mp_oracle((0.0, 0.0, 1e200, 1e200))
+    assert path.causal_class is CausalClass.TIME_LIKE
+    assert path.a.values[-1] == 1e200 and path.b.values[-1] == 1e200
+
+
+# chords whose jets have size s: two of each class with both ends of size s; a space-like
+# rise and fall of Z by a factor of about 1e6; a time-like rise from (0, 0) and the vertical
+# chord; and, up to s = 1e12, ROADMAP item 14's steep chords (0, 0) -> (s, -0.1), (s, 0.125)
+ORACLE_CHORDS = {
+    "SpaceLike": lambda s: [(s, s, 2 * s, 0.5 * s), (0.5 * s, 0.25 * s, 0.25 * s, 0.75 * s),
+                            (1e-6 * s, 0.0, s, -0.5e-6 * s), (s, -0.5e-6 * s, 1e-6 * s, 0.0),
+                            *([(0.0, 0.0, s, -0.1)] if s <= 1e12 else [])],
+    "TimeLike": lambda s: [(s, s, 3 * s, 2 * s), (2 * s, 0.5 * s, 0.0, 0.0),
+                           (0.0, 0.0, s, 1e-6 * s), (0.0, 0.0, s, s),
+                           *([(0.0, 0.0, s, 0.125)] if s <= 1e12 else [])],
+}
+
+
+@pytest.mark.parametrize("size", [1e-8, 1e-3, 1.0, 1e4, 1e7, 1e12, 1e50, 1e100, 1e150])
+@pytest.mark.parametrize("cls", list(ORACLE_CHORDS))
+def test_paths_match_mp_oracle_at_every_node(size, cls):
+    for bdry in ORACLE_CHORDS[cls](size):
+        assert solve_bvp(SecondJetBoundary(*bdry), GRID).causal_class.value == cls, bdry
+        assert_matches_mp_oracle(bdry)
