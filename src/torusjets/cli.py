@@ -13,8 +13,9 @@ Exit codes:
   an --output or --plot path that cannot be written, a grid above
   MAX_NODES, a pde-check grid above MAX_GRID_POINTS, a jet order above
   MAX_ORDER (propagate --max-order, or 2n for counterexample --n), a jet
-  order whose propagation frame on the grid passes MAX_FRAME_FLOATS, and a
-  second-jet boundary that is not connectable.
+  order whose propagation frame on the grid passes MAX_FRAME_FLOATS, a
+  potential whose terms sum past the float range, and a second-jet boundary
+  that is not connectable.
 - 3: mathematical precondition failure (GeodesicDomainError), such as a
   propagate boundary that is not space-like; propagate classifies the
   2-jets before it solves them.
@@ -208,16 +209,9 @@ def _cmd_pde_check(args):
                 for d, n, k, h in sol.per_delta
             ],
         },
-        "a": rep.a,
-        "b": rep.b,
-        "sigma2": rep.sigma2,
-        "sigma2_mean": rep.sigma2_mean,
-        "sigma2_spread": rep.sigma2_spread,
-        "relative_spread": rep.relative_spread,
-        "epsilon_estimate": rep.epsilon_estimate,
-        "epsilon_reference": rep.epsilon_reference,
-        "epsilon_relative_error": rep.epsilon_relative_error,
     }
+    report.update(fields_of(rep))
+    del report["t"]
     cols = np.column_stack([rep.t[1:-1], rep.a[1:-1], rep.b[1:-1], rep.sigma2])
     return report, lambda: ("t a b sigma2", cols, "pde cross-check")
 

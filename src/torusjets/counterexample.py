@@ -28,7 +28,6 @@ from .poly_ops import fischer_weights
 from .timegrid import DEFAULT_NODES, TimeGrid, make_grid
 
 EPSILON_TOL = 1e-10
-WEIGHT_FLOOR = 1e-12
 NORM_GRID = 256
 
 
@@ -58,8 +57,9 @@ class TorusPotential:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         out = np.zeros(np.broadcast(x, y).shape)
-        for coeff, px, py in self.terms:
-            out += coeff * np.sin(x) ** px * np.sin(y) ** py
+        with np.errstate(over="ignore", invalid="ignore"):  # terms past the float range
+            for coeff, px, py in self.terms:
+                out += coeff * np.sin(x) ** px * np.sin(y) ** py
         return out
 
 
@@ -122,7 +122,9 @@ def jets_at_origin(potential: TorusPotential, order: int) -> dict[int, np.ndarra
 
     Entry i of the degree-2d vector multiplies x^(2d-2i) y^(2i). The terms add
     coeff times their memoised float products in turn; a zero product adds
-    +-0, which changes no entry, since no entry is ever -0.
+    +-0, which changes no entry, since no entry is ever -0.  Coefficients that
+    sum past the float range are refused with a ValueError naming the lowest
+    such order.
     """
     if order < 2 or order % 2:
         raise ValueError(f"order must be even and >= 2, got {order}")
@@ -130,10 +132,15 @@ def jets_at_origin(potential: TorusPotential, order: int) -> dict[int, np.ndarra
         raise ValueError(f"order must be <= {MAX_ORDER}, got {order}")
     half = order // 2
     jets = {2 * d: np.zeros(d + 1) for d in range(1, half + 1)}
-    for coeff, px, py in potential.terms:
-        my = py // 2
-        for d, row in _taylor_products(px // 2, my, half):
-            jets[2 * d][my : my + row.size] += coeff * row
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coeff, px, py in potential.terms:
+            my = py // 2
+            for d, row in _taylor_products(px // 2, my, half):
+                jets[2 * d][my : my + row.size] += coeff * row
+    for jet_order, jet in jets.items():
+        if not np.isfinite(jet).all():
+            raise ValueError(f"the order-{jet_order} Taylor coefficients of the potential "
+                             "are not finite")
     return jets
 
 
@@ -218,7 +225,7 @@ def obstruction_demo(n: int, grid: TimeGrid | None = None) -> ObstructionDemo:
         raise ConsistencyError(
             f"epsilon {rep.epsilon} deviates from pi/(4n) by more than {EPSILON_TOL}"
         )
-    if np.max(np.abs(rep.v)) < WEIGHT_FLOOR:
+    if not np.any(rep.v):  # argmax would have nothing to pick
         raise ConsistencyError("all pairing weights vanish; no index to perturb")
 
     kappa = int(np.argmax(np.abs(rep.v)))

@@ -105,18 +105,17 @@ def _reflect(pad: np.ndarray) -> None:
     pad[..., 1:-1, [0, -1]] = pad[..., 1:-1, [2, -3]]
 
 
-def _halo(u: np.ndarray) -> np.ndarray:
-    """(t, x, y) u with the one-point x and y halo that _reflect fills."""
-    return np.pad(u, ((0, 0), (1, 1), (1, 1)), mode="reflect")
+def _residual(phi: np.ndarray, dt, hx, hy, delta):
+    """Residual on the interior slices, the fields the Newton step reuses there,
+    (1 + Lap phi, phi_tt, d_x phi_t, d_y phi_t), and min(1 + Lap phi) over every slice.
 
-
-def _metric(phi: np.ndarray, hx, hy, delta) -> tuple[np.ndarray, float]:
-    """1 + Lap phi on every slice and its minimum; NumericError unless positive.
-
-    Lap phi has mean zero, so a phi near the float range degenerates the metric
-    anyway; its overflow reads as a minimum of -inf or nan and is refused too.
+    phi is padded once: the padded copy gives Lap phi, and its time difference
+    gives phi_t with the halo that d_x and d_y read. NumericError unless the
+    minimum of 1 + Lap phi is positive. Lap phi has mean zero, so a phi near the
+    float range degenerates the metric anyway; its overflow reads as a minimum
+    of -inf or nan and is refused too.
     """
-    pad = _halo(phi)
+    pad = np.pad(phi, ((0, 0), (1, 1), (1, 1)), mode="reflect")  # the halo _reflect fills
     with np.errstate(over="ignore", invalid="ignore"):
         lap = (pad[:, 2:, 1:-1] - 2.0 * phi + pad[:, :-2, 1:-1]) / hx**2
         metric = 1.0 + (lap + (pad[:, 1:-1, 2:] - 2.0 * phi + pad[:, 1:-1, :-2]) / hy**2)
@@ -126,18 +125,12 @@ def _metric(phi: np.ndarray, hx, hy, delta) -> tuple[np.ndarray, float]:
             f"metric degenerated: min(1 + Lap phi) = {zmin:.6e} at delta = {delta:.3e}; "
             "reduce the boundary amplitude or enlarge delta"
         )
-    return metric, zmin
-
-
-def _residual(phi: np.ndarray, metric: np.ndarray, dt, hx, hy, delta):
-    """Residual on the interior slices, and the fields the Newton step reuses
-    there: (1 + Lap phi, phi_tt, d_x phi_t, d_y phi_t)."""
     phitt = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dt**2
-    pt = _halo((phi[2:] - phi[:-2]) / (2.0 * dt))
+    pt = (pad[2:] - pad[:-2]) / (2.0 * dt)
     gx = (pt[:, 2:, 1:-1] - pt[:, :-2, 1:-1]) / (2.0 * hx)
     gy = (pt[:, 1:-1, 2:] - pt[:, 1:-1, :-2]) / (2.0 * hy)
     inner = metric[1:-1]
-    return phitt * inner - gx**2 - gy**2 - delta, (inner, phitt, gx, gy)
+    return phitt * inner - gx**2 - gy**2 - delta, (inner, phitt, gx, gy), zmin
 
 
 def _newton_step(fields, dt, hx, hy, res):
@@ -215,7 +208,10 @@ def _newton_step(fields, dt, hx, hy, res):
 def solve_geodesic(
     phi1: TorusPotential, nt: int, nx: int, ny: int, delta_schedule
 ) -> GridSolution:
-    """Continuation solve of the regularized equation from Phi=0 to phi1."""
+    """Continuation solve of the regularized equation from Phi=0 to phi1.
+
+    A phi1 that is not finite on the grid is refused with ValueError.
+    """
     if nx < 16 or ny < 16 or nx % 2 or ny % 2:
         raise ValueError(f"nx, ny must be even and >= 16, got {nx}, {ny}")
     if nt < 9:
@@ -233,14 +229,14 @@ def solve_geodesic(
     hy = 2.0 * math.pi / ny
     xs, ys = (-math.pi + h * np.arange(n // 2 + 1) for h, n in ((hx, nx), (hy, ny)))
     top = phi1.evaluate(xs[:, None], ys[None, :])
+    if not np.isfinite(top).all():
+        raise ValueError("the boundary potential is not finite on the grid")
     t = np.linspace(0.0, 1.0, nt)
     phi = t[:, None, None] * top[None, :, :]
-    metric, zmin = _metric(phi, hx, hy, schedule[0])
 
-    res_norm = math.inf
     per_delta = []
     for delta in schedule:
-        res, fields = _residual(phi, metric, dt, hx, hy, delta)
+        res, fields, zmin = _residual(phi, dt, hx, hy, delta)
         res_norm = float(np.max(np.abs(res)))
         target = RESIDUAL_SCALE * (1.0 + delta)
         steps = matvecs = halvings = 0
@@ -255,15 +251,13 @@ def solve_geodesic(
                 cand = phi.copy()
                 cand[1:-1] += alpha * step
                 try:
-                    cand_metric, cand_zmin = _metric(cand, hx, hy, delta)
-                except NumericError:
-                    alpha *= 0.5
-                    halvings += 1
-                    continue
-                cand_res, cand_fields = _residual(cand, cand_metric, dt, hx, hy, delta)
-                cand_norm = float(np.max(np.abs(cand_res)))
+                    cand_res, cand_fields, cand_zmin = _residual(cand, dt, hx, hy, delta)
+                except NumericError:  # a degenerate candidate halves alpha
+                    cand_norm = math.inf
+                else:
+                    cand_norm = float(np.max(np.abs(cand_res)))
                 if cand_norm < res_norm:
-                    phi, metric, zmin = cand, cand_metric, cand_zmin
+                    phi, zmin = cand, cand_zmin
                     res, fields, res_norm = cand_res, cand_fields, cand_norm
                     break
                 alpha *= 0.5

@@ -3,8 +3,9 @@
 All time-dependent quantities in the package live on a shared grid of
 Chebyshev-Gauss-Lobatto nodes mapped to [0, 1].  The grid carries a spectral
 differentiation matrix (barycentric form with the negative-sum trick on the
-diagonal), Clenshaw-Curtis quadrature weights and, formed on first use, the
-integration matrix J, (J v)_i = int_0^{t_i} v, exact for the interpolant of v.
+diagonal) and, formed on first use, the integration matrix J, (J v)_i =
+int_0^{t_i} v, exact for the interpolant of v.  The quadrature weights are
+J's last row, since int_0^1 v = (J v)(1): the Clenshaw-Curtis rule.
 make_grid hands out one shared, read-only grid per node count.
 """
 
@@ -28,7 +29,6 @@ class TimeGrid:
 
     nodes: np.ndarray
     diff_matrix: np.ndarray
-    quad_weights: np.ndarray
 
     @property
     def node_count(self) -> int:
@@ -38,6 +38,11 @@ class TimeGrid:
     def integration_matrix(self) -> np.ndarray:
         """J with (J v)_i = int_0^{t_i} v, formed on first use and kept on the grid, read-only."""
         return _read_only(_integration_matrix(self.node_count - 1))
+
+    @functools.cached_property
+    def quad_weights(self) -> np.ndarray:
+        """Weights w with w . v = int_0^1 v: the last row of J, a read-only view."""
+        return self.integration_matrix[-1]
 
     @functools.cached_property
     def end_distances(self) -> np.ndarray:
@@ -101,10 +106,7 @@ def _make_grid(node_count: int) -> TimeGrid:
     diff = (bary[None, :] / bary[:, None]) / dt
     np.fill_diagonal(diff, 0.0)
     np.fill_diagonal(diff, -diff.sum(axis=1))
-
-    weights = _clenshaw_curtis(n) * 0.5
-    return TimeGrid(nodes=_read_only(nodes), diff_matrix=_read_only(diff),
-                    quad_weights=_read_only(weights))
+    return TimeGrid(nodes=_read_only(nodes), diff_matrix=_read_only(diff))
 
 
 def _integration_matrix(n: int) -> np.ndarray:
@@ -127,18 +129,6 @@ def _integration_matrix(n: int) -> np.ndarray:
     return 0.5 * (cheb - (-1.0) ** np.arange(n + 2)[:, None]).T @ anti  # dt = dx/2
 
 
-def _clenshaw_curtis(n: int) -> np.ndarray:
-    """Clenshaw-Curtis weights for n+1 Lobatto nodes on [-1, 1]."""
-    theta = np.pi * np.arange(1, n) / n
-    v = np.ones(n - 1)
-    for k in range(1, (n + 1) // 2):
-        v -= 2.0 * np.cos(2 * k * theta) / (4 * k * k - 1)
-    if n % 2 == 0:
-        v -= np.cos(n * theta) / (n * n - 1)
-    w_end = 1.0 / (n * n - 1) if n % 2 == 0 else 1.0 / (n * n)
-    return np.concatenate([[w_end], 2.0 * v / n, [w_end]])
-
-
 def same_grid(a: TimeGrid, b: TimeGrid) -> bool:
     return a is b or np.array_equal(a.nodes, b.nodes)
 
@@ -159,5 +149,5 @@ def derivative(series: CoefficientSeries) -> CoefficientSeries:
 
 
 def integrate(series: CoefficientSeries) -> float:
-    """Clenshaw-Curtis integral of the series over [0, 1]."""
+    """Clenshaw-Curtis integral of the series over [0, 1], through the last row of J."""
     return float(series.grid.quad_weights @ series.values)

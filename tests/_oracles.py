@@ -3,9 +3,10 @@
 Nothing here imports from torusjets: the jet ODE is integrated with a plain
 RK4 shooting method, its path is evaluated at 50 digits (mpmath) from the
 hyperbola geometry of its half-plane picture, polynomial operators are rebuilt by symbolic
-differentiation on exact-rational bivariate polynomials, and linear systems
-are solved by fraction-preserving elimination.  Agreement between these
-routines and the package is what the tests assert.
+differentiation on exact-rational bivariate polynomials, linear systems
+are solved by fraction-preserving elimination, and the obstruction of h_3 is
+carried through the whole chain in exact arithmetic (sympy).  Agreement
+between these routines and the package is what the tests assert.
 """
 
 from __future__ import annotations
@@ -370,3 +371,155 @@ def k1_from_node_data(order_data, degree):
     total = poly_add(poly_scale(poly_mul(lap, Ldd), -1), grad_sq)
     part = {k: c for k, c in total.items() if k[0] + k[1] == degree}
     return [part.get((degree - 2 * i, 2 * i), 0.0) for i in range(degree // 2 + 1)]
+
+
+# ---------------------------------------------------------------------------
+# The obstruction of h_3 in exact arithmetic (sympy).  Every quantity of the
+# chain is a rational function of w = exp(i psi), psi the angle of the 2-jet
+# path on its hyperbola, with coefficients in Q(sqrt 3, i, pi); psi itself,
+# where it stands outside an exponential, is kept as a second symbol.
+# ---------------------------------------------------------------------------
+
+def obstruction_n3_exact():
+    """(K, lhs_h) of h_3 = c sin^2 x - c sin^2 y, c = sin(pi/6)/2, as exact Fractions.
+
+    The chain: the 2-jet path (0, 0) -> (c, -c) from its hyperbola, eps from its
+    Lorentz arc length and A = a' / (eps Z) from the divided jet equation; order
+    4 mode by mode, f(t) = f0 cos(mu t) + (f1 - f0 cos mu) sin(mu t) / sin mu with
+    mu = 4 eps k, times U, checked against the divided order-4 equation; K1 of
+    order 6 by the polynomial algebra above; its q_3 coefficient k_top through
+    the Dtilde weights; K = (1/(m pi)) int_0^1 k_top sin(m pi t) dt by partial
+    fractions in w, term by term; and lhs_h from the Taylor jets and the D
+    weights at the end A.  It takes about 30 s.
+    """
+    import sympy as sp
+
+    I, pi = sp.I, sp.pi
+    w, psi = sp.symbols("w psi")
+
+    def exact(expr):
+        return sp.radsimp(sp.simplify(sp.expand_complex(expr)))
+
+    # the path: Z = sqrt(C) / sin(psi), X = lam - sqrt(C) cot(psi), psi affine in t
+    c = sp.sin(pi / 6) / 2
+    a0, b0, a1, b1 = sp.S(0), sp.S(0), c, -c
+    (x0, z0), (x1, z1) = ((2 * (a - b), 1 + 2 * (a + b)) for a, b in ((a0, b0), (a1, b1)))
+    lam = ((z0 - z1) * (z0 + z1) + (x1 - x0) * (x1 + x0)) / (2 * (x1 - x0))
+    root = sp.sqrt(z0**2 - (x0 - lam) ** 2)
+    psi0, psi1 = (sp.atan2(root, lam - x) for x in (x0, x1))
+    speed = psi1 - psi0
+    t = (psi - psi0) / speed
+    cos_psi, sin_psi = (w + 1 / w) / 2, (w - 1 / w) / (2 * I)
+    Z = root / sin_psi
+    X = lam - root * cos_psi / sin_psi
+    a, b = (Z + X - 1) / 4, (Z - X - 1) / 4
+
+    def ddt(f):
+        """d/dt = speed d/dpsi, which is i w d/dw + d/dpsi on f(exp(i psi), psi)."""
+        return sp.together(speed * (I * w * sp.diff(f, w) + sp.diff(f, psi)))
+
+    def at(f, end):
+        return exact(f.subs({w: sp.exp(I * end), psi: end}))
+
+    eps = sp.sqrt(sp.cancel((ddt(X) ** 2 - ddt(Z) ** 2) / (16 * Z**2)))
+    A = sp.cancel(ddt(a) / (eps * Z))  # a'' / Z = 4 eps^2 A^2 and a' / Z = eps A
+    assert not eps.has(w) and eps == pi / 12
+    assert (at(A, psi0), at(A, psi1)) == (sp.tan(pi / 6), sp.tan(pi / 3))
+
+    def cis(r):
+        """exp(i r speed t), which is w^r up to a constant for integer r."""
+        assert r.is_integer
+        return w**r * (sp.cos(r * psi0) - I * sp.sin(r * psi0))
+
+    def u(n, i):
+        """U on x^(2n-2i) y^(2i)."""
+        return (A * A + 1) ** (n - i) * (1 + 1 / (A * A)) ** i
+
+    def q_columns(n):
+        return sp.Matrix([[sp.Rational(v.numerator, v.denominator)
+                           for v in even_even_from_poly(q_poly(n, k), 2 * n)]
+                          for k in range(n + 1)]).T
+
+    sines = [sp.Rational(v.numerator, v.denominator) for v in sin_power_series(2, 3)]
+    jets0 = {4: [0] * 3, 6: [0] * 4}
+    jets1 = {4: [c * sines[2], 0, -c * sines[2]], 6: [c * sines[3], 0, 0, -c * sines[3]]}
+
+    # order 4 has no K1 source: each mode solves f'' + mu^2 f = 0 between f0 and f1
+    n = 2
+    qm = q_columns(n)
+    f0, f1 = (qm.solve(sp.Matrix([exact(jets[4][i] / at(u(n, i), end)) for i in range(n + 1)]))
+              for jets, end in ((jets0, psi0), (jets1, psi1)))
+    modes = []
+    for k in range(n + 1):
+        mu = 4 * eps * k
+        if mu == 0:
+            modes.append(f0[k] + (f1[k] - f0[k]) * t)
+            continue
+        r = mu / speed
+        cos_t, sin_t = (cis(r) + cis(-r)) / 2, (cis(r) - cis(-r)) / (2 * I)
+        modes.append(f0[k] * cos_t + (f1[k] - f0[k] * sp.cos(mu)) * sin_t / sp.sin(mu))
+    g = qm * sp.Matrix(modes)
+    p4 = {(4 - 2 * i, 2 * i): sp.together(u(n, i) * g[i]) for i in range(n + 1)}
+    dp4 = {key: ddt(v) for key, v in p4.items()}
+    ddp4 = {key: ddt(v) for key, v in dp4.items()}
+
+    def lap(p):
+        return poly_add(poly_diff(poly_diff(p, "x"), "x"), poly_diff(poly_diff(p, "y"), "y"))
+
+    # P'' + ((a'' x^2 + b'' y^2) / Z) Lap P - (4 / Z)(a' x d_x + b' y d_y) P' = K1 / Z = 0
+    metric = {(2, 0): ddt(ddt(a)) / Z, (0, 2): ddt(ddt(b)) / Z}
+    drift = poly_add(poly_mul({(1, 0): -4 * ddt(a) / Z}, poly_diff(dp4, "x")),
+                     poly_mul({(0, 1): -4 * ddt(b) / Z}, poly_diff(dp4, "y")))
+    equation = poly_add(poly_add(ddp4, poly_mul(metric, lap(p4))), drift)
+    assert all(sp.cancel(v) == 0 for v in equation.values())
+
+    # order 6: K1 / Z, divided by U, projected on q_3 by the Dtilde weights
+    n = 3
+    k1 = poly_add(poly_scale(poly_mul(lap(p4), ddp4), -1),
+                  poly_add(poly_mul(poly_diff(dp4, "x"), poly_diff(dp4, "x")),
+                           poly_mul(poly_diff(dp4, "y"), poly_diff(dp4, "y"))))
+    nu = [sp.Rational(v.numerator, v.denominator) for v in dtilde_weights_exact(n)]
+    fischer = [sp.factorial(2 * n - 2 * i) * sp.factorial(2 * i) for i in range(n + 1)]
+    k_top = sum(nu[n - i] * fischer[i] * k1.get((2 * n - 2 * i, 2 * i), 0) / (Z * u(n, i))
+                for i in range(n + 1))
+    m = 4 * eps * n / pi
+    assert m.is_integer, "the top mode of order 6 must resonate"
+    r = m * pi / speed
+    integrand = sp.cancel(k_top * (cis(r) - cis(-r)) / (2 * I) / (I * w))  # dpsi = dw / (i w)
+    assert not integrand.has(psi)
+
+    # int dpsi = int dw / (i w) along w = exp(i psi), term by term over partial fractions
+    num, den = sp.fraction(integrand)
+    den = sp.Poly(den, w)
+    pieces = sum(coeff * sp.apart(w**k / den.monic().as_expr(), w)
+                 for (k,), coeff in sp.Poly(sp.expand(num / den.LC()), w).terms())
+    w0, w1 = sp.exp(I * psi0), sp.exp(I * psi1)
+    total = 0
+    for term in sp.Add.make_args(sp.expand(pieces)):
+        top, bottom = sp.fraction(sp.factor(term))
+        const, factors = sp.factor_list(bottom, w)
+        if not factors:  # coeff w^k, k >= 0
+            (k,), coeff = sp.Poly(top / const, w).terms()[0]
+            total += coeff * (w1 ** (k + 1) - w0 ** (k + 1)) / (k + 1)
+            continue
+        assert not top.has(w)
+        (linear, power), = factors
+        lead, pole = sp.Poly(linear, w).LC(), sp.solve(linear, w)[0]
+        coeff = top / (const * lead**power)
+        if power > 1:
+            total += coeff * ((w0 - pole) ** (1 - power) - (w1 - pole) ** (1 - power)) / (power - 1)
+        elif pole == 0:
+            total += coeff * I * speed
+        else:  # for the poles +-1, w - pole stays off the negative real axis on the arc
+            total += coeff * (sp.log(w1 - pole) - sp.log(w0 - pole))
+    K = exact(total / (speed * m * pi))
+
+    # lhs: D weights nu_(n-i) A^(2i) / (1 + A^2)^n times the Fischer weights, at each end
+    def pairing(jets, end):
+        A_end = at(A, end)
+        return sum(nu[n - i] * A_end ** (2 * i) / (1 + A_end**2) ** n * fischer[i] * jets[6][i]
+                   for i in range(n + 1))
+
+    lhs = exact(pairing(jets0, psi0) - (-1) ** m * pairing(jets1, psi1))
+    assert K.is_Rational and lhs.is_Rational, (K, lhs)
+    return Fraction(int(K.p), int(K.q)), Fraction(int(lhs.p), int(lhs.q))

@@ -333,6 +333,22 @@ def test_booleans_fractional_powers_and_infinities_are_input_errors(capsys, tmp_
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# two terms that each fit the float range but sum past it, as jets and on the PDE grid
+OVERFLOWING_SUM = {"terms": [[8.988465674311579e307, 0, 2], [8.98846567431158e307, 0, 2]]}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["propagate", "--max-order", "4"], "order-2 Taylor coefficients"),
+    (["pde-check", "--nt", "9", "--nx", "16", "--ny", "16", "--delta", "1.0"],
+     "boundary potential is not finite"),
+])
+def test_terms_summing_past_the_float_range_are_input_errors(capsys, tmp_path, argv, message):
+    spec = write_spec(tmp_path, OVERFLOWING_SUM)
+    code, out, err = run_cli(capsys, *argv, "--spec", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_propagate_overflowing_order_is_numeric_error(capsys, tmp_path):
     spec = write_spec(tmp_path, {
         "phi0": {"jets": {"2": [0, 0]}},
@@ -377,8 +393,8 @@ def test_counterexample_small_n_is_input_error(capsys):
 
 
 def test_counterexample_consistency_error_is_numeric_error(capsys):
-    # every pairing weight of h_7 falls below the weight floor
-    code, out, err = run_cli(capsys, "counterexample", "--n", "7")
+    # the shift of h_9 is below COMPAT_TOL, so both compatibility conditions hold
+    code, out, err = run_cli(capsys, "counterexample", "--n", "9")
     assert code == 4
     assert out == ""
     assert err.startswith("numeric error:") and err.count("\n") == 1
@@ -640,5 +656,8 @@ def fuzz_spec(tmp_path_factory):
 @example((["second-jet", "--a0=0.0", "--b0=0.0", "--a1=0.0", "--b1=6.1076776948888994e+305",
            "--nodes=22"], None))
 @example((["second-jet", "--a0=-1e+16", "--b0=1e+16", "--a1=0.0", "--b1=1e+16", "--nodes=8"], None))
+# terms that sum past the float range once leaked overflow warnings and exited 4
+@example((["propagate", "--max-order=4"], OVERFLOWING_SUM))
+@example((["pde-check", "--nt=9", "--nx=16", "--ny=16", "--delta=1.0"], OVERFLOWING_SUM))
 def test_fuzzed_numeric_inputs_keep_the_exit_contract(fuzz_spec, call):
     run_contract(*call, fuzz_spec)

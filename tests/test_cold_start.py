@@ -1,4 +1,5 @@
-"""A fresh interpreter loads scipy only once pde-check solves.
+"""A fresh interpreter loads scipy only once pde-check solves, and forms the
+integration matrix J only for a call that integrates.
 
 The pytest process has loaded scipy long before these tests run, so each check
 runs in a new interpreter started with sys.executable and PYTHONPATH=src.
@@ -29,6 +30,7 @@ def scipy_modules():
 import torusjets
 import torusjets.cli
 from torusjets import pde_crosscheck
+from torusjets.timegrid import make_grid
 
 state = {"import": scipy_modules()}
 propagate_spec = tmp / "propagate.json"
@@ -47,10 +49,15 @@ runs = [
     ("pde-check", ["pde-check", "--spec", str(pde_spec), "--nt", "9", "--nx", "16",
                    "--ny", "16", "--delta", "1e-1,1e-2", "--nodes", "16"]),
 ]
+# the grid size of the calls that need no J, checked before propagate integrates on 17 nodes
+no_j_nodes = {"second-jet": 17, "pde-check": 16}
 codes = {}
+j_formed = {}
 for name, argv in runs:
     codes[name] = torusjets.cli.main(argv + ["--output", str(tmp / f"{name}.json")])
     state[name] = scipy_modules()
+    if name in no_j_nodes:
+        j_formed[name] = "integration_matrix" in vars(make_grid(no_j_nodes[name]))
 
 import scipy.sparse.linalg
 
@@ -62,6 +69,7 @@ except AttributeError as exc:
 print(json.dumps({
     "codes": codes,
     "scipy_after": state,
+    "j_formed": j_formed,
     "same_operator": pde_crosscheck.LinearOperator is scipy.sparse.linalg.LinearOperator,
     "unknown": unknown,
 }))
@@ -86,6 +94,11 @@ def test_every_call_succeeds(cold):
 @pytest.mark.parametrize("step", ["import", "second-jet", "propagate", "counterexample"])
 def test_no_scipy_before_the_pde_check(cold, step):
     assert cold["scipy_after"][step] == []
+
+
+def test_calls_that_never_integrate_leave_j_unformed(cold):
+    # the quadrature weights are J's last row, so reading them would form J
+    assert cold["j_formed"] == {"second-jet": False, "pde-check": False}
 
 
 def test_pde_check_loads_the_krylov_solver(cold):

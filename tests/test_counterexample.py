@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from torusjets.errors import ConsistencyError, NumericError
 from torusjets.jet_propagation import MAX_ORDER, ObstructionReport, propagate
 from torusjets.timegrid import make_grid
 
-from _oracles import sin_power_series
+from _oracles import obstruction_n3_exact, sin_power_series
 
 GRID = make_grid(64)
 
@@ -233,6 +234,29 @@ def test_obstruction_demo_n3():
     assert demo.residual_htilde == abs(demo.lhs_htilde - demo.K)
 
 
+# K and lhs_h of h_3 are rationals; obstruction_n3_exact derives them in about 30 s, so
+# they are kept here and test_n3_oracle_derives_the_exact_values reruns the derivation
+K3_EXACT = Fraction(41, 55296)
+LHS3_EXACT = Fraction(-13, 184320)
+
+
+def relative_to(value: float, exact: Fraction) -> float:
+    return float(abs(Fraction(value) - exact) / abs(exact))
+
+
+# 10x the deviations measured: K 4.29e-15, 3.85e-16 and 9.21e-17; lhs_h 9.82e-17 at each size
+@pytest.mark.parametrize("nodes, k_tol", [(17, 4.3e-14), (64, 3.9e-15), (129, 9.3e-16)])
+def test_n3_obstruction_matches_its_exact_values(nodes, k_tol):
+    demo = obstruction_demo(3, make_grid(nodes))
+    assert relative_to(demo.K, K3_EXACT) <= k_tol
+    assert relative_to(demo.lhs_h, LHS3_EXACT) <= 9.9e-16
+
+
+@pytest.mark.slow
+def test_n3_oracle_derives_the_exact_values():
+    assert obstruction_n3_exact() == (K3_EXACT, LHS3_EXACT)
+
+
 def test_obstruction_demo_deterministic():
     a = obstruction_demo(3)
     b = obstruction_demo(3)
@@ -263,7 +287,7 @@ def test_pairing_shift_linear_in_chi():
     assert abs(d2 - 2 * d1) < 1e-10 * abs(d1)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_single_run_demo_matches_two_full_runs(n):
     demo = obstruction_demo(n, GRID)
     zero = {2: np.zeros(2)}
@@ -318,7 +342,9 @@ def _h_with(extra, base_n=None):
      ConsistencyError, "expected a resonance by order 6, got a hierarchy"),
     (6, ("build_h", _h_with((), base_n=3)), ConsistencyError, "resonance at order 6, expected 12"),
     (3, ("EPSILON_TOL", -1.0), ConsistencyError, "deviates from pi/"),
-    (7, None, ConsistencyError, "all pairing weights vanish"),
+    # argmax |v| has nothing to pick only when every weight is exactly zero
+    (3, ("d_weights", lambda n, A: np.zeros(n + 1)), ConsistencyError,
+     "all pairing weights vanish"),
     (3, ("COMPAT_TOL", math.inf), ConsistencyError, "both compatibility conditions hold"),
     # the huge order-4 jets overflow K1 at the resonant order 6 for n = 3, below it for n = 4
     (3, ("build_h", _h_with(((1e300, 4, 0),))), NumericError, "K1 source of order 6"),
@@ -326,9 +352,8 @@ def _h_with(extra, base_n=None):
     (3, ("build_h", _h_with(((1e308, 4, 0),))), NumericError, "solution of order 4"),
 ])
 def test_every_demo_guard_still_fires(monkeypatch, n, patch, error, message):
-    if patch is not None:
-        name, value = patch
-        module = jet_propagation if name == "COMPAT_TOL" else counterexample
-        monkeypatch.setattr(module, name, value)
+    name, value = patch
+    module = jet_propagation if name in ("COMPAT_TOL", "d_weights") else counterexample
+    monkeypatch.setattr(module, name, value)
     with pytest.raises(error, match=message):
         obstruction_demo(n, GRID)
