@@ -33,13 +33,12 @@ obstruction data instead of a hierarchy.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, GeodesicDomainError, NumericError
+from .errors import GeodesicDomainError, NumericError
 from .poly_ops import (
     apply_EA, apply_laplacian, apply_SA, d_weights, fischer_weights, q_adjoint, q_matrix,
     u_eigenvalues, u_log_derivative,
@@ -49,6 +48,8 @@ from .timegrid import CoefficientSeries, TimeGrid, integrate, require_same_grid
 
 RESONANCE_TOL = 1e-9
 NEAR_RESONANCE_TOL = 1e-6
+# A compatibility residual at most this times the size of the terms it is formed from
+# reads as satisfied
 COMPAT_TOL = 1e-8
 # The saddle 0.1 sin^2 x - 0.1 sin^2 y stops with NumericError at order 246;
 # with 1e-6 in place of 0.1 it reaches this order at 64 nodes in about 40 s on a
@@ -91,10 +92,14 @@ class ModeSolution:
 
 @dataclass(frozen=True)
 class JetHierarchy:
-    """Jets of even degree 4..max solved on top of a space-like 2-jet path."""
+    """Jets of even degree 4..max solved on top of a space-like 2-jet path.
+
+    Only propagate builds one; it hands over the frame it solved every order in.
+    """
 
     path2: SecondJetPath
     orders: dict[int, list[CoefficientSeries]]
+    _frame: _Frame = field(repr=False, compare=False)
     beyond_scope_orders: tuple[int, ...] = ()
     near_resonance_warnings: tuple[tuple[int, int], ...] = ()
 
@@ -105,10 +110,13 @@ class JetHierarchy:
     def order_matrix(self, order: int) -> np.ndarray:
         return np.vstack([s.values for s in self.orders[order]])
 
-    @functools.cached_property
-    def _frame(self) -> _Frame:
-        """The stored orders in the A > 0 frame, formed at first use unless propagate seeded it."""
-        return _make_frame(self.path2, self.orders)
+    def _lower_frame(self, order: int) -> _Frame:
+        """The frame, if it stores every order 4..`order` - 2 that K1 of `order` reads."""
+        top = max(self.orders)
+        if order > top + 2:
+            raise ValueError(f"order {order} needs orders {list(range(top + 2, order - 1, 2))}, "
+                             f"above the top order {top} of the hierarchy")
+        return self._frame
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,9 @@ class ObstructionReport:
     """Compatibility data of the resonant order.
 
     u pairs with the raw derivatives of the t=0 potential and v with the
-    t=1 potential; entry i multiplies D_x^(2n-2i) D_y^(2i) phi(0).
+    t=1 potential; entry i multiplies D_x^(2n-2i) D_y^(2i) phi(0).  satisfied
+    holds when the residual |lhs - K| is at most COMPAT_TOL times the sum of the
+    absolute terms of both pairings and |K|.
     """
 
     resonant_order: int
@@ -166,7 +176,8 @@ def solve_mode(problem: ModeProblem, grid: TimeGrid) -> ModeSolution:
 
     A resonant mode (sqrt(lam) within 1e-9 of m*pi) takes the solution quadrature-orthogonal
     to sin(m pi t); it has f(0) = f0, but f(1) = f1 only for compatible data.  The
-    compatibility residual is reported alongside.
+    compatibility residual is reported alongside; the data are compatible when it is at
+    most COMPAT_TOL times |f0| + |f1| + |source term|.
     """
     require_same_grid(problem.source, grid)
     mu = np.array([math.sqrt(problem.lam)])
@@ -180,9 +191,10 @@ def solve_mode(problem: ModeProblem, grid: TimeGrid) -> ModeSolution:
     boundary_term = problem.f0 - (-1.0) ** m * problem.f1
     source_term = _source_pairing(grid, k, m)
     residual = abs(boundary_term - source_term)
+    scale = abs(problem.f0) + abs(problem.f1) + abs(source_term)
     return ModeSolution(values, resonant=True, multiple=m, boundary_term=boundary_term,
                         source_term=source_term, compat_residual=residual,
-                        compatible=residual < COMPAT_TOL)
+                        compatible=residual <= COMPAT_TOL * scale)
 
 
 @dataclass(frozen=True)
@@ -195,7 +207,6 @@ class _Frame:
     """
 
     grid: TimeGrid
-    path2: SecondJetPath
     swapped: bool
     eps: float
     A: np.ndarray
@@ -235,26 +246,10 @@ class _Frame:
         return coeffs[::-1] if self.swapped else coeffs
 
 
-def _require_spacelike(cls: CausalClass) -> None:
-    if cls is not CausalClass.SPACE_LIKE:
-        raise GeodesicDomainError(
-            f"propagation needs a space-like second-jet path, got {cls.value}"
-        )
-
-
-def _make_frame(path2: SecondJetPath, orders: dict | None = None) -> _Frame:
-    """The frame of `path2`, holding `orders` (lists of series) if given."""
-    _require_spacelike(path2.causal_class)
-    frame = _Frame(
-        grid=path2.grid, path2=path2, swapped=path2.swapped_axes, eps=path2.epsilon,
-        A=path2.A.values, Z=1.0 + 2.0 * path2.a.values + 2.0 * path2.b.values,
-    )
-    dt = path2.grid.diff_matrix.T
-    for order, series_list in (orders or {}).items():
-        mat = frame.orient(np.vstack([s.values for s in series_list]))
-        dot = mat @ dt  # values are all a hand-built hierarchy has, so D differentiates them
-        frame.store(order, mat, dot, dot @ dt)
-    return frame
+def _make_frame(path2: SecondJetPath) -> _Frame:
+    """The empty frame of a space-like `path2`."""
+    return _Frame(grid=path2.grid, swapped=path2.swapped_axes, eps=path2.epsilon,
+                  A=path2.A.values, Z=1.0 + 2.0 * path2.a.values + 2.0 * path2.b.values)
 
 
 def _normalize_jets(jets: dict, what: str) -> dict[int, np.ndarray]:
@@ -274,7 +269,7 @@ def _normalize_jets(jets: dict, what: str) -> dict[int, np.ndarray]:
 def _k1_divided(frame: _Frame, order: int) -> np.ndarray:
     """Degree-`order` part of (-(Lap L) L'' + |grad L'|^2) / (1 + 2a + 2b).
 
-    Only pairs of stored orders 4..order-2 contribute; the 2-jet factors are
+    Only pairs of orders 4..order-2, all stored, contribute; the 2-jet factors are
     already accounted for on the left side of the divided equation.  A pair
     of orders (2i, 2j), i + j = n + 1, stacks its three factor pairs (-Lap L_2i
     with L_2j'', and the x and y gradients of L_2i' with L_2j') into one row
@@ -288,28 +283,29 @@ def _k1_divided(frame: _Frame, order: int) -> np.ndarray:
     out = np.zeros((n + 1, frame.grid.node_count))
     conv, tmp = np.empty((2, 3, n + 2, frame.grid.node_count))
     for i in range(2, n):
-        fi, fj = frame.factors.get(2 * i), frame.factors.get(2 * (n + 1 - i))
-        if fi is not None and fj is not None:
-            left, right = fi[[0, 2, 3]], fj[1:]
-            short, long, starts = (left, right, range(i + 1)) if i <= n + 1 - i \
-                else (right, left, range(n + 1 - i, -1, -1))
-            width = long.shape[1]
-            conv.fill(0.0)
-            for start in starts:
-                window = conv[:, start:start + width]
-                np.add(window, np.multiply(short[:, start, None], long, out=tmp[:, :width]),
-                       out=window)
-            out += conv[0, :-1]
-            out += conv[1, :-1]
-            out += conv[2, 1:]  # y^(2r-1) y^(2s-1) is row r + s - 1
+        left, right = frame.factors[2 * i][[0, 2, 3]], frame.factors[2 * (n + 1 - i)][1:]
+        short, long, starts = (left, right, range(i + 1)) if i <= n + 1 - i \
+            else (right, left, range(n + 1 - i, -1, -1))
+        width = long.shape[1]
+        conv.fill(0.0)
+        for start in starts:
+            window = conv[:, start:start + width]
+            np.add(window, np.multiply(short[:, start, None], long, out=tmp[:, :width]),
+                   out=window)
+        out += conv[0, :-1]
+        out += conv[1, :-1]
+        out += conv[2, 1:]  # y^(2r-1) y^(2s-1) is row r + s - 1
     return out / frame.Z
 
 
 def source_K1(lower: JetHierarchy, order: int) -> list[CoefficientSeries]:
-    """Divided source of the degree-`order` jet equation from lower orders."""
+    """Divided source of the degree-`order` jet equation from lower orders.
+
+    `order` may be at most two above the top order of `lower`; ValueError otherwise.
+    """
     if order < 4 or order % 2:
         raise ValueError(f"source order must be even and >= 4, got {order}")
-    frame = lower._frame
+    frame = lower._lower_frame(order)
     return [CoefficientSeries(lower.grid, row) for row in frame.orient(frame.source(order))]
 
 
@@ -364,7 +360,10 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
     jets1 = _normalize_jets(phi1_jets, "phi1")
     # Python floats, which overflow to inf without a RuntimeWarning
     boundary = SecondJetBoundary(*jets0[2].tolist(), *jets1[2].tolist())
-    _require_spacelike(boundary.causal_class)
+    if boundary.causal_class is not CausalClass.SPACE_LIKE:
+        raise GeodesicDomainError(
+            f"propagation needs a space-like second-jet path, got {boundary.causal_class.value}"
+        )
     path2 = solve_bvp(boundary, grid)
     frame = _make_frame(path2)
 
@@ -396,18 +395,14 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
 
     orders = {order: [CoefficientSeries(grid, row) for row in frame.orient(mat)]
               for order, mat in frame.orders.items()}
-    hier = JetHierarchy(path2, orders, tuple(beyond), tuple(warnings))
-    hier.__dict__["_frame"] = frame  # seeds the `_frame` memo with this frame, K1 included
-    return hier
+    return JetHierarchy(path2, orders, frame, tuple(beyond), tuple(warnings))
 
 
 def _compatibility(frame: _Frame, order: int, p0, p1, warnings) -> ObstructionReport:
-    """Obstruction data of `order`, whose top mode must resonate and no lower one:
-    mode k tops order 2k, which reports it.  A K1 that is not finite is a NumericError."""
+    """Obstruction data of `order`, whose top mode must resonate.  No lower mode can:
+    mode k tops order 2k, where propagate stops.  A K1 that is not finite is a NumericError."""
     n = order // 2
     multiple, resonant, _ = _classify(4.0 * frame.eps * np.arange(n + 1))
-    if resonant[:n].any():
-        raise ConsistencyError(f"a mode of order {order} resonated after its own order")
     if not resonant[n]:
         raise ValueError(
             f"order {order} is not resonant: 4*eps*{n} = {4.0 * frame.eps * n} "
@@ -415,12 +410,14 @@ def _compatibility(frame: _Frame, order: int, p0, p1, warnings) -> ObstructionRe
         )
     k_top, m = frame.top_source(order), int(multiple[n])
     fact, w0, w1 = fischer_weights(n), d_weights(n, frame.A[0]), d_weights(n, frame.A[-1])
-    lhs = math.fsum(w0 * fact * p0) - (-1.0) ** m * math.fsum(w1 * fact * p1)
+    terms0, terms1 = w0 * fact * p0, w1 * fact * p1
+    lhs = math.fsum(terms0) - (-1.0) ** m * math.fsum(terms1)
     K = _source_pairing(frame.grid, k_top, m)
     residual = abs(lhs - K)
+    scale = math.fsum(np.abs(terms0)) + math.fsum(np.abs(terms1)) + abs(K)
     return ObstructionReport(
         resonant_order=order, u=frame.orient(w0), v=frame.orient(w1), K=K, lhs=lhs,
-        residual=residual, satisfied=residual < COMPAT_TOL, epsilon=frame.eps,
+        residual=residual, satisfied=residual <= COMPAT_TOL * scale, epsilon=frame.eps,
         resonant_mode=n, multiple=m, near_resonance_warnings=warnings,
     )
 
@@ -430,15 +427,14 @@ def compatibility_check(
 ) -> ObstructionReport:
     """Obstruction data for the resonant order sitting above `lower`.
 
-    The hierarchy must contain every order below; the top mode of the target
-    order must be resonant, otherwise the call is an invalid state.  The guards
-    of propagate's resonant order hold here too: a resonant lower mode raises
-    ConsistencyError and a K1 source that is not finite raises NumericError.
+    `order` defaults to, and may be at most, two above the top order of `lower`,
+    and its top mode must be resonant; ValueError otherwise.  As in propagate, a
+    K1 source that is not finite raises NumericError.
     """
     if order is None:
-        order = max(lower.orders.keys(), default=2) + 2
+        order = max(lower.orders) + 2
     n = order // 2
-    frame = lower._frame
+    frame = lower._lower_frame(order)
     p0 = frame.orient(np.asarray(phi0_order_jets, dtype=float))
     p1 = frame.orient(np.asarray(phi1_order_jets, dtype=float))
     if p0.shape != (n + 1,) or p1.shape != (n + 1,):

@@ -392,9 +392,10 @@ def test_counterexample_small_n_is_input_error(capsys):
     assert "n >= 3" in err
 
 
-def test_counterexample_consistency_error_is_numeric_error(capsys):
-    # the shift of h_9 is below COMPAT_TOL, so both compatibility conditions hold
-    code, out, err = run_cli(capsys, "counterexample", "--n", "9")
+def test_counterexample_consistency_error_is_numeric_error(capsys, monkeypatch):
+    # with an infinite COMPAT_TOL both compatibility conditions of h_3 hold
+    monkeypatch.setattr(jet_propagation, "COMPAT_TOL", math.inf)
+    code, out, err = run_cli(capsys, "counterexample", "--n", "3")
     assert code == 4
     assert out == ""
     assert err.startswith("numeric error:") and err.count("\n") == 1

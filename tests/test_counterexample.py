@@ -17,7 +17,10 @@ from torusjets.counterexample import (
     obstruction_demo,
 )
 from torusjets.errors import ConsistencyError, NumericError
-from torusjets.jet_propagation import MAX_ORDER, ObstructionReport, propagate
+from torusjets.jet_propagation import (
+    MAX_ORDER, JetHierarchy, ObstructionReport, compatibility_check, propagate,
+)
+from torusjets.poly_ops import fischer_weights, q_adjoint, u_eigenvalues
 from torusjets.timegrid import make_grid
 
 from _oracles import obstruction_n3_exact, sin_power_series
@@ -287,9 +290,12 @@ def test_pairing_shift_linear_in_chi():
     assert abs(d2 - 2 * d1) < 1e-10 * abs(d1)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", range(3, 17))
 def test_single_run_demo_matches_two_full_runs(n):
+    # |K| falls about 8x per n, to 6.7e-16 at n = 16: the verdict is relative to the pairing
     demo = obstruction_demo(n, GRID)
+    assert demo.which_holds == "neither"
+    assert abs(demo.difference - demo.predicted_difference) <= 1e-12 * abs(demo.predicted_difference)
     zero = {2: np.zeros(2)}
     rep = propagate(zero, jets_at_origin(build_h(n), 2 * n), 2 * n, GRID)
     rep_t = propagate(
@@ -303,6 +309,66 @@ def test_single_run_demo_matches_two_full_runs(n):
     assert demo.lhs_h == rep.lhs
     assert demo.lhs_htilde == rep_t.lhs
     assert demo.difference == rep_t.lhs - rep.lhs
+
+
+@pytest.mark.parametrize("n", [3, 9, 16])
+def test_a_compatible_top_datum_reads_satisfied(n):
+    jets = jets_at_origin(build_h(n), 2 * n)
+    lower = propagate({2: np.zeros(2)}, jets, 2 * n - 2, GRID)
+    zero = np.zeros(n + 1)
+    rep = compatibility_check(zero, jets[2 * n], lower, order=2 * n)
+    # with p0 = 0 the pairing is lhs = -(-1)^m sum_i v_i W_i p1_i; move one p1 entry to lhs = K
+    weights = -((-1.0) ** rep.multiple) * rep.v * fischer_weights(n)
+    kappa = int(np.argmax(np.abs(weights)))
+    p1 = jets[2 * n].copy()
+    p1[kappa] += (rep.K - rep.lhs) / weights[kappa]
+    held = compatibility_check(zero, p1, lower, order=2 * n)
+    assert held.K == rep.K and held.satisfied
+    scale = math.fsum(np.abs(weights * p1)) + abs(held.K)
+    p1[kappa] += 1e-6 * scale / weights[kappa]
+    moved = compatibility_check(zero, p1, lower, order=2 * n)
+    assert moved.residual > 0.5e-6 * scale and not moved.satisfied
+
+
+def near_resonant_limit(n, eta, grid):
+    """Mean over c(1 + eta) and c(1 - eta) of g f_n, where g = 4 eps n - pi is the gap of
+    the top mode of order 2n and f_n its q coordinate, with the order-2n jets held at h_n's."""
+    h = build_h(n)
+    jets_h = jets_at_origin(h, 2 * n)
+    products = []
+    for scale in (1.0 + eta, 1.0 - eta):
+        scaled = TorusPotential(tuple((scale * c, px, py) for c, px, py in h.terms), n=n)
+        jets = jets_at_origin(scaled, 2 * n)
+        jets[2 * n] = jets_h[2 * n]
+        hier = propagate({2: np.zeros(2)}, jets, 2 * n, grid)
+        assert isinstance(hier, JetHierarchy)  # no mode resonates off c
+        frame = hier._frame
+        f_n = (q_adjoint(n) @ (frame.orders[2 * n] / u_eigenvalues(n, frame.A)))[n]
+        products.append((4.0 * frame.eps * n - math.pi) * f_n)
+    return 0.5 * (products[0] + products[1])
+
+
+# 10x the disagreement measured at 64 nodes, eta = 1e-5, relative to |lhs - K|; it grows
+# as the O(eta^2) term does, about as n^2
+LIMIT_TOL = {3: 2.6e-8, 4: 4.6e-8, 5: 7.4e-8, 6: 1.2e-7, 7: 1.7e-7, 8: 2.3e-7, 9: 3.1e-7,
+             10: 4.0e-7, 11: 5.1e-7, 12: 6.4e-7, 13: 7.8e-7, 14: 9.4e-7, 15: 1.2e-6, 16: 1.4e-6}
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_obstruction_is_the_limit_of_near_resonant_solves(n):
+    # f'' + mu^2 f = k with mu = pi + g: g f_n(t) -> -(lhs - K) sin(pi t) as g -> 0, and
+    # the O(g) error cancels in the mean over +-g
+    demo = obstruction_demo(n, GRID)
+    assert demo.multiple == 1
+    limit = near_resonant_limit(n, 1e-5, GRID)
+    wave = np.sin(math.pi * GRID.nodes)
+
+    def disagreement(K):
+        return np.max(np.abs(limit + (demo.lhs_h - K) * wave)) / abs(demo.lhs_h - K)
+
+    assert disagreement(demo.K) <= LIMIT_TOL[n]
+    moved = demo.K + 10.0 * LIMIT_TOL[n] * abs(demo.lhs_h - demo.K)
+    assert disagreement(moved) > LIMIT_TOL[n]
 
 
 @pytest.mark.parametrize("n", [3, 5])

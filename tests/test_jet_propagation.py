@@ -6,7 +6,7 @@ import pytest
 
 from torusjets import jet_propagation
 from torusjets.counterexample import build_h, jets_at_origin
-from torusjets.errors import ConsistencyError, GeodesicDomainError, NumericError
+from torusjets.errors import GeodesicDomainError, NumericError
 from torusjets.jet_propagation import (
     JetHierarchy,
     ModeProblem,
@@ -17,18 +17,12 @@ from torusjets.jet_propagation import (
     solve_mode,
     source_K1,
 )
-from torusjets.second_jet import SecondJetBoundary, solve_bvp
 from torusjets.timegrid import CoefficientSeries, make_grid, sample
 
-from _oracles import k1_from_node_data
+from _oracles import k1_from_node_data, poly_add, poly_diff, poly_mul
 
 GRID = make_grid(64)
 ZERO = CoefficientSeries(GRID, np.zeros(GRID.node_count))
-
-
-def family_boundary(theta):
-    c = 0.5 * math.sin(theta)
-    return SecondJetBoundary(0.0, 0.0, c, -c)
 
 
 # --- single-mode solver ---------------------------------------------------------
@@ -108,6 +102,14 @@ def test_mode_resonant_second_multiple():
     assert not sol.compatible
 
 
+@pytest.mark.parametrize("size", [1e-12, 1.0, 1e12])
+def test_mode_compatibility_is_relative(size):
+    # the verdicts on sin(pi t) and cos(pi t) data do not depend on their size
+    k = sample(GRID, lambda t: size * math.sin(math.pi * t))
+    assert not solve_mode(ModeProblem(math.pi**2, k, 0.0, 0.0), GRID).compatible
+    assert solve_mode(ModeProblem(math.pi**2, ZERO, size, -size), GRID).compatible
+
+
 def test_mode_near_resonance_flag():
     sol = solve_mode(ModeProblem((math.pi + 5e-7) ** 2, ZERO, 0.0, 1.0), GRID)
     assert not sol.resonant and sol.near_resonance
@@ -137,8 +139,7 @@ def test_mode_manufactured_with_homogeneous_part(mu):
 # --- quadratic source assembly ---------------------------------------------------
 
 def test_source_zero_at_order_four():
-    path2 = solve_bvp(SecondJetBoundary(0.0, 0.0, 0.25, -0.25), GRID)
-    lower = JetHierarchy(path2=path2, orders={})
+    lower = propagate({2: [0.0, 0.0]}, {2: [0.25, -0.25]}, 4, GRID)
     src = source_K1(lower, 4)
     assert len(src) == 3
     assert all(np.all(s.values == 0.0) for s in src)
@@ -261,19 +262,17 @@ def family_jets(theta, max_order, seed):
     return jets0, jets1
 
 
-def reference_propagate(jets0, jets1, max_order, grid):
-    """The propagation loop with one public solve_mode call per mode, K1 from values."""
-    from torusjets.jet_propagation import _make_frame
+def reference_propagate(hier, jets0, jets1, max_order):
+    """The propagation loop with one public solve_mode call per mode, on the K1 of `hier`."""
     from torusjets.poly_ops import q_adjoint, q_matrix, u_eigenvalues
 
-    boundary = SecondJetBoundary(jets0[2][0], jets0[2][1], jets1[2][0], jets1[2][1])
-    path2 = solve_bvp(boundary, grid)
-    A = _make_frame(path2).A
+    path2, grid = hier.path2, hier.grid
+    A = path2.A.values
     flip = (lambda m: m[::-1]) if path2.swapped_axes else (lambda m: m)
     orders, warnings = {}, []
     for order in range(4, max_order + 1, 2):
         n = order // 2
-        src = np.vstack([s.values for s in source_K1(JetHierarchy(path2, dict(orders)), order)])
+        src = np.vstack([s.values for s in source_K1(hier, order)])
         qm, u = q_matrix(n), u_eigenvalues(n, A)
         k_modes = q_adjoint(n) @ (flip(src) / u)
         f0 = q_adjoint(n) @ (flip(jets0[order]) / u[:, 0])
@@ -328,7 +327,7 @@ def test_propagate_builds_J_once_and_solves_no_linear_system(monkeypatch):
 def test_propagate_matches_per_mode_reference(theta):
     jets0, jets1 = family_jets(theta, 12, seed=17)
     hier = propagate(jets0, jets1, 12, GRID)
-    orders, warnings = reference_propagate(jets0, jets1, 12, GRID)
+    orders, warnings = reference_propagate(hier, jets0, jets1, 12)
     assert hier.path2.swapped_axes == (theta < 0)
     assert warnings == (((10, 5), (12, 5)) if abs(theta) == NEAR else ())
     assert hier.near_resonance_warnings == warnings
@@ -336,21 +335,6 @@ def test_propagate_matches_per_mode_reference(theta):
     for order, rows in orders.items():
         ref = np.vstack([s.values for s in rows])
         assert np.max(np.abs(hier.order_matrix(order) - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-def test_order_residual_reads_the_memoised_frame():
-    from torusjets.jet_propagation import _make_frame
-
-    jets0, jets1 = family_jets(-0.3, 12, seed=19)
-    hier = propagate(jets0, jets1, 12, GRID)
-    assert "_frame" in vars(hier)  # propagate hands over the frame it built
-    memo = hier._frame
-    residuals = {order: order_residual(hier, order) for order in sorted(hier.orders)[::-1]}
-    fresh = _make_frame(hier.path2, hier.orders)
-    for order in hier.orders:
-        assert np.array_equal(memo.orders[order], fresh.orders[order])
-        assert order_residual(hier, order) == residuals[order]
-    assert hier._frame is memo
 
 
 def test_k1_formed_once_per_order(monkeypatch):
@@ -421,6 +405,94 @@ def test_orders_and_residuals_do_not_drift_with_node_count(theta, max_order, see
         assert order_residual(high, order) <= 1e-10 * scale
 
 
+# --- the undivided PDE ------------------------------------------------------------
+
+def _homogeneous(rows, degree, idx):
+    """The degree-`degree` even-even polynomial of coefficient rows at node `idx`."""
+    return {(degree - 2 * i, 2 * i): float(row[idx]) for i, row in enumerate(rows) if row[idx]}
+
+
+def _laplacian(p):
+    return poly_add(poly_diff(poly_diff(p, "x"), "x"), poly_diff(poly_diff(p, "y"), "y"))
+
+
+def pde_defects(hier):
+    """Per even degree d <= max order: the largest coefficient of the degree-d part of
+    Phi_tt (1 + Lap Phi) - |grad Phi_t|^2 over all nodes, relative to the largest of its two
+    terms, for Phi = a x^2 + b y^2 + sum P_2k.  Degrees above the top order would need the
+    next one.  P, P' and P'' come from the frame, a' and a'' from D."""
+    frame, top, d = hier._frame, max(hier.orders), hier.grid.diff_matrix
+    a, b = hier.path2.a.values, hier.path2.b.values
+    da, db = d @ a, d @ b
+    dda, ddb = d @ da, d @ db
+    defect = {degree: 0.0 for degree in range(2, top + 1, 2)}
+    size = dict(defect)
+    for idx in range(hier.grid.node_count):
+        tt = {2: {(2, 0): dda[idx], (0, 2): ddb[idx]}}  # Phi_tt, Phi_t and 1 + Lap Phi by degree
+        t = {2: {(2, 0): da[idx], (0, 2): db[idx]}}
+        lap = {0: {(0, 0): 1.0 + 2.0 * a[idx] + 2.0 * b[idx]}}
+        for order in range(4, top + 1, 2):
+            tt[order] = _homogeneous(frame.orient(frame.factors[order][1]), order, idx)
+            t[order] = _homogeneous(frame.orient(frame.dots[order]), order, idx)
+            lap[order - 2] = _laplacian(_homogeneous(frame.orient(frame.orders[order]), order, idx))
+        gx = {order - 1: poly_diff(p, "x") for order, p in t.items()}
+        gy = {order - 1: poly_diff(p, "y") for order, p in t.items()}
+        for degree in defect:
+            left, right = {}, {}
+            for i in range(2, degree + 1, 2):
+                left = poly_add(left, poly_mul(tt[i], lap[degree - i]))
+            for i in range(1, degree, 2):
+                right = poly_add(right, poly_mul(gx[i], gx[degree - i]))
+                right = poly_add(right, poly_mul(gy[i], gy[degree - i]))
+            gap = [abs(left.get(key, 0.0) - right.get(key, 0.0)) for key in left.keys() | right]
+            defect[degree] = max([defect[degree], *gap])
+            size[degree] = max([size[degree], *map(abs, left.values()), *map(abs, right.values())])
+    return {degree: defect[degree] / size[degree] for degree in defect}
+
+
+def pde_hierarchy(two0, two1, max_order, seed):
+    """propagate on the 2-jets `two0`, `two1` with seeded random jets of orders 4..max_order."""
+    rng = np.random.default_rng(seed)
+    jets0, jets1 = {2: np.array(two0)}, {2: np.array(two1)}
+    for order in range(4, max_order + 1, 2):
+        jets0[order] = 0.1 * rng.uniform(-1, 1, order // 2 + 1)
+        jets1[order] = 0.1 * rng.uniform(-1, 1, order // 2 + 1)
+    return propagate(jets0, jets1, max_order, GRID)
+
+
+# (2-jets at t = 0, 2-jets at t = 1, max order, seed, swapped): space-like chords with
+# Z0 != Z1; the second has X1 < X0, so its frame swaps the axes
+PDE_PAIRS = [((0.02, 0.01), (0.05, -0.03), 16, 31, False),
+             ((0.0, 0.03), (-0.04, 0.06), 18, 37, True),
+             ((0.01, 0.0), (0.06, -0.02), 20, 41, False)]
+# 10x the largest defect measured over the three pairs at 64 nodes; degree 2 is set by D^2 on
+# the 2-jets, and a' and a'' from D enter every degree
+PDE_TOL = {2: 6.7e-8, 4: 1.5e-8, 6: 5.6e-9, 8: 3.4e-9, 10: 2.2e-9, 12: 9.2e-10, 14: 3.7e-10,
+           16: 1.9e-10, 18: 7.4e-11, 20: 3.6e-11}
+
+
+@pytest.mark.parametrize("two0, two1, max_order, seed, swapped", PDE_PAIRS,
+                         ids=["16", "18-swapped", "20"])
+def test_hierarchy_satisfies_the_undivided_pde(two0, two1, max_order, seed, swapped):
+    hier = pde_hierarchy(two0, two1, max_order, seed)
+    assert isinstance(hier, JetHierarchy) and hier.path2.swapped_axes == swapped
+    defects = pde_defects(hier)
+    assert sorted(defects) == list(range(2, max_order + 1, 2))
+    for degree, value in defects.items():
+        assert value <= PDE_TOL[degree], degree
+
+
+def test_the_pde_check_sees_a_1e_6_change_of_one_k1(monkeypatch):
+    real = jet_propagation._k1_divided
+
+    def mutated(frame, order):
+        return real(frame, order) * (1.0 + 1e-6) if order == 12 else real(frame, order)
+
+    monkeypatch.setattr(jet_propagation, "_k1_divided", mutated)
+    defects = pde_defects(pde_hierarchy(*PDE_PAIRS[1][:4]))
+    assert defects[12] > 100.0 * PDE_TOL[12]
+
+
 def test_overflowing_order_stops_with_numeric_error():
     jets1 = {2: np.array([0.2, -0.2]), 4: np.full(3, 1e200)}
     hier = propagate({2: np.zeros(2)}, jets1, 4, GRID)  # order 4 itself is finite
@@ -480,20 +552,25 @@ def test_compatibility_check_rejects_bad_shape():
         compatibility_check(np.zeros(3), np.zeros(4), lower)
 
 
-def test_compatibility_check_refuses_a_resonant_lower_mode():
-    # eps = pi/8: mode 4 tops the resonant order 8, and mode 2 of order 4 resonates too
-    path2 = solve_bvp(family_boundary(math.pi / 4), GRID)
-    assert abs(path2.epsilon - math.pi / 8) < 1e-12
-    with pytest.raises(ConsistencyError, match="mode of order 8 resonated after its own order"):
-        compatibility_check(np.zeros(5), np.zeros(5), JetHierarchy(path2, {}), order=8)
+def test_an_order_above_the_hierarchy_is_refused():
+    # h_4 resonates at order 8, whose K1 needs order 6, which a hierarchy to order 4 lacks
+    jets0, jets1 = h_family_jets(4, 8)
+    lower = propagate(jets0, jets1, 4, GRID)
+    assert sorted(lower.orders) == [4]
+    with pytest.raises(ValueError, match=r"order 8 needs orders \[6\]"):
+        compatibility_check(jets0[8], jets1[8], lower, order=8)
+    with pytest.raises(ValueError, match=r"order 8 needs orders \[6\]"):
+        source_K1(lower, 8)
+    assert len(source_K1(lower, 6)) == 4  # two above the top order is in reach
 
 
 def test_compatibility_check_refuses_a_source_that_is_not_finite():
-    # eps = pi/16 resonates at order 8, whose K1 pairs orders 4 and 6: 1e200^2 overflows
-    jets0, jets1 = h_family_jets(4, 2)
-    path2 = solve_bvp(SecondJetBoundary(*jets0[2], *jets1[2]), GRID)
-    huge = CoefficientSeries(GRID, 1e200 * GRID.nodes**2)
-    lower = JetHierarchy(path2, {4: [huge] * 3, 6: [huge] * 4})
+    # eps = pi/16 resonates at order 8.  Order-4 jets of 1e130 keep orders 4 and 6 (about
+    # 1e260) finite, and K1 of order 8 pairs them: 1e130 * 1e260 overflows
+    jets0, jets1 = h_family_jets(4, 6)
+    jets1[4] = 1e130 * jets1[4]
+    lower = propagate(jets0, jets1, 6, GRID)
+    assert all(np.isfinite(lower.order_matrix(order)).all() for order in (4, 6))
     with pytest.raises(NumericError, match="K1 source of order 8 is not finite"):
         compatibility_check(np.zeros(5), np.zeros(5), lower, order=8)
 
