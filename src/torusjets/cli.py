@@ -3,7 +3,9 @@
 Subcommands map one-to-one onto the computational modules: second-jet solves
 the boundary problem for the 2-jet path, propagate runs the order-by-order
 hierarchy, counterexample packages the obstruction demo, pde-check runs the
-grid solver against the closed form.  Every report embeds the resolved
+grid solver against the closed-form epsilon of its boundary 2-jets.  The first
+three solve on a time grid sized by --nodes or $GJL_DEFAULT_NODES; pde-check
+builds none and takes no --nodes.  Every report embeds the resolved
 configuration, so a run can be reproduced from its own output.
 
 Exit codes:
@@ -48,7 +50,9 @@ from .errors import ConsistencyError, GeodesicDomainError, NumericError
 from .jet_propagation import ObstructionReport, order_residual, propagate
 from .pde_crosscheck import crosscheck_report, dump_phi_csv, solve_geodesic
 from .report_io import dumps_json, fields_of, parse_potential, parse_side
-from .second_jet import SecondJetBoundary, ode_residual, solve_bvp
+from .second_jet import (
+    CausalClass, SecondJetBoundary, epsilon_from_boundary, ode_residual, solve_bvp,
+)
 from .timegrid import DEFAULT_NODES, make_grid
 
 NODES_ENV_VAR = "GJL_DEFAULT_NODES"
@@ -143,10 +147,7 @@ def _cmd_propagate(args):
         "config": config,
         "type": "hierarchy",
         "path": _path_report(result.path2),
-        "orders": {
-            str(order): [s.values for s in series_list]
-            for order, series_list in sorted(result.orders.items())
-        },
+        "orders": {str(order): mat for order, mat in sorted(result.orders.items())},
         "order_residuals": {
             str(order): order_residual(result, order) for order in sorted(result.orders)
         },
@@ -181,12 +182,11 @@ def _cmd_pde_check(args):
     else:
         pot = TorusPotential(())
     deltas = [float(part) for part in args.delta.split(",") if part.strip()]
-    nodes = _resolve_nodes(args)
-    grid = make_grid(nodes)
     sol = solve_geodesic(pot, args.nt, args.nx, args.ny, deltas)
     jets = jets_at_origin(pot, 2)
-    reference = solve_bvp(SecondJetBoundary(0.0, 0.0, jets[2][0], jets[2][1]), grid)
-    rep = crosscheck_report(sol, reference)
+    boundary = SecondJetBoundary(0.0, 0.0, jets[2][0], jets[2][1])
+    space_like = boundary.causal_class is CausalClass.SPACE_LIKE
+    rep = crosscheck_report(sol, epsilon_from_boundary(boundary) if space_like else None)
     if args.dump_csv:
         dump_phi_csv(sol, args.dump_csv)
     report = {
@@ -194,7 +194,7 @@ def _cmd_pde_check(args):
         "config": {
             "terms": [list(term) for term in pot.terms],
             "nt": args.nt, "nx": args.nx, "ny": args.ny,
-            "delta_schedule": deltas, "nodes": nodes,
+            "delta_schedule": deltas,
             "package_version": __version__,
         },
         "delta": sol.delta,
@@ -249,10 +249,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--nodes", type=int, default=None,
-                       help=f"time-grid size (default {DEFAULT_NODES}, "
-                            f"or ${NODES_ENV_VAR})")
+    def common(p, nodes=True):
+        if nodes:
+            p.add_argument("--nodes", type=int, default=None,
+                           help=f"time-grid size (default {DEFAULT_NODES}, "
+                                f"or ${NODES_ENV_VAR})")
         p.add_argument("--output", default=None, help="write the JSON report here")
         p.add_argument("--plot", default=None, metavar="PREFIX",
                        help="write PREFIX.gp and PREFIX.dat gnuplot artifacts")
@@ -280,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated strictly decreasing schedule")
     p.add_argument("--dump-csv", default=None, metavar="PATH",
                    help="dump phi slices as CSV")
-    common(p)
+    common(p, nodes=False)
     return parser
 
 

@@ -44,7 +44,7 @@ from .poly_ops import (
     u_eigenvalues, u_log_derivative,
 )
 from .second_jet import CausalClass, SecondJetBoundary, SecondJetPath, solve_bvp
-from .timegrid import CoefficientSeries, TimeGrid, integrate, require_same_grid
+from .timegrid import CoefficientSeries, TimeGrid, _read_only, require_same_grid
 
 RESONANCE_TOL = 1e-9
 NEAR_RESONANCE_TOL = 1e-6
@@ -95,10 +95,13 @@ class JetHierarchy:
     """Jets of even degree 4..max solved on top of a space-like 2-jet path.
 
     Only propagate builds one; it hands over the frame it solved every order in.
+    orders[2n] is the read-only (n + 1, N) matrix whose row i holds the
+    x^(2n-2i) y^(2i) coefficient over the nodes: the frame's own array, or its
+    axis-0 reversal on a swapped frame.
     """
 
     path2: SecondJetPath
-    orders: dict[int, list[CoefficientSeries]]
+    orders: dict[int, np.ndarray]
     _frame: _Frame = field(repr=False, compare=False)
     beyond_scope_orders: tuple[int, ...] = ()
     near_resonance_warnings: tuple[tuple[int, int], ...] = ()
@@ -108,7 +111,7 @@ class JetHierarchy:
         return self.path2.grid
 
     def order_matrix(self, order: int) -> np.ndarray:
-        return np.vstack([s.values for s in self.orders[order]])
+        return self.orders[order]
 
     def _lower_frame(self, order: int) -> _Frame:
         """The frame, if it stores every order 4..`order` - 2 that K1 of `order` reads."""
@@ -168,7 +171,7 @@ def _vary_constants(grid: TimeGrid, mu, k, f0, f1, multiple) -> tuple[np.ndarray
 
 def _source_pairing(grid: TimeGrid, k: np.ndarray, m: int) -> float:
     """(1/(m pi)) int_0^1 k(t) sin(m pi t) dt, the source side of the compatibility condition."""
-    return integrate(CoefficientSeries(grid, k * np.sin(m * math.pi * grid.nodes))) / (m * math.pi)
+    return float(grid.quad_weights @ (k * np.sin(m * math.pi * grid.nodes))) / (m * math.pi)
 
 
 def solve_mode(problem: ModeProblem, grid: TimeGrid) -> ModeSolution:
@@ -203,6 +206,8 @@ class _Frame:
 
     Each stored order keeps L' and, stacked in `factors`, the four factors K1 takes
     from it: -Lap L (zero-padded to n + 1 rows), L'' and the x and y gradients of L'.
+    What it stores, and each K1 it forms, is read-only, so that no caller handed a view
+    of it can change a later order or a compatibility pairing.
     A resonant order keeps its top mode's source, which every compatibility check reads.
     """
 
@@ -227,12 +232,13 @@ class _Frame:
         factors[1] = ddot
         factors[2] = dot * weights[::-1]
         factors[3] = dot * weights
-        self.orders[order], self.dots[order], self.factors[order] = mat, dot, factors
+        self.orders[order], self.dots[order], self.factors[order] = (
+            _read_only(mat), _read_only(dot), _read_only(factors))
 
     def source(self, order: int) -> np.ndarray:
         """K1 of `order` divided by 1 + 2a + 2b, formed on first request."""
         if order not in self.k1:
-            self.k1[order] = _k1_divided(self, order)
+            self.k1[order] = _read_only(_k1_divided(self, order))
         return self.k1[order]
 
     def top_source(self, order: int) -> np.ndarray:
@@ -298,15 +304,17 @@ def _k1_divided(frame: _Frame, order: int) -> np.ndarray:
     return out / frame.Z
 
 
-def source_K1(lower: JetHierarchy, order: int) -> list[CoefficientSeries]:
+def source_K1(lower: JetHierarchy, order: int) -> np.ndarray:
     """Divided source of the degree-`order` jet equation from lower orders.
+
+    A read-only (n + 1, N) view of the memoised K1, rows ordered as in `lower.orders`.
 
     `order` may be at most two above the top order of `lower`; ValueError otherwise.
     """
     if order < 4 or order % 2:
         raise ValueError(f"source order must be even and >= 4, got {order}")
     frame = lower._lower_frame(order)
-    return [CoefficientSeries(lower.grid, row) for row in frame.orient(frame.source(order))]
+    return frame.orient(frame.source(order))
 
 
 def _finite_mode_sources(frame: _Frame, order: int):
@@ -393,8 +401,7 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
         if 4.0 * frame.eps * n > math.pi + RESONANCE_TOL:
             beyond.append(order)
 
-    orders = {order: [CoefficientSeries(grid, row) for row in frame.orient(mat)]
-              for order, mat in frame.orders.items()}
+    orders = {order: frame.orient(mat) for order, mat in frame.orders.items()}
     return JetHierarchy(path2, orders, frame, tuple(beyond), tuple(warnings))
 
 

@@ -28,7 +28,6 @@ import numpy as np
 
 from .counterexample import TorusPotential
 from .errors import NumericError
-from .second_jet import SecondJetPath
 
 MAX_NEWTON_ITERS = 40
 MAX_HALVINGS = 12
@@ -71,7 +70,8 @@ class GridSolution:
     reflection; slices 0 and nt-1 hold the boundary data, x and y are periodic
     on [-pi, pi) with the origin at (nx//2, ny//2). The counters cover the
     schedule: Newton steps, Krylov matvecs, line-search halvings and min(1 +
-    Lap phi) of the result; per_delta holds the first three for each delta.
+    Lap phi) of the result over its interior slices, the ones the solve moves;
+    per_delta holds the first three for each delta.
     """
 
     nt: int
@@ -106,8 +106,8 @@ def _reflect(pad: np.ndarray) -> None:
 
 
 def _residual(phi: np.ndarray, dt, hx, hy, delta):
-    """Residual on the interior slices, the fields the Newton step reuses there,
-    (1 + Lap phi, phi_tt, d_x phi_t, d_y phi_t), and min(1 + Lap phi) over every slice.
+    """Residual on the interior slices and the fields the Newton step reuses there,
+    (1 + Lap phi, phi_tt, d_x phi_t, d_y phi_t).
 
     phi is padded once: the padded copy gives Lap phi, and its time difference
     gives phi_t with the halo that d_x and d_y read. NumericError unless the
@@ -130,7 +130,7 @@ def _residual(phi: np.ndarray, dt, hx, hy, delta):
     gx = (pt[:, 2:, 1:-1] - pt[:, :-2, 1:-1]) / (2.0 * hx)
     gy = (pt[:, 1:-1, 2:] - pt[:, 1:-1, :-2]) / (2.0 * hy)
     inner = metric[1:-1]
-    return phitt * inner - gx**2 - gy**2 - delta, (inner, phitt, gx, gy), zmin
+    return phitt * inner - gx**2 - gy**2 - delta, (inner, phitt, gx, gy)
 
 
 def _newton_step(fields, dt, hx, hy, res):
@@ -236,7 +236,7 @@ def solve_geodesic(
 
     per_delta = []
     for delta in schedule:
-        res, fields, zmin = _residual(phi, dt, hx, hy, delta)
+        res, fields = _residual(phi, dt, hx, hy, delta)
         res_norm = float(np.max(np.abs(res)))
         target = RESIDUAL_SCALE * (1.0 + delta)
         steps = matvecs = halvings = 0
@@ -251,13 +251,13 @@ def solve_geodesic(
                 cand = phi.copy()
                 cand[1:-1] += alpha * step
                 try:
-                    cand_res, cand_fields, cand_zmin = _residual(cand, dt, hx, hy, delta)
+                    cand_res, cand_fields = _residual(cand, dt, hx, hy, delta)
                 except NumericError:  # a degenerate candidate halves alpha
                     cand_norm = math.inf
                 else:
                     cand_norm = float(np.max(np.abs(cand_res)))
                 if cand_norm < res_norm:
-                    phi, zmin = cand, cand_zmin
+                    phi = cand
                     res, fields, res_norm = cand_res, cand_fields, cand_norm
                     break
                 alpha *= 0.5
@@ -278,7 +278,7 @@ def solve_geodesic(
     return GridSolution(
         nt=nt, nx=nx, ny=ny, delta=schedule[-1], phi=phi[:, ix[:, None], iy],
         residual_norm=res_norm, newton_steps=steps, krylov_matvecs=matvecs,
-        halvings=halvings, min_metric=zmin, per_delta=tuple(per_delta),
+        halvings=halvings, min_metric=float(np.min(fields[0])), per_delta=tuple(per_delta),
     )
 
 
@@ -314,8 +314,8 @@ class CrosscheckReport:
     epsilon_relative_error: float | None
 
 
-def crosscheck_report(sol: GridSolution, reference: SecondJetPath) -> CrosscheckReport:
-    """Compare grid-extracted sigma_2 with the closed-form eps.
+def crosscheck_report(sol: GridSolution, epsilon_reference: float | None) -> CrosscheckReport:
+    """Compare grid-extracted sigma_2 with the closed-form eps, None off the space-like class.
 
     sigma_2 is formed at interior t nodes from centered time differences of
     the extracted jets. A mean below the rounding of the product a' b' / Z^2,
@@ -337,10 +337,9 @@ def crosscheck_report(sol: GridSolution, reference: SecondJetPath) -> Crosscheck
     else:
         rel = 0.0 if spread <= floor else math.inf
     eps_est = math.sqrt(-mean) if mean < 0 else None
-    eps_ref = reference.epsilon
     eps_err = None
-    if eps_est is not None and eps_ref is not None and eps_ref > 0:
-        eps_err = abs(eps_est - eps_ref) / eps_ref
+    if eps_est is not None and epsilon_reference is not None and epsilon_reference > 0:
+        eps_err = abs(eps_est - epsilon_reference) / epsilon_reference
     t = np.linspace(0.0, 1.0, sol.nt)
     return CrosscheckReport(
         t=t,
@@ -351,7 +350,7 @@ def crosscheck_report(sol: GridSolution, reference: SecondJetPath) -> Crosscheck
         sigma2_spread=spread,
         relative_spread=rel,
         epsilon_estimate=eps_est,
-        epsilon_reference=eps_ref,
+        epsilon_reference=epsilon_reference,
         epsilon_relative_error=eps_err,
     )
 

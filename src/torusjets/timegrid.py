@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,18 +52,18 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class CoefficientSeries:
-    """Values of one scalar coefficient sampled on a TimeGrid."""
+    """Values of one scalar coefficient sampled on a TimeGrid, kept as a read-only copy."""
 
     grid: TimeGrid
-    values: np.ndarray = field()
+    values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         if values.shape != (self.grid.node_count,):
             raise ValueError(
                 f"series has {values.shape} values for {self.grid.node_count} nodes"
             )
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _read_only(values))
 
 
 def make_grid(node_count: int = DEFAULT_NODES) -> TimeGrid:

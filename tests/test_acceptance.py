@@ -189,7 +189,7 @@ def test_criterion_8_pde_crosscheck_matches_closed_form():
         sol = solve_geodesic(saddle, 33, nx, nx, [1e-1, 1e-2, 1e-3])
         a, b = extract_second_jets(sol)
         ref = solve_bvp(SecondJetBoundary(0.0, 0.0, a[-1], b[-1]), GRID)
-        reports[nx] = crosscheck_report(sol, ref)
+        reports[nx] = crosscheck_report(sol, ref.epsilon)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     final = reports[48]

@@ -34,7 +34,7 @@ def test_tracer_counts_the_krylov_solves_of_a_pde_check(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text('{"terms": [[0.1, 2, 0], [-0.1, 0, 2]]}')
     argv = ["pde-check", "--spec", str(spec), "--nt", "9", "--nx", "16", "--ny", "16",
-            "--delta", "1e-1,1e-2", "--nodes", "16", "--output", str(tmp_path / "out.json")]
+            "--delta", "1e-1,1e-2", "--output", str(tmp_path / "out.json")]
     tracer.install()
     try:
         code = torusjets.cli.main(argv)

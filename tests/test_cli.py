@@ -181,7 +181,7 @@ REPORT_RUNS = {
     "propagate": ["propagate", "--spec", "{spec}", "--max-order", "16", "--nodes", "33"],
     "counterexample": ["counterexample", "--n", "4"],
     "pde-check": ["pde-check", "--spec", "{spec}", "--nt", "9", "--nx", "16", "--ny", "16",
-                  "--delta", "1e-1,1e-2", "--nodes", "16"],
+                  "--delta", "1e-1,1e-2"],
 }
 REPORT_SPECS = {
     "propagate": {"phi0": {"terms": [[0.02, 2, 0], [0.03, 0, 2]]},
@@ -406,7 +406,7 @@ def test_counterexample_consistency_error_is_numeric_error(capsys, monkeypatch):
 
 def test_pde_check_zero_potential(capsys):
     rep = run_json(capsys, "pde-check", "--nt", "9", "--nx", "16", "--ny", "16",
-                   "--delta", "1e-2", "--nodes", "16")
+                   "--delta", "1e-2")
     assert rep["command"] == "pde-check"
     assert rep["relative_spread"] == 0.0
     assert rep["epsilon_estimate"] is None
@@ -451,6 +451,19 @@ def test_pde_check_solver_block_and_rerun_identical(capsys, tmp_path):
     assert 0.0 < solver["min_metric"] < 1.0
 
 
+def test_pde_check_reference_is_the_second_jet_epsilon(capsys, tmp_path):
+    terms = [[0.1, 2, 0], [-0.1, 0, 2]]
+    spec = write_spec(tmp_path, {"terms": terms})
+    pot = counterexample.TorusPotential(tuple(map(tuple, terms)))
+    a1, b1 = counterexample.jets_at_origin(pot, 2)[2].tolist()
+    check = run_json(capsys, "pde-check", "--spec", spec, "--nt", "9", "--nx", "16", "--ny", "16",
+                     "--delta", "1e-1,1e-2")
+    path = run_json(capsys, "second-jet", "--a0", "0", "--b0", "0", "--a1", repr(a1),
+                    "--b1", repr(b1))
+    assert "nodes" not in check["config"]
+    assert check["epsilon_reference"] == path["epsilon"]
+
+
 def test_pde_check_bad_delta_schedule(capsys):
     code, _, err = run_cli(capsys, "pde-check", "--nt", "9", "--nx", "16",
                            "--ny", "16", "--delta", "1e-3,1e-2")
@@ -484,12 +497,8 @@ def test_oversized_grid_is_rejected_before_allocation(capsys, monkeypatch):
         def __getattr__(self, name):
             raise AssertionError(f"grid allocation reached numpy.{name}")
 
-    def no_pde(*args, **kwargs):
-        raise AssertionError("pde-check ran the PDE before checking --nodes")
-
     monkeypatch.setattr(timegrid, "np", NoArrays())
-    monkeypatch.setattr(cli, "solve_geodesic", no_pde)
-    for argv in (["second-jet", *FAMILY], ["counterexample", "--n", "3"], ["pde-check"]):
+    for argv in (["second-jet", *FAMILY], ["counterexample", "--n", "3"]):
         code, out, err = run_cli(capsys, *argv, "--nodes", "100000")
         assert code == 2, argv
         assert out == ""
@@ -601,6 +610,7 @@ TERMS = st.lists(st.tuples(st.one_of(NUMBERS, st.floats(-0.1, 0.1)), EVEN, EVEN)
 def cli_calls(draw):
     """(argv, spec payload or None) of one call, drawn over a subcommand's numeric inputs."""
     command = draw(st.sampled_from(["second-jet", "propagate", "counterexample", "pde-check"]))
+    # drawn for pde-check too, which takes no --nodes, so that every command draws alike
     nodes = f"--nodes={draw(st.integers(6, 33))}"
     if command == "second-jet":
         return [command, *(f"--{k}={draw(NUMBERS)!r}" for k in ("a0", "b0", "a1", "b1")),
@@ -609,8 +619,8 @@ def cli_calls(draw):
         return [command, f"--n={draw(st.integers(1, 8))}", nodes], None
     if command == "pde-check":
         deltas = draw(st.lists(st.one_of(NUMBERS, st.floats(1e-3, 1.0)), min_size=1, max_size=2))
-        return [command, "--nt=9", "--nx=16", "--ny=16", f"--delta={','.join(map(repr, deltas))}",
-                nodes], {"terms": draw(TERMS)}
+        delta = f"--delta={','.join(map(repr, deltas))}"
+        return [command, "--nt=9", "--nx=16", "--ny=16", delta], {"terms": draw(TERMS)}
     jets = st.builds(lambda a, b: {"jets": {"2": [a, b]}}, NUMBERS, NUMBERS)
     sides = st.one_of(jets, TERMS.map(lambda terms: {"terms": terms}))
     spec = draw(st.one_of(sides, st.fixed_dictionaries({"phi0": sides, "phi1": sides})))

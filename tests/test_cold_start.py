@@ -1,5 +1,6 @@
-"""A fresh interpreter loads scipy only once pde-check solves, and forms the
-integration matrix J only for a call that integrates.
+"""A fresh interpreter loads scipy only once pde-check solves, forms the
+integration matrix J only for a call that integrates, and builds no time grid
+for pde-check.
 
 The pytest process has loaded scipy long before these tests run, so each check
 runs in a new interpreter started with sys.executable and PYTHONPATH=src.
@@ -30,7 +31,7 @@ def scipy_modules():
 import torusjets
 import torusjets.cli
 from torusjets import pde_crosscheck
-from torusjets.timegrid import make_grid
+from torusjets.timegrid import _make_grid, make_grid
 
 state = {"import": scipy_modules()}
 propagate_spec = tmp / "propagate.json"
@@ -47,14 +48,17 @@ runs = [
                    "--nodes", "17"]),
     ("counterexample", ["counterexample", "--n", "3"]),
     ("pde-check", ["pde-check", "--spec", str(pde_spec), "--nt", "9", "--nx", "16",
-                   "--ny", "16", "--delta", "1e-1,1e-2", "--nodes", "16"]),
+                   "--ny", "16", "--delta", "1e-1,1e-2"]),
 ]
 # the grid size of the calls that need no J, checked before propagate integrates on 17 nodes
-no_j_nodes = {"second-jet": 17, "pde-check": 16}
+no_j_nodes = {"second-jet": 17}
 codes = {}
 j_formed = {}
+grid_memo = {}
 for name, argv in runs:
+    before = list(_make_grid.cache_info())
     codes[name] = torusjets.cli.main(argv + ["--output", str(tmp / f"{name}.json")])
+    grid_memo[name] = [before, list(_make_grid.cache_info())]
     state[name] = scipy_modules()
     if name in no_j_nodes:
         j_formed[name] = "integration_matrix" in vars(make_grid(no_j_nodes[name]))
@@ -70,6 +74,7 @@ print(json.dumps({
     "codes": codes,
     "scipy_after": state,
     "j_formed": j_formed,
+    "grid_memo": grid_memo,
     "same_operator": pde_crosscheck.LinearOperator is scipy.sparse.linalg.LinearOperator,
     "unknown": unknown,
 }))
@@ -98,7 +103,14 @@ def test_no_scipy_before_the_pde_check(cold, step):
 
 def test_calls_that_never_integrate_leave_j_unformed(cold):
     # the quadrature weights are J's last row, so reading them would form J
-    assert cold["j_formed"] == {"second-jet": False, "pde-check": False}
+    assert cold["j_formed"] == {"second-jet": False}
+
+
+def test_pde_check_builds_no_time_grid(cold):
+    # the closed-form epsilon of the 2-jets is read off the jets, with no path on a grid
+    before, after = cold["grid_memo"]["pde-check"]
+    assert after == before
+    assert cold["grid_memo"]["second-jet"][1] != cold["grid_memo"]["second-jet"][0]
 
 
 def test_pde_check_loads_the_krylov_solver(cold):

@@ -142,7 +142,7 @@ def test_source_zero_at_order_four():
     lower = propagate({2: [0.0, 0.0]}, {2: [0.25, -0.25]}, 4, GRID)
     src = source_K1(lower, 4)
     assert len(src) == 3
-    assert all(np.all(s.values == 0.0) for s in src)
+    assert np.all(src == 0.0)
     with pytest.raises(ValueError):
         source_K1(lower, 3)
     with pytest.raises(ValueError):
@@ -158,7 +158,7 @@ def test_source_matches_symbolic_oracle(theta):
     dt = GRID.diff_matrix.T
     z = 1.0 + 2.0 * hier.path2.a.values + 2.0 * hier.path2.b.values
     for order in (6, 8, 10, 12):
-        src = np.vstack([s.values for s in source_K1(hier, order)])
+        src = source_K1(hier, order)
         for idx in (3, 17, 31, 44, 60):
             data = {}
             for stored in hier.orders:
@@ -272,7 +272,7 @@ def reference_propagate(hier, jets0, jets1, max_order):
     orders, warnings = {}, []
     for order in range(4, max_order + 1, 2):
         n = order // 2
-        src = np.vstack([s.values for s in source_K1(hier, order)])
+        src = source_K1(hier, order)
         qm, u = q_matrix(n), u_eigenvalues(n, A)
         k_modes = q_adjoint(n) @ (flip(src) / u)
         f0 = q_adjoint(n) @ (flip(jets0[order]) / u[:, 0])
@@ -586,6 +586,26 @@ def test_reversed_orientation_swaps_pairing_weights():
     # the top mode is an odd multiple here, so the pairing is symmetric
     assert abs(rev.lhs - fwd.lhs) < 1e-14 * max(1.0, abs(fwd.lhs))
     assert abs(rev.K - fwd.K) < 1e-14 * max(1.0, abs(fwd.K))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_hierarchy_hands_out_read_only_arrays(reverse):
+    # doubling the last row of the order-6 K1 used to move K of h_3 from 7.41e-4 to 9.47e-4
+    jets0, jets1 = h_family_jets(3, 6)
+    if reverse:
+        jets0, jets1 = jets1, jets0
+    reference = propagate(jets0, jets1, 4, GRID)
+    K = compatibility_check(jets0[6], jets1[6], reference).K
+    residual = order_residual(reference, 4)
+    lower = propagate(jets0, jets1, 4, GRID)
+    assert lower.path2.swapped_axes is reverse
+    handed_out = (source_K1(lower, 6), lower.orders[4], lower.order_matrix(4),
+                  lower.path2.A.values, lower.path2.a.values)
+    for arr in handed_out:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[-1] *= 2.0
+    assert compatibility_check(jets0[6], jets1[6], lower).K == K
+    assert order_residual(lower, 4) == residual
 
 
 def test_beyond_scope_orders_flagged():
