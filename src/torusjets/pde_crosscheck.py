@@ -12,11 +12,10 @@ runs, exactly, on the even-even quarter (x indices 0..nx/2, y indices
 0..ny/2) with reflective halos. Second jets extracted at the central fiber
 feed the sigma_2 and eps diagnostics of the closed form.
 
-scipy is imported on the first Newton step, not with the module: loading
-scipy.sparse.linalg takes about 0.34 s and 27 MiB (2-core x86-64 host, scipy
-1.17), which second-jet, propagate and counterexample would otherwise pay at
-start-up without ever solving. LinearOperator stays readable as a module
-attribute through __getattr__.
+Each Newton step is solved by restarted GMRES in numpy (lgmres below),
+right-preconditioned by the time part of the Jacobian with its pointwise
+metric, so the package imports no scipy. Newton stops at a residual target
+that scales with the size of the boundary data (see solve_geodesic).
 """
 
 from __future__ import annotations
@@ -31,35 +30,106 @@ from .errors import NumericError
 
 MAX_NEWTON_ITERS = 40
 MAX_HALVINGS = 12
+# The Newton target (see solve_geodesic). At RELATIVE_TARGET = 5e-8 the saddle
+# c sin^2 x - c sin^2 y on (17, 16, 16), delta = 1e-1, 1e-2, reads the sigma_2 spread
+# 0.0332001 for c = 1e-7 to 1e-4, and the bench saddle (c = 0.1) keeps its 9 Newton
+# steps. The rounding of F at the exact discrete solution of the zero boundary is
+# 0.8 to 2.2 times eps max|phi| / dt^2 for nt = 9 to 4096; TARGET_FLOOR_ULPS = 8 keeps
+# the target above it.
 RESIDUAL_SCALE = 1e-9
+RELATIVE_TARGET = 5e-8
+TARGET_FLOOR_ULPS = 8.0
 # Forcing-term bounds of the inexact Newton step (see _newton_step).
 ETA_MAX = 1e-3
 ETA_MIN = 1e-10
-# The quarter solve holds about 50 arrays of its (nt, nx/2+1, ny/2+1) points at
-# its peak (phi, residual, stencil coefficients, halo, about 33 Krylov vectors):
-# 105 bytes a full-grid point, the tracemalloc peak at 33 x 64 x 64; 105 MiB here.
+# GMRES keeps RESTART Krylov vectors before it restarts, and one Newton step may
+# spend MAX_MATVECS matvecs.
+RESTART = 30
+MAX_MATVECS = 400
+# The tracemalloc peak of a solve is 130 to 165 bytes a full-grid point (at 33 x 64 x 64,
+# 4096 x 16 x 16 and 16 x 256 x 256), so about 165 MiB here. About half of it is the
+# GMRES basis, allocated whole but touched only as far as the Krylov space grows.
 MAX_GRID_POINTS = 2**20
 
 
-def lgmres(A, b, *args, **kwargs):
-    """scipy.sparse.linalg.lgmres, imported on its first call.
+class LinearOperator:
+    """A square matrix-free operator: the shape, dtype and matvec that lgmres reads."""
 
-    It must stay a module global that _newton_step looks up at each call:
-    bench/tracing.py wraps torusjets.pde_crosscheck.lgmres to time the solves
-    and count matvecs, and tests replace it by setattr on this module. A name
-    bound inside _newton_step would bypass both.
+    def __init__(self, shape, matvec, dtype=float):
+        self.shape = tuple(shape)
+        self.matvec = matvec
+        self.dtype = np.dtype(dtype)
+
+
+def lgmres(A, b, M=None, rtol=1e-5):
+    """Right-preconditioned restarted GMRES from x = 0: (x, info) with A M y = b, x = M y.
+
+    GMRES(RESTART) of Saad and Schultz (SIAM J. Sci. Stat. Comput. 7, 1986), with
+    Gram-Schmidt done twice and Givens rotations. A and M are any operators with
+    a matvec, the identity when M is None. It stops once the Arnoldi residual is
+    at most rtol |b|, with info = 0. When it cannot, info > 0 is the number of
+    matvecs spent (at least 1): MAX_MATVECS matvecs of A went by, a product was
+    not finite, or the Krylov space closed short of the tolerance (A M singular
+    on it).
+
+    The name is the one scipy's solver had here, and it must stay a module
+    global that _newton_step looks up at each call: bench/tracing.py wraps
+    torusjets.pde_crosscheck.lgmres to time the solves and count matvecs, and
+    tests replace it by setattr on this module. A name bound inside
+    _newton_step would bypass both.
     """
-    from scipy.sparse.linalg import lgmres as scipy_lgmres
-
-    return scipy_lgmres(A, b, *args, **kwargs)
-
-
-def __getattr__(name):
-    if name == "LinearOperator":
-        from scipy.sparse.linalg import LinearOperator
-
-        return LinearOperator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    precond = (lambda v: v) if M is None else M.matvec
+    x = np.zeros(b.shape[0])
+    matvecs = 0
+    with np.errstate(all="ignore"):
+        tol = rtol * np.linalg.norm(b)
+        r = b
+        while True:
+            beta = np.linalg.norm(r)
+            if not math.isfinite(beta):
+                return x, max(matvecs, 1)
+            if beta <= tol:
+                return x, 0
+            if matvecs >= MAX_MATVECS:
+                return x, matvecs
+            basis = np.empty((RESTART + 1, b.shape[0]))
+            basis[0] = r / beta
+            hess = np.zeros((RESTART, RESTART))
+            rotations = []
+            g = [beta]
+            while len(rotations) < RESTART and matvecs < MAX_MATVECS:
+                k = len(rotations)
+                w = A.matvec(precond(basis[k]))
+                matvecs += 1
+                v = basis[: k + 1]
+                h = v @ w
+                w = w - h @ v
+                again = v @ w
+                w = w - again @ v
+                h = (h + again).tolist()
+                wnorm = float(np.linalg.norm(w))
+                for i, (c, s) in enumerate(rotations):
+                    h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+                diag = math.hypot(h[k], wnorm)
+                if not 0.0 < diag < math.inf:
+                    return x, matvecs
+                c, s = h[k] / diag, wnorm / diag
+                rotations.append((c, s))
+                h[k] = diag
+                hess[: k + 1, k] = h
+                g.append(-s * g[k])
+                g[k] *= c
+                if abs(g[k + 1]) <= tol:
+                    break
+                basis[k + 1] = w / wnorm
+            k = len(rotations)
+            x = x + precond(np.linalg.solve(hess[:k, :k], g[:k]) @ basis[:k])
+            if not np.isfinite(x).all():
+                return x, matvecs
+            if abs(g[k]) <= tol:
+                return x, 0
+            r = b - A.matvec(x)
+            matvecs += 1
 
 
 @dataclass(frozen=True)
@@ -144,12 +214,10 @@ def _newton_step(fields, dt, hx, hy, res):
     the end slices, is a 15-point stencil; each matvec copies v into one halo
     buffer, refreshes its reflective faces and sums the stencil from slices.
     A Krylov vector is the quarter field raveled, so lgmres works in the
-    quarter's own Euclidean norm. The preconditioner inverts the Dirichlet
-    c D_tt, c the full-grid mean of 1 + Lap phi, on every column:
-    G_ij = -min(i, j) (m + 1 - max(i, j)) / (m + 1) dt^2 / c, m = nt - 2.
+    quarter's own Euclidean norm. The preconditioner inverts (1 + Lap phi) D_tt,
+    the time part of J with its pointwise metric, D_tt the Dirichlet second
+    difference over the m = nt - 2 interior slices: M^-1 r = D_tt^-1 (r / (1 + Lap phi)).
     """
-    from scipy.sparse.linalg import LinearOperator
-
     metric, phitt, gx, gy = fields
     m, qx, qy = phitt.shape
     size = m * qx * qy
@@ -187,19 +255,31 @@ def _newton_step(fields, dt, hx, hy, res):
         accumulate(out, cy, np.subtract, vt[:, 1:-1, 2:], vt[:, 1:-1, :-2])
         return out.ravel()
 
-    w = np.multiply.outer(*[np.r_[1.0, np.full(q - 2, 2.0), 1.0] for q in (qx, qy)])
-    c = float(np.sum(metric * w)) / (m * float(np.sum(w)))
-    i = np.arange(1.0, m + 1.0)
-    green = np.minimum.outer(i, i) * (m + 1.0 - np.maximum.outer(i, i))
-    green *= -(dt**2) / ((m + 1.0) * c)
+    # Column by column, the Dirichlet D_tt^-1 is the Green matrix
+    # G_ij = -min(i, j) (m + 1 - max(i, j)) dt^2 / (m + 1), applied in O(m) as two running
+    # sums: (G r)_i = -dt^2 / (m + 1) [(m + 1 - i) sum_{j<=i} j r_j + i sum_{j>i} (m + 1 - j) r_j].
+    # They run slice by slice: np.cumsum along axis 0 loops once per column, and made a
+    # bench pass 1.5x slower at 33 x 48 x 48.
+    up = np.arange(1.0, m + 1.0)[:, None, None]
+    down = m + 1.0 - up
+    scale = -(dt**2) / ((m + 1.0) * metric)
+    low, high = up * scale, down * scale
 
     def precond(flat):
-        return (green @ flat.reshape(m, -1)).ravel()
+        r = flat.reshape(m, qx, qy)
+        a = low * r
+        b = high * r
+        for k in range(1, m):
+            a[k] += a[k - 1]
+            b[-1 - k] += b[-k]
+        a *= down
+        a[:-1] += up[:-1] * b[1:]
+        return a.ravel()
 
     op = LinearOperator((size, size), matvec=matvec, dtype=float)
     pc = LinearOperator((size, size), matvec=precond, dtype=float)
     eta = max(min(ETA_MAX, float(np.max(np.abs(res)))), ETA_MIN)
-    step, info = lgmres(op, -res.ravel(), M=pc, rtol=eta, atol=0.0, maxiter=400)
+    step, info = lgmres(op, -res.ravel(), M=pc, rtol=eta)
     if info != 0:
         raise NumericError(f"linear solver stalled in the Newton step (info={info})")
     return step.reshape(m, qx, qy), matvecs
@@ -209,6 +289,14 @@ def solve_geodesic(
     phi1: TorusPotential, nt: int, nx: int, ny: int, delta_schedule
 ) -> GridSolution:
     """Continuation solve of the regularized equation from Phi=0 to phi1.
+
+    Each delta stops once the max-norm of the residual F falls below
+    min(RESIDUAL_SCALE (1 + delta), max(RELATIVE_TARGET S, TARGET_FLOOR_ULPS eps
+    max|phi| / dt^2)). S = max|grad phi_t|^2 of the linear start, where phi_tt = 0,
+    is the size of the data's part of F, so small data are solved to the same
+    relative accuracy as large ones. The second term never lets the target fall
+    below the rounding of F at the iterate phi, and the first never lets it
+    rise above the absolute target RESIDUAL_SCALE (1 + delta).
 
     A phi1 that is not finite on the grid is refused with ValueError.
     """
@@ -237,11 +325,14 @@ def solve_geodesic(
     per_delta = []
     for delta in schedule:
         res, fields = _residual(phi, dt, hx, hy, delta)
+        if not per_delta:  # phi is the linear start
+            data_size = float(np.max(fields[2] ** 2 + fields[3] ** 2))
         res_norm = float(np.max(np.abs(res)))
-        target = RESIDUAL_SCALE * (1.0 + delta)
         steps = matvecs = halvings = 0
         for _ in range(MAX_NEWTON_ITERS):
-            if res_norm < target:
+            floor = TARGET_FLOOR_ULPS * np.finfo(float).eps * float(np.max(np.abs(phi))) / dt**2
+            relative = max(RELATIVE_TARGET * data_size, floor)
+            if res_norm < min(RESIDUAL_SCALE * (1.0 + delta), relative):
                 break
             step, count = _newton_step(fields, dt, hx, hy, res)
             steps += 1

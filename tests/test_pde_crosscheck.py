@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,10 +205,10 @@ def test_jacobian_matches_quadratic_oracle(monkeypatch, shape):
     op, M = capture_operators(monkeypatch, quarter(phi), dt, hx, hy, delta)
     assert op.dtype == np.float64 and M.dtype == np.float64
     mid = phi[1:-1]
-    c = 1.0 + float(np.mean(
+    metric = 1.0 + (
         (np.roll(mid, 1, 1) - 2.0 * mid + np.roll(mid, -1, 1)) / hx**2
         + (np.roll(mid, 1, 2) - 2.0 * mid + np.roll(mid, -1, 2)) / hy**2
-    ))
+    )
     for _ in range(3):
         v = np.zeros(shape)
         v[1:-1] = symmetrize(1e-3 * rng.standard_normal((nt - 2, nx, ny)))
@@ -219,9 +220,9 @@ def test_jacobian_matches_quadratic_oracle(monkeypatch, shape):
         )).ravel()
         got = op.matvec(vq)
         assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
-        # the preconditioner inverts the constant-coefficient Dirichlet c D_tt,
-        # c the full-grid mean of 1 + Lap phi
-        dtt = c * (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dt**2
+        # the preconditioner inverts (1 + Lap phi) D_tt, D_tt the Dirichlet second
+        # difference in t and 1 + Lap phi the pointwise metric of the interior slices
+        dtt = metric * (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dt**2
         back = M.matvec(quarter(dtt).ravel())
         assert np.max(np.abs(back - vq)) <= 1e-13 * np.max(np.abs(vq))
 
@@ -341,3 +342,102 @@ def test_forcing_term_keeps_the_exact_newton_solution(monkeypatch, pot, shape):
     assert sol.newton_steps == exact.newton_steps
     assert sol.halvings == exact.halvings == 0
     assert sol.krylov_matvecs < exact.krylov_matvecs
+
+
+def test_scale_aware_target_holds_with_every_step_solved_exactly(monkeypatch):
+    # the Newton target scales with the data, so c = 1e-7 reads the spread of c = 1e-3
+    # without the slack of a loosely solved first step
+    record_forcing(monkeypatch, rtol=1e-10)
+    spreads = []
+    for c in (1e-7, 1e-3):
+        pot = TorusPotential(terms=((c, 2, 0), (-c, 0, 2)))
+        sol = solve_geodesic(pot, 17, 16, 16, [1e-1, 1e-2])
+        spreads.append(crosscheck_report(sol, reference_for(sol)).relative_spread)
+    assert abs(spreads[0] - spreads[1]) <= 1e-3 * min(spreads)
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-7])
+def test_small_data_stops_at_the_rounding_floor(c):
+    # the relative target of c = 1e-7 lies far below the rounding of F on 65 slices;
+    # the floor eps max|phi| / dt^2 keeps it reachable
+    pot = TorusPotential(terms=((c, 2, 0), (-c, 0, 2)) if c else ())
+    sol = solve_geodesic(pot, 65, 16, 16, [1e-1, 1e-2])
+    assert sol.residual_norm < pde_crosscheck.RESIDUAL_SCALE * (1 + 1e-2)
+    assert all(steps <= 3 for _, steps, _, _ in sol.per_delta)
+
+
+# --- the Krylov solver ---------------------------------------------------------------
+
+def counted_operator(matrix):
+    calls = []
+
+    def matvec(x):
+        calls.append(1)
+        return matrix @ x
+
+    return pde_crosscheck.LinearOperator(matrix.shape, matvec=matvec, dtype=float), calls
+
+
+def test_gmres_restarts_to_the_solution_of_a_nonsymmetric_system(monkeypatch):
+    monkeypatch.setattr(pde_crosscheck, "RESTART", 5)
+    n, rtol = 80, 1e-10
+    rng = np.random.default_rng(7)
+    skew = rng.standard_normal((n, n))
+    matrix = np.diag(np.linspace(1.0, 4.0, n)) + (skew - skew.T) / math.sqrt(n)
+    matrix += 0.1 * rng.standard_normal((n, n)) / math.sqrt(n)
+    b = rng.standard_normal(n)
+    exact = np.linalg.solve(matrix, b)
+    jacobi = pde_crosscheck.LinearOperator((n, n), matvec=lambda x: x / np.diag(matrix))
+    for M in (None, jacobi):
+        op, calls = counted_operator(matrix)
+        x, info = pde_crosscheck.lgmres(op, b, M=M, rtol=rtol)
+        assert info == 0
+        assert len(calls) > 2 * 5  # more than one restart cycle
+        assert np.linalg.norm(b - matrix @ x) <= rtol * np.linalg.norm(b)
+        error = np.linalg.norm(x - exact) / np.linalg.norm(exact)
+        assert error <= np.linalg.cond(matrix) * rtol
+    # an exhausted matvec cap is a failure, not a result
+    monkeypatch.setattr(pde_crosscheck, "MAX_MATVECS", 7)
+    op, calls = counted_operator(matrix)
+    x, info = pde_crosscheck.lgmres(op, b, rtol=rtol)
+    assert info > 0 and np.isfinite(x).all()
+
+
+def test_gmres_on_the_identity_breaks_down_after_one_step():
+    b = np.random.default_rng(3).standard_normal(50)
+    op, calls = counted_operator(np.eye(50))
+    x, info = pde_crosscheck.lgmres(op, b, rtol=1e-12)
+    assert info == 0 and len(calls) == 1
+    assert np.max(np.abs(x - b)) <= 1e-15 * np.max(np.abs(b))
+
+
+def test_non_finite_operator_is_a_numeric_error():
+    nt, nx, ny = 9, 16, 16
+    phi = quarter(symmetrize(1e-3 * np.random.default_rng(5).standard_normal((nt, nx, ny))))
+    dt, hx, hy = 1.0 / (nt - 1), 2 * math.pi / nx, 2 * math.pi / ny
+    res, (metric, phitt, gx, gy) = pde_crosscheck._residual(phi, dt, hx, hy, 1e-2)
+    phitt[2, 3, 4] = np.nan
+    with pytest.raises(NumericError, match="linear solver"):
+        pde_crosscheck._newton_step((metric, phitt, gx, gy), dt, hx, hy, res)
+
+
+def test_newton_step_on_the_largest_grid_holds_no_time_by_time_matrix(monkeypatch):
+    # 4096 x 16 x 16 is MAX_GRID_POINTS; a Green matrix over its 4094 interior slices
+    # would be 128 MiB on its own
+    nt, nx, ny = 4096, 16, 16
+    assert nt * nx * ny == pde_crosscheck.MAX_GRID_POINTS
+    dt, hx, hy = 1.0 / (nt - 1), 2 * math.pi / nx, 2 * math.pi / ny
+    phi = np.zeros((nt, nx // 2 + 1, ny // 2 + 1))
+    res, fields = pde_crosscheck._residual(phi, dt, hx, hy, 1e-2)
+
+    def apply_once(op, rhs, M=None, **kwargs):
+        return M.matvec(op.matvec(rhs)), 0
+
+    monkeypatch.setattr(pde_crosscheck, "lgmres", apply_once)
+    tracemalloc.start()
+    try:
+        pde_crosscheck._newton_step(fields, dt, hx, hy, res)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
