@@ -46,8 +46,10 @@ ETA_MIN = 1e-10
 # spend MAX_MATVECS matvecs.
 RESTART = 30
 MAX_MATVECS = 400
-# The tracemalloc peak of a solve is 130 to 165 bytes a full-grid point (at 33 x 64 x 64,
-# 4096 x 16 x 16 and 16 x 256 x 256), so about 165 MiB here. About half of it is the
+# The preconditioner applies its Green matrix in dense blocks of at most this many slices.
+GREEN_BLOCK = 32
+# The tracemalloc peak of a solve is 118 to 153 bytes a full-grid point (at 33 x 64 x 64,
+# 4096 x 16 x 16 and 16 x 256 x 256), so about 155 MiB here. About half of it is the
 # GMRES basis, allocated whole but touched only as far as the Krylov space grows.
 MAX_GRID_POINTS = 2**20
 
@@ -255,26 +257,29 @@ def _newton_step(fields, dt, hx, hy, res):
         accumulate(out, cy, np.subtract, vt[:, 1:-1, 2:], vt[:, 1:-1, :-2])
         return out.ravel()
 
-    # Column by column, the Dirichlet D_tt^-1 is the Green matrix
-    # G_ij = -min(i, j) (m + 1 - max(i, j)) dt^2 / (m + 1), applied in O(m) as two running
-    # sums: (G r)_i = -dt^2 / (m + 1) [(m + 1 - i) sum_{j<=i} j r_j + i sum_{j>i} (m + 1 - j) r_j].
-    # They run slice by slice: np.cumsum along axis 0 loops once per column, and made a
-    # bench pass 1.5x slower at 33 x 48 x 48.
-    up = np.arange(1.0, m + 1.0)[:, None, None]
-    down = m + 1.0 - up
-    scale = -(dt**2) / ((m + 1.0) * metric)
-    low, high = up * scale, down * scale
+    # Column by column, the Dirichlet D_tt^-1 is the Green matrix G_ij = -c min(i, j)
+    # (m + 1 - max(i, j)), c = dt^2 / (m + 1), i, j = 1..m: 128 MiB as one m x m matrix at
+    # nt = 4096. Cut into nb blocks of `block` slices (zero-padded at the end), its diagonal
+    # blocks are dense and the rest is rank one, -c (m + 1 - i) j below the diagonal and
+    # -c i (m + 1 - j) above, so it costs O(m GREEN_BLOCK) per column.
+    block = min(m, GREEN_BLOCK)
+    nb = -(-m // block)
+    col = np.arange(1.0, nb * block + 1.0).reshape(nb, 1, block)
+    row = col.swapaxes(1, 2)
+    c = dt**2 / (m + 1.0)
+    diag = -c * np.minimum(row, col) * (m + 1.0 - np.maximum(row, col))
+    flat_metric = metric.reshape(m, -1)
+    padded = np.zeros((nb * block, qx * qy))
 
     def precond(flat):
-        r = flat.reshape(m, qx, qy)
-        a = low * r
-        b = high * r
-        for k in range(1, m):
-            a[k] += a[k - 1]
-            b[-1 - k] += b[-k]
-        a *= down
-        a[:-1] += up[:-1] * b[1:]
-        return a.ravel()
+        np.divide(flat.reshape(m, -1), flat_metric, out=padded[:m])
+        r = padded.reshape(nb, block, -1)
+        u = diag @ r
+        below = np.cumsum((col @ r)[:-1], axis=0)  # sum of j r_j over the blocks before
+        above = np.cumsum(((m + 1.0 - col) @ r)[:0:-1], axis=0)[::-1]  # (m+1-j) r_j after
+        u[1:] -= c * (m + 1.0 - row[1:]) * below
+        u[:-1] -= c * row[:-1] * above
+        return u.reshape(nb * block, -1)[:m].ravel()
 
     op = LinearOperator((size, size), matvec=matvec, dtype=float)
     pc = LinearOperator((size, size), matvec=precond, dtype=float)

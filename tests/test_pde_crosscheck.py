@@ -193,7 +193,7 @@ def capture_operators(monkeypatch, phi, dt, hx, hy, delta):
     return seen["op"], seen["M"]
 
 
-@pytest.mark.parametrize("shape", [(9, 16, 16), (17, 16, 32), (11, 32, 16)])
+@pytest.mark.parametrize("shape", [(9, 16, 16), (17, 16, 32), (11, 32, 16), (70, 16, 16)])
 def test_jacobian_matches_quadratic_oracle(monkeypatch, shape):
     # R is quadratic in phi, so (R(phi + v) - R(phi - v)) / 2 is J(phi) v exactly.
     # The solver only sees even fields, so phi and v are even and the operator
