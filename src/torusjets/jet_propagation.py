@@ -7,9 +7,12 @@ satisfies the divided vector equation
 
 where L collects all lower-order jets and K1(L) is the degree-2n part of
 -(Lap L) L'' + |grad L'|^2.  K1 is formed once per order, from factors that
-each lower order keeps from when it is stored (-Lap L, L'' and the gradient
-rows of L'); the mode solve, the order residual and the compatibility check
-all read that one copy.  P = U g with g = Q f, f in the eigenbasis q_k,
+each lower order keeps from when it is stored: a row-major block whose row r
+holds L'' and the gradients of L' of monomial r, and the rows of -Lap L.  The
+mode solve, the order residual and the compatibility check all read that one
+copy.  What the nodes give every order (mu and its resonances, cos(mu t), the
+powers of U and the weights of U'/U) is tabled once per propagation, and each
+order reads slices of it.  P = U g with g = Q f, f in the eigenbasis q_k,
 decouples the system into scalar Dirichlet problems
 
     f_k'' + mu_k^2 f_k = k_k(t),    mu_k = 4 eps k,    k = 0..n,
@@ -40,8 +43,7 @@ import numpy as np
 
 from .errors import GeodesicDomainError, NumericError
 from .poly_ops import (
-    apply_EA, apply_laplacian, apply_SA, d_weights, fischer_weights, q_adjoint, q_matrix,
-    u_eigenvalues, u_log_derivative,
+    _check_A, apply_laplacian, d_weights, ea_from_laplacian, fischer_weights, q_adjoint, q_matrix,
 )
 from .second_jet import CausalClass, SecondJetBoundary, SecondJetPath, solve_bvp
 from .timegrid import CoefficientSeries, TimeGrid, _read_only, require_same_grid
@@ -56,11 +58,12 @@ COMPAT_TOL = 1e-8
 # 2-core x86 machine, with a 250 MiB peak RSS, and the cost grows about as the
 # order cubed.
 MAX_ORDER = 400
-# The frame keeps about 7 (n + 1) N floats for each stored order 2n = 4..max_order on N
-# nodes.  Peak RSS with the 1e-6 saddle, one BLAS thread: 188 MiB at order 400 on 64
-# nodes (9.1e6 floats), 331 MiB at order 100 on 2049 nodes (1.9e7) and 467 MiB at order
-# 130 on 2049 nodes (3.2e7), about 62 MiB plus 14 bytes a float.  So this budget, 3.4e7
-# floats, keeps a propagation under about 0.5 GiB.
+# The frame keeps 7 (n + 1) N floats for each stored order 2n = 4..max_order on N nodes,
+# and node tables of about 7 (max_order / 2 + 2) N.  Peak RSS of propagate and every
+# order_residual with the 1e-6 saddle, one BLAS thread: 155 MiB at order 400 on 64 nodes
+# (9.1e6 floats) and 457 MiB at order 130 on 2049 nodes (3.2e7), about 14 bytes a float
+# over what the grid holds.  So this budget, 3.4e7 floats, keeps a propagation under about
+# 0.5 GiB.  The propagate command adds its report: the same two runs peak at 222 and 727 MiB.
 MAX_FRAME_FLOATS = 2**25
 
 
@@ -152,21 +155,33 @@ def _classify(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m, gap < RESONANCE_TOL, (gap >= RESONANCE_TOL) & (gap < NEAR_RESONANCE_TOL)
 
 
-def _vary_constants(grid: TimeGrid, mu, k, f0, f1, multiple) -> tuple[np.ndarray, np.ndarray]:
-    """f and f' of f'' + mu^2 f = k with f(0) = f0, one row per mode.
+def _trig(t: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c = cos(mu t) and s = sin(mu t)/mu as rows, and mu^2 as a column, one per mu.
 
-    s = sin(mu t)/mu is t sinc(mu t/pi), so mu = 0 needs no branch.  b gives f(1) = f1, or,
-    on a row whose multiple m is positive, where s(1) vanishes, f orthogonal to sin(m pi t).
+    s is t sinc(mu t/pi), so mu = 0 needs no branch.
     """
-    t, jt, mu = grid.nodes, grid.integration_matrix.T, mu[:, None]
-    c, s = np.cos(mu * t), t * np.sinc(mu * t / math.pi)
+    mu = mu[:, None]
+    return np.cos(mu * t), t * np.sinc(mu * t / math.pi), mu**2
+
+
+def _vary_constants(grid: TimeGrid, c, s, mu2, k, f0, f1, multiple) -> tuple[np.ndarray, np.ndarray]:
+    """f and f' of f'' + mu^2 f = k with f(0) = f0, one row per mode; c, s and mu2 from _trig.
+
+    b gives f(1) = f1, or, on a row whose multiple m is positive, where s(1) vanishes, f
+    orthogonal to sin(m pi t).  Only those rows form the kernel w sin(m pi t).
+    """
+    jt = grid.integration_matrix.T
     jc, js = (c * k) @ jt, (s * k) @ jt
     free = f0[:, None] * c + s * jc - c * js
-    kernel = grid.quad_weights * np.sin(multiple[:, None] * math.pi * t)
-    b = np.where(multiple > 0, -(free * kernel).sum(1), f1 - free[:, -1]) \
-        / np.where(multiple > 0, (s * kernel).sum(1), s[:, -1])
+    num, den = f1 - free[:, -1], s[:, -1]
+    rows = np.flatnonzero(multiple > 0)
+    if rows.size:
+        kernel = grid.quad_weights * np.sin(multiple[rows, None] * math.pi * grid.nodes)
+        den = den.copy()
+        num[rows], den[rows] = -(free[rows] * kernel).sum(1), (s[rows] * kernel).sum(1)
+    b = num / den
     f = free + b[:, None] * s
-    return f, b[:, None] * c - mu**2 * f0[:, None] * s + c * jc + mu**2 * s * js
+    return f, b[:, None] * c - mu2 * f0[:, None] * s + c * jc + mu2 * s * js
 
 
 def _source_pairing(grid: TimeGrid, k: np.ndarray, m: int) -> float:
@@ -186,7 +201,8 @@ def solve_mode(problem: ModeProblem, grid: TimeGrid) -> ModeSolution:
     mu = np.array([math.sqrt(problem.lam)])
     m, resonant, near = _classify(mu)
     k = problem.source.values
-    f = _vary_constants(grid, mu, k[None], np.array([problem.f0]), problem.f1, m * resonant)[0]
+    f = _vary_constants(grid, *_trig(grid.nodes, mu), k[None], np.array([problem.f0]),
+                        problem.f1, m * resonant)[0]
     values = CoefficientSeries(grid, f[0])
     if not resonant[0]:
         return ModeSolution(values, resonant=False, near_resonance=bool(near[0]))
@@ -201,11 +217,79 @@ def solve_mode(problem: ModeProblem, grid: TimeGrid) -> ModeSolution:
 
 
 @dataclass(frozen=True)
+class _NodeTables:
+    """The node quantities of one propagation that no order changes, row m = 0..top.
+
+    Order 2n reads rows 0..n of the mode tables: mu = 4 eps m classified by _classify,
+    and c, s and mu^2 from _trig.  Monomial i = x^(2n-2i) y^(2i) has exponents 2n - 2i and
+    2i, so it pairs row n - i of an x table with row i of a y table: the diagonal of U is
+    x_powers[n::-1] * y_powers[:n + 1], with (A^2 + 1)^m and (1 + A^-2)^m the factors
+    u_eigenvalues multiplies, and U'/U and its derivative come from 2m A, 2m/A, 2m/A^2
+    and 4 eps^2 (1 + A^2) as u_log_derivative forms them.  Each slice is the same operation
+    on the same operands as the per-order form, so it has the same bits.
+    """
+
+    eps: float
+    multiple: np.ndarray
+    resonant: np.ndarray
+    near: np.ndarray
+    cos: np.ndarray
+    sinc: np.ndarray
+    mu2: np.ndarray
+    two_m: np.ndarray
+    x_powers: np.ndarray
+    y_powers: np.ndarray
+    x_weights: np.ndarray
+    y_weights: np.ndarray
+    y_curvatures: np.ndarray
+    dell_scale: np.ndarray
+
+    def trig(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """c, s and mu^2 of modes 0..n."""
+        return self.cos[:n + 1], self.sinc[:n + 1], self.mu2[:n + 1]
+
+    def u(self, n: int) -> np.ndarray:
+        """u_eigenvalues(n, A)."""
+        return self.x_powers[n::-1] * self.y_powers[:n + 1]
+
+    def sa(self, n: int) -> np.ndarray:
+        """A x d_x - A^-1 y d_y on the degree-2n monomials, as apply_SA weighs them."""
+        return self.x_weights[n::-1] - self.y_weights[:n + 1]
+
+    def log_derivative(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """u_log_derivative(n, A, eps)."""
+        return (2.0 * self.eps * self.sa(n),
+                self.dell_scale * (self.two_m[n::-1] + self.y_curvatures[:n + 1]))
+
+
+def _node_tables(grid: TimeGrid, A: np.ndarray, eps: float, top: int) -> _NodeTables:
+    """The read-only node tables of rows 0..top along A."""
+    A = _check_A(A)
+    m = np.arange(top + 1.0)[:, None]
+    two_m = 2.0 * m
+    mu = 4.0 * eps * np.arange(top + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = _NodeTables(
+            eps, *_classify(mu), *_trig(grid.nodes, mu), two_m,
+            x_powers=(A * A + 1.0) ** m, y_powers=(1.0 + A ** -2.0) ** m,
+            x_weights=A * two_m, y_weights=two_m / A, y_curvatures=two_m / (A * A),
+            dell_scale=4.0 * eps**2 * (1.0 + A * A))
+    for table in vars(tables).values():
+        if isinstance(table, np.ndarray):
+            _read_only(table)
+    return tables
+
+
+@dataclass(frozen=True)
 class _Frame:
     """Propagation state in the orientation that keeps A > 0.
 
-    Each stored order keeps L' and, stacked in `factors`, the four factors K1 takes
-    from it: -Lap L (zero-padded to n + 1 rows), L'' and the x and y gradients of L'.
+    `tables` holds what every order reads of the nodes, formed once per propagation for
+    the orders up to two above its top, which compatibility_check may reach.
+    Each stored order keeps L', and for K1 an (n + 1, 3, N) block `factors` whose row r
+    is [L'', d_x L', d_y L'] of monomial r, and the (n + 1, N) rows -Lap L, zero-padded in
+    row n.  So K1 adds contiguous windows of whole rows; the order residual reads L'' and
+    -Lap L from these too.  With L, L' and K1, that is 7 (n + 1) N floats an order.
     What it stores, and each K1 it forms, is read-only, so that no caller handed a view
     of it can change a later order or a compatibility pairing.
     A resonant order keeps its top mode's source, which every compatibility check reads.
@@ -216,9 +300,11 @@ class _Frame:
     eps: float
     A: np.ndarray
     Z: np.ndarray
+    tables: _NodeTables
     orders: dict[int, np.ndarray] = field(default_factory=dict)
     dots: dict[int, np.ndarray] = field(default_factory=dict)
     factors: dict[int, np.ndarray] = field(default_factory=dict)
+    neg_laps: dict[int, np.ndarray] = field(default_factory=dict)
     k1: dict[int, np.ndarray] = field(default_factory=dict)
     top_sources: dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -226,14 +312,15 @@ class _Frame:
         """Keep an order with its first time derivative and its K1 factors."""
         n = order // 2
         # row r holds x^(2n-2r) y^(2r); d/dx and d/dy weigh it by 2n-2r and 2r
-        weights = 2.0 * np.arange(n + 1)[:, None]
-        factors = np.zeros((4, n + 1, self.grid.node_count))
-        factors[0, :n] = -apply_laplacian(n, mat)
-        factors[1] = ddot
-        factors[2] = dot * weights[::-1]
-        factors[3] = dot * weights
-        self.orders[order], self.dots[order], self.factors[order] = (
-            _read_only(mat), _read_only(dot), _read_only(factors))
+        weights = self.tables.two_m
+        factors = np.empty((n + 1, 3, self.grid.node_count))
+        factors[:, 0] = ddot
+        factors[:, 1] = dot * weights[n::-1]
+        factors[:, 2] = dot * weights[:n + 1]
+        neg_lap = np.zeros((n + 1, self.grid.node_count))
+        neg_lap[:n] = -apply_laplacian(n, mat)
+        self.orders[order], self.dots[order] = _read_only(mat), _read_only(dot)
+        self.factors[order], self.neg_laps[order] = _read_only(factors), _read_only(neg_lap)
 
     def source(self, order: int) -> np.ndarray:
         """K1 of `order` divided by 1 + 2a + 2b, formed on first request."""
@@ -252,10 +339,12 @@ class _Frame:
         return coeffs[::-1] if self.swapped else coeffs
 
 
-def _make_frame(path2: SecondJetPath) -> _Frame:
-    """The empty frame of a space-like `path2`."""
-    return _Frame(grid=path2.grid, swapped=path2.swapped_axes, eps=path2.epsilon,
-                  A=path2.A.values, Z=1.0 + 2.0 * path2.a.values + 2.0 * path2.b.values)
+def _make_frame(path2: SecondJetPath, max_order: int) -> _Frame:
+    """The empty frame of a space-like `path2`, with the node tables of orders up to max_order + 2."""
+    A = path2.A.values
+    return _Frame(grid=path2.grid, swapped=path2.swapped_axes, eps=path2.epsilon, A=A,
+                  Z=1.0 + 2.0 * path2.a.values + 2.0 * path2.b.values,
+                  tables=_node_tables(path2.grid, A, path2.epsilon, max_order // 2 + 1))
 
 
 def _normalize_jets(jets: dict, what: str) -> dict[int, np.ndarray]:
@@ -277,30 +366,34 @@ def _k1_divided(frame: _Frame, order: int) -> np.ndarray:
 
     Only pairs of orders 4..order-2, all stored, contribute; the 2-jet factors are
     already accounted for on the left side of the divided equation.  A pair
-    of orders (2i, 2j), i + j = n + 1, stacks its three factor pairs (-Lap L_2i
-    with L_2j'', and the x and y gradients of L_2i' with L_2j') into one row
-    convolution.  The pairs are added in turn, and within a pair each output
-    row adds its terms with the left row r rising, which fixes K1 to the last
-    bit: the hierarchy amplifies a last-bit change about a millionfold by
-    order 20.  The loop runs over the shorter factor's rows; over the right
-    factor's rows s it runs falling, so that r = row - s still rises.
+    of orders (2i, 2j), i + j = n + 1, convolves the rows of a left block
+    [-Lap L_2i, d_x L_2i', d_y L_2i'], built per pair, with the stored block
+    [L_2j'', d_x L_2j', d_y L_2j'] into an (n + 2, 3, N) buffer: each term adds one
+    row-major block into the contiguous window of rows start..start + width.  The pairs
+    are added in turn, and within a pair each output row adds its terms with the left
+    row r rising, which fixes K1 to the last bit: the hierarchy amplifies a last-bit
+    change about a millionfold by order 20.  The loop runs over the shorter factor's
+    rows; over the right factor's rows s it runs falling, so that r = row - s still rises.
     """
     n = order // 2
-    out = np.zeros((n + 1, frame.grid.node_count))
-    conv, tmp = np.empty((2, 3, n + 2, frame.grid.node_count))
+    nodes = frame.grid.node_count
+    out = np.zeros((n + 1, nodes))
+    conv, tmp = np.empty((2, n + 2, 3, nodes))
     for i in range(2, n):
-        left, right = frame.factors[2 * i][[0, 2, 3]], frame.factors[2 * (n + 1 - i)][1:]
+        left = np.empty((i + 1, 3, nodes))
+        left[:, 0] = frame.neg_laps[2 * i]
+        left[:, 1:] = frame.factors[2 * i][:, 1:]
+        right = frame.factors[2 * (n + 1 - i)]
         short, long, starts = (left, right, range(i + 1)) if i <= n + 1 - i \
             else (right, left, range(n + 1 - i, -1, -1))
-        width = long.shape[1]
+        width = len(long)
         conv.fill(0.0)
         for start in starts:
-            window = conv[:, start:start + width]
-            np.add(window, np.multiply(short[:, start, None], long, out=tmp[:, :width]),
-                   out=window)
-        out += conv[0, :-1]
-        out += conv[1, :-1]
-        out += conv[2, 1:]  # y^(2r-1) y^(2s-1) is row r + s - 1
+            window = conv[start:start + width]
+            np.add(window, np.multiply(short[start], long, out=tmp[:width]), out=window)
+        out += conv[:-1, 0]
+        out += conv[:-1, 1]
+        out += conv[1:, 2]  # y^(2r-1) y^(2s-1) is row r + s - 1
     return out / frame.Z
 
 
@@ -321,7 +414,7 @@ def _finite_mode_sources(frame: _Frame, order: int):
     """U diagonal per node and K1 in the q basis of one order; NumericError if not finite."""
     n = order // 2
     with np.errstate(over="ignore", invalid="ignore"):
-        u_nodes = u_eigenvalues(n, frame.A)
+        u_nodes = frame.tables.u(n)
         k_modes = q_adjoint(n) @ (frame.source(order) / u_nodes)
     if not np.isfinite(k_modes).all():
         raise NumericError(f"the K1 source of order {order} is not finite")
@@ -334,9 +427,9 @@ def order_residual(hier: JetHierarchy, order: int) -> float:
         raise ValueError(f"order {order} is not stored in the hierarchy")
     frame = hier._frame
     n = order // 2
-    ddot = frame.factors[order][1]
-    lhs = ddot + 4.0 * frame.eps**2 * apply_EA(n, frame.A, frame.orders[order]) \
-        - 4.0 * frame.eps * apply_SA(n, frame.A, frame.dots[order])
+    lap = -frame.neg_laps[order][:-1]
+    lhs = frame.factors[order][:, 0] + 4.0 * frame.eps**2 * ea_from_laplacian(frame.A, lap) \
+        - 4.0 * frame.eps * (frame.tables.sa(n) * frame.dots[order])
     return float(np.max(np.abs(lhs - frame.source(order))))
 
 
@@ -373,7 +466,8 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
             f"propagation needs a space-like second-jet path, got {boundary.causal_class.value}"
         )
     path2 = solve_bvp(boundary, grid)
-    frame = _make_frame(path2)
+    frame = _make_frame(path2, max_order)
+    tables = frame.tables
 
     beyond: list[int] = []
     warnings: list[tuple[int, int]] = []
@@ -381,18 +475,17 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
         n = order // 2
         p0 = frame.orient(jets0.get(order, np.zeros(n + 1)))
         p1 = frame.orient(jets1.get(order, np.zeros(n + 1)))
-        mu = 4.0 * frame.eps * np.arange(n + 1)
-        _, resonant, near = _classify(mu)
-        warnings.extend((order, int(mode)) for mode in np.flatnonzero(near))
-        if resonant.any():  # a resonant top mode is reported, a resonant lower one refused
+        warnings.extend((order, int(mode)) for mode in np.flatnonzero(tables.near[:n + 1]))
+        if tables.resonant[:n + 1].any():  # a resonant top mode is reported, a lower one refused
             return _compatibility(frame, order, p0, p1, tuple(warnings))
         u_nodes, k_modes = _finite_mode_sources(frame, order)
         with np.errstate(over="ignore", invalid="ignore"):
             f0 = q_adjoint(n) @ (p0 / u_nodes[:, 0])
             f1 = q_adjoint(n) @ (p1 / u_nodes[:, -1])
-            f, df = _vary_constants(grid, mu, k_modes, f0, f1, np.zeros(n + 1, int))
-            qm, (ell, dell) = q_matrix(n), u_log_derivative(n, frame.A, frame.eps)
-            g, dg, ddg = qm @ f, qm @ df, qm @ (k_modes - mu[:, None] ** 2 * f)
+            c, s, mu2 = tables.trig(n)
+            f, df = _vary_constants(grid, c, s, mu2, k_modes, f0, f1, np.zeros(n + 1, int))
+            qm, (ell, dell) = q_matrix(n), tables.log_derivative(n)
+            g, dg, ddg = qm @ f, qm @ df, qm @ (k_modes - mu2 * f)
             derivs = (u_nodes * g, u_nodes * (dg + ell * g),
                       u_nodes * (ddg + 2.0 * ell * dg + (ell * ell + dell) * g))
             if not all(np.isfinite(d).all() for d in derivs):
@@ -409,13 +502,12 @@ def _compatibility(frame: _Frame, order: int, p0, p1, warnings) -> ObstructionRe
     """Obstruction data of `order`, whose top mode must resonate.  No lower mode can:
     mode k tops order 2k, where propagate stops.  A K1 that is not finite is a NumericError."""
     n = order // 2
-    multiple, resonant, _ = _classify(4.0 * frame.eps * np.arange(n + 1))
-    if not resonant[n]:
+    if not frame.tables.resonant[n]:
         raise ValueError(
             f"order {order} is not resonant: 4*eps*{n} = {4.0 * frame.eps * n} "
             "is not a multiple of pi"
         )
-    k_top, m = frame.top_source(order), int(multiple[n])
+    k_top, m = frame.top_source(order), int(frame.tables.multiple[n])
     fact, w0, w1 = fischer_weights(n), d_weights(n, frame.A[0]), d_weights(n, frame.A[-1])
     terms0, terms1 = w0 * fact * p0, w1 * fact * p1
     lhs = math.fsum(terms0) - (-1.0) ** m * math.fsum(terms1)

@@ -106,11 +106,18 @@ def _check_A(A) -> np.ndarray:
     return A
 
 
+@functools.lru_cache(maxsize=256)
 def _exponents(n: int, parity: Parity, ndim: int) -> tuple[np.ndarray, np.ndarray]:
-    """x and y exponents of the degree-2n basis as columns over `ndim` trailing axes."""
+    """x and y exponents of the degree-2n basis as columns over `ndim` trailing axes.
+
+    Memoised per (n, parity, ndim) and read-only, like q_matrix.
+    """
     ex, ey = np.array(PolyBasis(2 * n, parity).monomials).T
     shape = (-1,) + (1,) * ndim
-    return ex.reshape(shape), ey.reshape(shape)
+    ex, ey = ex.reshape(shape), ey.reshape(shape)
+    ex.setflags(write=False)
+    ey.setflags(write=False)
+    return ex, ey
 
 
 def boost(n: int) -> PolyOperator:
@@ -209,8 +216,11 @@ def apply_laplacian(n: int, p: np.ndarray) -> np.ndarray:
 
 def apply_EA(n: int, A, p: np.ndarray) -> np.ndarray:
     """E_A = (A^2 x^2 + A^-2 y^2) Laplacian applied to even-even coefficient arrays p."""
-    A = _check_A(A)
-    lap = apply_laplacian(n, p)
+    return ea_from_laplacian(_check_A(A), apply_laplacian(n, p))
+
+
+def ea_from_laplacian(A: np.ndarray, lap: np.ndarray) -> np.ndarray:
+    """E_A of an even-even array from its Laplacian rows `lap` (apply_laplacian), A checked."""
     pad = np.zeros_like(lap[:1])
     return A * A * np.concatenate([lap, pad]) + np.concatenate([pad, lap]) / (A * A)
 

@@ -128,12 +128,32 @@ def test_mode_manufactured_with_homogeneous_part(mu):
     assert not sol.resonant
     assert np.max(np.abs(sol.values.values - exact)) <= 1e-12 * np.max(np.abs(exact))
     # the closed-form derivative that propagate uses, without differentiating
+    trig = jet_propagation._trig(t, np.array([mu]))
     f, df = jet_propagation._vary_constants(
-        grid, np.array([mu]), k.values[None], exact[:1], exact[-1], np.zeros(1, int)
+        grid, *trig, k.values[None], exact[:1], exact[-1], np.zeros(1, int)
     )
     exact_dot = -mu * np.sin(mu * t) + np.exp(t) + 3.0 * t**2
     assert np.array_equal(f[0], sol.values.values)
     assert np.max(np.abs(df[0] - exact_dot)) <= 1e-12 * np.max(np.abs(exact_dot))
+
+
+def test_vary_constants_forms_the_resonant_kernel_per_row():
+    # a row with a positive multiple takes the orthogonal solution, and the rows
+    # without one keep the bits they have in a call with no multiple at all
+    grid = make_grid(65)
+    mu = np.array([0.0, math.pi, 3.0])
+    rng = np.random.default_rng(47)
+    k, f0, f1 = rng.standard_normal((3, 65)), rng.standard_normal(3), rng.standard_normal(3)
+    trig = jet_propagation._trig(grid.nodes, mu)
+    mixed = jet_propagation._vary_constants(grid, *trig, k, f0, f1, np.array([0, 1, 0]))
+    plain = jet_propagation._vary_constants(grid, *trig, k, f0, f1, np.zeros(3, int))
+    reference = vary_constants_reference(grid, mu, k, f0, f1, np.array([0, 1, 0]))
+    for ours, theirs, ref in zip(mixed, plain, reference):
+        assert np.array_equal(ours[[0, 2]], theirs[[0, 2]])
+        assert np.array_equal(ours, ref)
+    sol = solve_mode(ModeProblem(math.pi**2, CoefficientSeries(grid, k[1]), f0[1], f1[1]), grid)
+    assert sol.resonant
+    assert np.max(np.abs(sol.values.values - mixed[0][1])) <= 1e-12 * np.max(np.abs(mixed[0][1]))
 
 
 # --- quadratic source assembly ---------------------------------------------------
@@ -234,14 +254,13 @@ def test_propagate_deterministic():
 
 
 def test_mode_transform_roundtrip():
-    from torusjets.jet_propagation import _make_frame
     from torusjets.poly_ops import q_matrix, u_eigenvalues
 
     rng = np.random.default_rng(13)
     jets0 = {2: np.zeros(2), 4: rng.uniform(-1, 1, 3)}
     jets1 = {2: np.array([0.2, -0.2]), 4: rng.uniform(-1, 1, 3)}
     hier = propagate(jets0, jets1, 4, GRID)
-    frame = _make_frame(hier.path2)
+    frame = hier._frame
     p = hier.order_matrix(4)
     u_nodes = u_eigenvalues(2, frame.A)
     q = np.linalg.solve(q_matrix(2), p / u_nodes)
@@ -363,21 +382,33 @@ def test_k1_formed_once_per_order(monkeypatch):
     assert stored == once  # and no order was stored twice
 
 
-def k1_left_row_loop(frame, order):
-    """K1 / (1 + 2a + 2b) with every pair looping over the left factor's rows r."""
+def kinds_first(frame):
+    """Each stored order's K1 factors as one (4, n + 1, N) array: -Lap L, L'' and the x
+    and y gradients of L'."""
+    return {order: np.concatenate([frame.neg_laps[order][None], block.transpose(1, 0, 2)])
+            for order, block in frame.factors.items()}
+
+
+def left_row_k1(factors, Z, order):
+    """K1 / Z from kinds-first `factors`, with every pair looping over the left factor's rows r."""
     n = order // 2
-    out = np.zeros((n + 1, frame.grid.node_count))
+    out = np.zeros((n + 1, Z.size))
     for i in range(2, n):
-        fi, fj = frame.factors.get(2 * i), frame.factors.get(2 * (n + 1 - i))
+        fi, fj = factors.get(2 * i), factors.get(2 * (n + 1 - i))
         if fi is not None and fj is not None:
             left, right = fi[[0, 2, 3]], fj[1:]
-            conv = np.zeros((3, n + 2, frame.grid.node_count))
+            conv = np.zeros((3, n + 2, Z.size))
             for r in range(i + 1):
                 conv[:, r:r + n + 2 - i] += left[:, r, None] * right
             out += conv[0, :-1]
             out += conv[1, :-1]
             out += conv[2, 1:]
-    return out / frame.Z
+    return out / Z
+
+
+def k1_left_row_loop(frame, order):
+    """K1 / (1 + 2a + 2b) with every pair looping over the left factor's rows r."""
+    return left_row_k1(kinds_first(frame), frame.Z, order)
 
 
 @pytest.mark.parametrize("theta, swapped", [(0.05, False), (-0.05, True)])
@@ -389,6 +420,115 @@ def test_k1_matches_the_left_row_loop_bit_for_bit(theta, swapped):
         k1, reference = jet_propagation._k1_divided(frame, order), k1_left_row_loop(frame, order)
         assert np.array_equal(k1, reference)
         assert np.array_equal(np.signbit(k1), np.signbit(reference))
+
+
+def vary_constants_reference(grid, mu, k, f0, f1, multiple):
+    """The variation of constants with its own trig and both branches on every row."""
+    t, jt, mu = grid.nodes, grid.integration_matrix.T, mu[:, None]
+    c, s = np.cos(mu * t), t * np.sinc(mu * t / math.pi)
+    jc, js = (c * k) @ jt, (s * k) @ jt
+    free = f0[:, None] * c + s * jc - c * js
+    kernel = grid.quad_weights * np.sin(multiple[:, None] * math.pi * t)
+    b = np.where(multiple > 0, -(free * kernel).sum(1), f1 - free[:, -1]) \
+        / np.where(multiple > 0, (s * kernel).sum(1), s[:, -1])
+    f = free + b[:, None] * s
+    return f, b[:, None] * c - mu**2 * f0[:, None] * s + c * jc + mu**2 * s * js
+
+
+def propagate_reference(jets0, jets1, max_order, grid):
+    """The propagation loop with every node quantity formed per order and the left-row K1.
+
+    Returns the orders, the order residuals and the K1 of orders 4..max_order + 2, all in
+    the orientation of the jets, and the top q-mode of the K1 of max_order + 2.
+    """
+    from torusjets.poly_ops import (
+        apply_EA, apply_laplacian, apply_SA, q_adjoint, q_matrix, u_eigenvalues, u_log_derivative,
+    )
+    from torusjets.second_jet import SecondJetBoundary, solve_bvp
+
+    jets0 = {order: np.asarray(v, dtype=float) for order, v in jets0.items()}
+    jets1 = {order: np.asarray(v, dtype=float) for order, v in jets1.items()}
+    path2 = solve_bvp(SecondJetBoundary(*jets0[2].tolist(), *jets1[2].tolist()), grid)
+    A, eps = path2.A.values, path2.epsilon
+    Z = 1.0 + 2.0 * path2.a.values + 2.0 * path2.b.values
+    flip = (lambda m: m[::-1]) if path2.swapped_axes else (lambda m: m)
+    factors, orders, residuals, k1s = {}, {}, {}, {}
+    for order in range(4, max_order + 1, 2):
+        n = order // 2
+        p0 = flip(jets0.get(order, np.zeros(n + 1)))
+        p1 = flip(jets1.get(order, np.zeros(n + 1)))
+        mu = 4.0 * eps * np.arange(n + 1)
+        k1 = left_row_k1(factors, Z, order)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_nodes = u_eigenvalues(n, A)
+            k_modes = q_adjoint(n) @ (k1 / u_nodes)
+            f0 = q_adjoint(n) @ (p0 / u_nodes[:, 0])
+            f1 = q_adjoint(n) @ (p1 / u_nodes[:, -1])
+            f, df = vary_constants_reference(grid, mu, k_modes, f0, f1, np.zeros(n + 1, int))
+            qm, (ell, dell) = q_matrix(n), u_log_derivative(n, A, eps)
+            g, dg, ddg = qm @ f, qm @ df, qm @ (k_modes - mu[:, None] ** 2 * f)
+            mat, dot = u_nodes * g, u_nodes * (dg + ell * g)
+            ddot = u_nodes * (ddg + 2.0 * ell * dg + (ell * ell + dell) * g)
+        weights = 2.0 * np.arange(n + 1)[:, None]
+        factors[order] = np.zeros((4, n + 1, grid.node_count))
+        factors[order][0, :n] = -apply_laplacian(n, mat)
+        factors[order][1:] = ddot, dot * weights[::-1], dot * weights
+        lhs = factors[order][1] + 4.0 * eps**2 * apply_EA(n, A, mat) - 4.0 * eps * apply_SA(n, A, dot)
+        residuals[order] = float(np.max(np.abs(lhs - k1)))
+        orders[order], k1s[order] = flip(mat), flip(k1)
+    n = max_order // 2 + 1
+    k1 = left_row_k1(factors, Z, 2 * n)
+    k1s[2 * n] = flip(k1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        top_mode = (q_adjoint(n) @ (k1 / u_eigenvalues(n, A)))[-1]
+    return orders, residuals, k1s, top_mode
+
+
+def assert_same_bits(ours, reference):
+    assert np.array_equal(ours, reference)
+    assert np.array_equal(np.signbit(ours), np.signbit(reference))
+
+
+@pytest.mark.parametrize("case", ["swapped-129", "unswapped-129", "h5-64"])
+def test_propagate_matches_the_per_order_reference_bit_for_bit(case):
+    if case == "h5-64":
+        (jets0, jets1), max_order, grid = h_family_jets(5, 8), 8, GRID
+    else:
+        theta = -0.05 if case.startswith("swapped") else 0.05
+        (jets0, jets1), max_order, grid = family_jets(theta, 40, seed=43), 40, make_grid(129)
+    hier = propagate(jets0, jets1, max_order, grid)
+    orders, residuals, k1s, top_mode = propagate_reference(jets0, jets1, max_order, grid)
+    assert hier.path2.swapped_axes == (case.startswith("swapped"))
+    assert sorted(hier.orders) == sorted(orders) == list(range(4, max_order + 1, 2))
+    for order in orders:
+        assert_same_bits(hier.order_matrix(order), orders[order])
+        assert_same_bits(np.float64(order_residual(hier, order)), np.float64(residuals[order]))
+    for order, k1 in k1s.items():
+        assert_same_bits(source_K1(hier, order), k1)
+    assert_same_bits(hier._frame.top_source(max_order + 2), top_mode)
+
+
+def held_floats(arrays):
+    """Floats of the distinct buffers that `arrays` keep alive, views counted by their base."""
+    roots = {}
+    for arr in arrays:
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        roots[id(arr)] = arr.size
+    return sum(roots.values())
+
+
+def test_the_frame_keeps_seven_floats_an_order_and_node():
+    # the per-order count that MAX_FRAME_FLOATS budgets, and node tables of O(max_order N)
+    grid = make_grid(129)
+    jets0, jets1 = family_jets(0.05, 40, seed=43)
+    frame = propagate(jets0, jets1, 40, grid)._frame
+    kept = (frame.orders, frame.dots, frame.factors, frame.neg_laps, frame.k1)
+    assert sorted(frame.k1) == list(range(4, 41, 2))
+    for order in range(4, 41, 2):
+        assert held_floats([store[order] for store in kept]) <= 7 * (order // 2 + 1) * 129
+    tables = [arr for arr in vars(frame.tables).values() if isinstance(arr, np.ndarray)]
+    assert held_floats(tables) <= 8 * (40 // 2 + 2) * 129
 
 
 @pytest.mark.parametrize("theta, max_order, seed", [(0.05, 20, 21), (-0.3, 12, 11), (0.3, 12, 11)])
@@ -432,7 +572,7 @@ def pde_defects(hier):
         t = {2: {(2, 0): da[idx], (0, 2): db[idx]}}
         lap = {0: {(0, 0): 1.0 + 2.0 * a[idx] + 2.0 * b[idx]}}
         for order in range(4, top + 1, 2):
-            tt[order] = _homogeneous(frame.orient(frame.factors[order][1]), order, idx)
+            tt[order] = _homogeneous(frame.orient(frame.factors[order][:, 0]), order, idx)
             t[order] = _homogeneous(frame.orient(frame.dots[order]), order, idx)
             lap[order - 2] = _laplacian(_homogeneous(frame.orient(frame.orders[order]), order, idx))
         gx = {order - 1: poly_diff(p, "x") for order, p in t.items()}

@@ -194,6 +194,20 @@ def test_u_log_derivative_along_the_path():
             assert np.max(np.abs(closed - values @ grid.diff_matrix.T)) <= 1e-9 * np.max(np.abs(closed))
 
 
+def test_exponents_are_memoised_read_only_columns():
+    from torusjets import poly_ops
+
+    for parity, ndim in ((Parity.EVEN_EVEN, 1), (Parity.FULL, 0)):
+        ex, ey = poly_ops._exponents(3, parity, ndim)
+        assert poly_ops._exponents(3, parity, ndim)[0] is ex
+        monomials = PolyBasis(6, parity).monomials
+        assert ex.shape == ey.shape == (len(monomials),) + (1,) * ndim
+        assert [(int(j), int(k)) for j, k in zip(ex.ravel(), ey.ravel())] == list(monomials)
+        for arr in (ex, ey):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+
 def test_op_U_diagonal():
     op = op_U(3, 1.7)
     assert np.array_equal(np.diag(np.diag(op.matrix)), op.matrix)
