@@ -54,9 +54,9 @@ NEAR_RESONANCE_TOL = 1e-6
 # reads as satisfied
 COMPAT_TOL = 1e-8
 # The saddle 0.1 sin^2 x - 0.1 sin^2 y stops with NumericError at order 246;
-# with 1e-6 in place of 0.1 it reaches this order at 64 nodes in about 40 s on a
-# 2-core x86 machine, with a 250 MiB peak RSS, and the cost grows about as the
-# order cubed.
+# with 1e-6 in place of 0.1 it reaches this order at 64 nodes in about 50 s on a
+# 2-core x86 machine, with a 155 MiB peak RSS (222 MiB through the propagate command),
+# and the cost grows about as the order cubed.
 MAX_ORDER = 400
 # The frame keeps 7 (n + 1) N floats for each stored order 2n = 4..max_order on N nodes,
 # and node tables of about 7 (max_order / 2 + 2) N.  Peak RSS of propagate and every
