@@ -114,6 +114,8 @@ class SecondJetPath:
     causal_class: CausalClass
     a: CoefficientSeries
     b: CoefficientSeries
+    a_dot: CoefficientSeries  # a' and b', in closed form
+    b_dot: CoefficientSeries
     sigma1: CoefficientSeries
     sigma2: float
     swapped_axes: bool
@@ -249,30 +251,31 @@ def solve_bvp(boundary: SecondJetBoundary, grid: TimeGrid) -> SecondJetPath:
 
     and the same for b, with the bend g = 1 - alpha - beta in a form that
     cancels nowhere; g = 0 on a null line, so a jet that does not move stays
-    exact.  sigma1 = Z'/(2 Z) = -Z (alpha'/Z0 + beta'/Z1)/2, whose two terms
-    cancel, is taken in closed forms that keep its digits: epsilon (A - 1/A)
-    on a space-like path, +-(D/2) coth(s) with the proper time s carried from
-    the higher end on a time-like one, and Z dZ/(2 Z0 Z1) on a null line.
-    Every class meets one endpoint contract: a path that misses a boundary jet
-    by more than ENDPOINT_TOL * max(Z0, Z1) is refused with ConsistencyError,
-    and one whose rounded jets leave the half-plane with NumericError.
+    exact.  Every class reads its slopes off the rows S' of the same slerp, with
+    g' = S'(1 - t) - S'(t) in product form: Z'/Z = (Z/Z1) (g' + dZ S'(1 - t)/Z0)
+    and X'/Z = dX (S'(t) + S(t) Z'/Z)/Z1 when Z1 >= Z0, mirrored from t = 1
+    otherwise; sigma1 = Z'/(2 Z) and a', b' = Z (Z'/Z +- X'/Z)/4.  Every class
+    meets one endpoint contract: a path that misses a boundary jet by more
+    than ENDPOINT_TOL * max(Z0, Z1) is refused with ConsistencyError, and one
+    whose rounded jets leave the half-plane with NumericError.
     """
     cls, z0, z1, da, db = _ends(boundary)
     tau = grid.end_distances  # rows t and 1 - t
-    sigma1, sigma2, swapped, eps, A, bend = None, 0.0, False, None, None, None
-    # shares: rows beta/Z1 and alpha/Z0, the two ends' parts of 1/Z; bend: g/4
+    sigma2, swapped, eps, A, bend, turn = 0.0, False, None, None, None, 0.0
+    # shares: rows beta/Z1 and alpha/Z0, the two ends' parts of 1/Z; slopes: rows S'(t)/Z1
+    # and S'(1 - t)/Z0; turn: g'; bend: g/4
     if cls is CausalClass.SPACE_LIKE:
         D, sn, cs = _space_angle(da, db, *_reaches(boundary), z0, z1)
         sin_d, h = 2.0 * sn * cs, (0.5 * D) * tau
-        s = np.sin(h)
-        shares = s * np.cos(h) * _column(2.0 / sin_d / z1, 2.0 / sin_d / z0)  # sin(tau D)/sin D
+        s, c = np.sin(h), np.cos(h)
+        shares = s * c * _column(2.0 / sin_d / z1, 2.0 / sin_d / z0)  # sin(tau D)/sin D
+        slopes = (c - s) * (c + s) * _column(D / sin_d / z1, D / sin_d / z0)
+        turn = (D / cs) * np.sin(h[0] - h[1])  # D sin((2t - 1) D/2)/cos(D/2)
         bend = (-0.5 / cs) * s[0] * s[1]
         sigma2, swapped, eps = -(0.25 * D) ** 2, da < 0, 0.25 * D
         A = _tan_half_psi(h, sn, sin_d, 2.0 * (da + db), z0, z1)
-        sigma1 = eps * (A - 1.0 / A)
     elif cls is CausalClass.TIME_LIKE:
-        sh, ch = _half_angle(da, db, *_reaches(boundary), z0, z1)
-        D = 2.0 * math.asinh(sh)
+        D = 2.0 * math.asinh(_half_angle(da, db, *_reaches(boundary), z0, z1)[0])
         h = -D * tau
         e, em = np.exp(h), np.expm1(h)
         # sinh(tau D)/sinh D = e^((tau - 1) D) (e^(-2 tau D) - 1)/(e^(-2D) - 1), with
@@ -280,17 +283,16 @@ def solve_bvp(boundary: SecondJetBoundary, grid: TimeGrid) -> SecondJetPath:
         # neither overflows nor cancels
         scale = 1.0 / math.expm1(-2.0 * D)
         shares = e[::-1] * em * (1.0 + e) * _column(scale / z1, scale / z0)
+        # cosh(tau D)/sinh D, the farther end's e^(-tau D) read as e^(-D)/e^(-(1 - tau) D)
+        half = math.exp(-0.5 * D)  # two rounded -tau D can miss summing to -D by an ulp of D
+        e = np.where(tau <= tau[::-1], e, half / np.maximum(e[0], e[1]) * half)
+        slopes = e[::-1] * (1.0 + e * e) * _column(-D * scale / z1, -D * scale / z0)
+        turn = (D / (1.0 + math.exp(-D))) * (em[0] - em[1])  # D sinh((1 - 2t) D/2)/cosh(D/2)
         bend = (0.25 / (1.0 + math.exp(-D))) * em[0] * em[1]
         sigma2 = (0.25 * D) ** 2
-        # Z = r/sinh(s) on the branch, with the proper time s smallest at the higher end:
-        # s_hi = asinh(r/Z_hi), r = sinh(D) Z0 Z1/|dX|, infinite on a vertical chord.
-        # sigma1 = Z'/(2Z) = +-(D/2) coth(s), with s carried from that end
-        rising, dx = da + db > 0, 2.0 * (da - db)
-        r_hi = 2.0 * (sh * min(z0, z1)) * (ch / abs(dx)) if dx else math.inf
-        proper = math.asinh(r_hi) + D * tau[1 if rising else 0]
-        sigma1 = (0.5 * D if rising else -0.5 * D) / np.tanh(proper)
     else:
         shares = tau * _column(1.0 / z1, 1.0 / z0)
+        slopes = _column(1.0 / z1, 1.0 / z0)
     u1, u0 = shares
     Z = 1.0 / (u0 + u1)
     # beta/alpha rises with t, so the nodes nearer p0 in 1/Z are a prefix
@@ -302,8 +304,13 @@ def solve_bvp(boundary: SecondJetBoundary, grid: TimeGrid) -> SecondJetPath:
     jets += np.array(((boundary.a0, boundary.a1), (boundary.b0, boundary.b1))).repeat(
         (k, Z.size - k), axis=1)
     a, b = jets
-    if sigma1 is None:  # light-like: (1/Z)' = 1/Z1 - 1/Z0 = -dZ/(Z0 Z1)
-        sigma1 = (da + db) / max(z0, z1) / min(z0, z1) * Z
+    # Z'/Z off (Z - Z_hi)/Z and X'/Z off (X - X_lo)/Z: Z <= Z_hi, so Z/Z_hi amplifies nothing
+    v1, v0 = slopes
+    v_lo, v_hi, u_hi, z_hi = (v0, v1, u1, z1) if z1 >= z0 else (v1, v0, -u0, z0)
+    with np.errstate(over="ignore", invalid="ignore"):  # past Z ~ 1e305 a' and b' are inf
+        zrate = Z / z_hi * turn + Z * (2.0 * (da + db) / z_hi) * v_lo
+        xrate = 2.0 * (da - db) * (v_hi + zrate * u_hi)
+        a_dot, b_dot = (0.25 * Z) * (zrate + xrate), (0.25 * Z) * (zrate - xrate)
 
     miss = max(abs(a[0] - boundary.a0), abs(b[0] - boundary.b0),
                abs(a[-1] - boundary.a1), abs(b[-1] - boundary.b1))
@@ -314,7 +321,8 @@ def solve_bvp(boundary: SecondJetBoundary, grid: TimeGrid) -> SecondJetPath:
     if not (1.0 + 2.0 * a + 2.0 * b).min() > 0:
         raise NumericError("path leaves the half-plane: 1 + 2a + 2b <= 0 at a node")
     return SecondJetPath(boundary, cls, CoefficientSeries(grid, a), CoefficientSeries(grid, b),
-                         CoefficientSeries(grid, sigma1), sigma2, swapped, eps,
+                         CoefficientSeries(grid, a_dot), CoefficientSeries(grid, b_dot),
+                         CoefficientSeries(grid, 0.5 * zrate), sigma2, swapped, eps,
                          None if A is None else CoefficientSeries(grid, A))
 
 
@@ -344,15 +352,14 @@ def _chord_hyperbola(p0: HalfPlanePoint, p1: HalfPlanePoint) -> Hyperbola | None
 
 
 def ode_residual(path: SecondJetPath) -> float:
-    """Max nodewise residual of the jet equations on the path; NumericError if not finite."""
-    d = path.grid.diff_matrix
-    a, b = path.a.values, path.b.values
-    z = 1.0 + 2.0 * a + 2.0 * b
+    """Max miss of a''/Z = 4 (a'/Z)^2 and b''/Z = 4 (b'/Z)^2 over the nodes, relative to their
+    largest term, with a''/Z = 4 sigma1 a'/Z - 4 sigma2 from S'' = 16 sigma2 S and Z read off
+    the node values; NumericError if it is not finite."""
+    z = 1.0 + 2.0 * path.a.values + 2.0 * path.b.values
     with np.errstate(over="ignore", invalid="ignore"):
-        da, db = d @ a, d @ b
-        ra = d @ da - 4.0 * da * da / z
-        rb = d @ db - 4.0 * db * db / z
-        residual = float(np.max(np.abs((ra, rb))))  # nan stays nan
+        rates = np.array((path.a_dot.values, path.b_dot.values)) / z
+        terms = np.array((4.0 * path.sigma1.values * rates - 4.0 * path.sigma2, 4.0 * rates**2))
+        residual = float(np.max(np.abs(terms[0] - terms[1])) / (np.max(np.abs(terms)) or 1.0))
     if not math.isfinite(residual):
         raise NumericError(f"the jet-equation residual of the path is {residual}")
     return residual

@@ -1,11 +1,11 @@
 """Chebyshev collocation grid on the time interval [0, 1].
 
 All time-dependent quantities in the package live on a shared grid of
-Chebyshev-Gauss-Lobatto nodes mapped to [0, 1].  The grid carries a spectral
-differentiation matrix (barycentric form with the negative-sum trick on the
-diagonal) and, formed on first use, the integration matrix J, (J v)_i =
-int_0^{t_i} v, exact for the interpolant of v.  The quadrature weights are
-J's last row, since int_0^1 v = (J v)(1): the Clenshaw-Curtis rule.
+Chebyshev-Gauss-Lobatto nodes mapped to [0, 1].  The grid forms on first use
+the spectral differentiation matrix D (barycentric form with the negative-sum
+trick on the diagonal), which no subcommand reads, and the integration matrix
+J, (J v)_i = int_0^{t_i} v, exact for the interpolant of v.  The quadrature
+weights are J's last row, since int_0^1 v = (J v)(1): the Clenshaw-Curtis rule.
 make_grid hands out one shared, read-only grid per node count.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 MIN_NODES = 8
 DEFAULT_NODES = 64
-# D and J take 32 MiB each at this size.
+# D and J, each formed on first use, take 32 MiB each at this size.
 MAX_NODES = 2049
 
 
@@ -28,11 +28,23 @@ class TimeGrid:
     """Collocation nodes on [0, 1] with differentiation and quadrature."""
 
     nodes: np.ndarray
-    diff_matrix: np.ndarray
 
     @property
     def node_count(self) -> int:
         return self.nodes.size
+
+    @functools.cached_property
+    def diff_matrix(self) -> np.ndarray:
+        """D, (D v)_i = v'(t_i) for the interpolant of v, formed on first use, read-only."""
+        n = self.node_count - 1  # barycentric weights: alternating signs, halved ends
+        bary = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
+        bary[[0, n]] *= 0.5
+        dt = self.nodes[:, None] - self.nodes[None, :]
+        np.fill_diagonal(dt, 1.0)
+        diff = (bary[None, :] / bary[:, None]) / dt
+        np.fill_diagonal(diff, 0.0)
+        np.fill_diagonal(diff, -diff.sum(axis=1))
+        return _read_only(diff)
 
     @functools.cached_property
     def integration_matrix(self) -> np.ndarray:
@@ -70,9 +82,9 @@ def make_grid(node_count: int = DEFAULT_NODES) -> TimeGrid:
     """The Chebyshev-Gauss-Lobatto grid with node_count points.
 
     Grids are memoised per node count, so every caller of one size shares one
-    grid, and its J once formed; their arrays are read-only.  The memo keeps
-    the 4 most recent sizes, at worst 4 grids at MAX_NODES: 4 x (D + J) =
-    256 MiB.
+    grid, and its D and J once formed; their arrays are read-only.  The memo
+    keeps the 4 most recent sizes, at worst 4 grids at MAX_NODES: 4 x J = 128
+    MiB from the subcommands, 4 x (D + J) = 256 MiB where D is read too.
     """
     if node_count < MIN_NODES:
         raise ValueError(f"node_count must be >= {MIN_NODES}, got {node_count}")
@@ -91,22 +103,12 @@ def _make_grid(node_count: int) -> TimeGrid:
     n = node_count - 1
     # t_j = (1 - cos(pi j / n)) / 2, assembled from the sin^2 half-angle form
     # and mirrored so that the nodes are exactly symmetric about 1/2.
-    j = np.arange(n + 1)
-    nodes = np.sin(np.pi * j / (2 * n)) ** 2
+    nodes = np.sin(np.pi * np.arange(n + 1) / (2 * n)) ** 2
     m = (n + 1) // 2
     nodes[m:] = 1.0 - nodes[n - np.arange(m, n + 1)]
     if n % 2 == 0:
         nodes[n // 2] = 0.5
-
-    # Barycentric weights for Lobatto nodes: alternating signs, halved ends.
-    bary = np.where(j % 2 == 0, 1.0, -1.0)
-    bary[[0, n]] *= 0.5
-    dt = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(dt, 1.0)
-    diff = (bary[None, :] / bary[:, None]) / dt
-    np.fill_diagonal(diff, 0.0)
-    np.fill_diagonal(diff, -diff.sum(axis=1))
-    return TimeGrid(nodes=_read_only(nodes), diff_matrix=_read_only(diff))
+    return TimeGrid(nodes=_read_only(nodes))
 
 
 def _integration_matrix(n: int) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Independent reference implementations used to pin expected test values.
 
 Nothing here imports from torusjets: the jet ODE is integrated with a plain
-RK4 shooting method, its path is evaluated at 50 digits (mpmath) from the
-hyperbola geometry of its half-plane picture, polynomial operators are rebuilt by symbolic
-differentiation on exact-rational bivariate polynomials, linear systems
+RK4 shooting method, its path and sigma1 are evaluated at 50 and 60 digits
+(mpmath) from the hyperbola geometry of its half-plane picture, polynomial
+operators are rebuilt by symbolic differentiation on exact-rational
+bivariate polynomials, linear systems
 are solved by fraction-preserving elimination, and the obstruction of h_3 is
 carried through the whole chain in exact arithmetic (sympy).  Agreement
 between these routines and the package is what the tests assert.
@@ -151,33 +152,53 @@ def jet_path_mp(a0, b0, a1, b1, t_nodes, dps=50):
     import mpmath
 
     with mpmath.workdps(dps):
-        mp = mpmath.mpf
-        a0, b0, a1, b1 = (mp(float(v)) for v in (a0, b0, a1, b1))
-        z0, z1 = 1 + 2 * (a0 + b0), 1 + 2 * (a1 + b1)
-        x0, x1 = 2 * (a0 - b0), 2 * (a1 - b1)
-        dx, dz = x1 - x0, z1 - z0
-        ts = [mp(float(t)) for t in t_nodes]
-        if dx == 0:
-            points = [(x0, z0 * (z1 / z0) ** t) for t in ts]
-        elif dx * dx == dz * dz:
-            zs = [1 / ((1 - t) / z0 + t / z1) for t in ts]
-            points = [(x0 + dx / dz * (z - z0), z) for z in zs]
-        else:
-            lam = ((z0 - z1) * (z0 + z1) + dx * (x1 + x0)) / (2 * dx)
-            c = z0 * z0 - (x0 - lam) ** 2
-            if c > 0:
-                root = mpmath.sqrt(c)
-                psi0, psi1 = (mpmath.atan2(root, lam - x) for x in (x0, x1))
-                psis = [psi0 + (psi1 - psi0) * t for t in ts]
-                points = [(lam - root * mpmath.cot(p), root / mpmath.sin(p)) for p in psis]
-            else:
-                r, side = mpmath.sqrt(-c), mpmath.sign(x0 - lam)
-                s0, s1 = mpmath.asinh(r / z0), mpmath.asinh(r / z1)
-                ss = [s0 + (s1 - s0) * t for t in ts]
-                points = [(lam + side * r * mpmath.coth(s), r / mpmath.sinh(s)) for s in ss]
-        a = np.array([float((z + x - 1) / 4) for x, z in points])
-        b = np.array([float((z - x - 1) / 4) for x, z in points])
+        points = _geodesic_mp(mpmath, a0, b0, a1, b1, t_nodes)
+        a = np.array([float((z + x - 1) / 4) for x, z, _ in points])
+        b = np.array([float((z - x - 1) / 4) for x, z, _ in points])
     return a, b
+
+
+def sigma1_mp(a0, b0, a1, b1, t_nodes, dps=60):
+    """sigma1 = Z'/(2 Z) at t_nodes, each rounded to float from a 60-digit evaluation.
+
+    On the paths of jet_path_mp, Z'/Z is -psi' cot(psi) on a space-like arc,
+    -s' coth(s) on a time-like branch, log(Z1/Z0) on a vertical chord and
+    -p'/p, p = 1/Z, on a null line.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return np.array([float(s) for _, _, s in _geodesic_mp(mpmath, a0, b0, a1, b1, t_nodes)])
+
+
+def _geodesic_mp(mpmath, a0, b0, a1, b1, t_nodes):
+    """(X, Z, sigma1) of the geodesic at each of t_nodes, at the working precision."""
+    mp = mpmath.mpf
+    a0, b0, a1, b1 = (mp(float(v)) for v in (a0, b0, a1, b1))
+    z0, z1 = 1 + 2 * (a0 + b0), 1 + 2 * (a1 + b1)
+    x0, x1 = 2 * (a0 - b0), 2 * (a1 - b1)
+    dx, dz = x1 - x0, z1 - z0
+    ts = [mp(float(t)) for t in t_nodes]
+    if dx == 0:
+        rate = mpmath.log(z1 / z0) / 2
+        return [(x0, z0 * (z1 / z0) ** t, rate) for t in ts]
+    if dx * dx == dz * dz:
+        ps = [(1 - t) / z0 + t / z1 for t in ts]
+        dp = 1 / z1 - 1 / z0
+        return [(x0 + dx / dz * (1 / p - z0), 1 / p, -dp / (2 * p)) for p in ps]
+    lam = ((z0 - z1) * (z0 + z1) + dx * (x1 + x0)) / (2 * dx)
+    c = z0 * z0 - (x0 - lam) ** 2
+    if c > 0:
+        root = mpmath.sqrt(c)
+        psi0, psi1 = (mpmath.atan2(root, lam - x) for x in (x0, x1))
+        psis = [psi0 + (psi1 - psi0) * t for t in ts]
+        return [(lam - root * mpmath.cot(p), root / mpmath.sin(p),
+                 -(psi1 - psi0) * mpmath.cot(p) / 2) for p in psis]
+    r, side = mpmath.sqrt(-c), mpmath.sign(x0 - lam)
+    s0, s1 = mpmath.asinh(r / z0), mpmath.asinh(r / z1)
+    ss = [s0 + (s1 - s0) * t for t in ts]
+    return [(lam + side * r * mpmath.coth(s), r / mpmath.sinh(s), -(s1 - s0) * mpmath.coth(s) / 2)
+            for s in ss]
 
 
 # ---------------------------------------------------------------------------

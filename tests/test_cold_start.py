@@ -1,6 +1,6 @@
 """A fresh interpreter loads no scipy module for any subcommand, forms the
-integration matrix J only for a call that integrates, and builds no time grid
-for pde-check.
+integration matrix J only for a call that integrates, forms the differentiation
+matrix D for no subcommand, and builds no time grid for pde-check.
 
 The pytest process has loaded scipy long before these tests run, so each check
 runs in a new interpreter started with sys.executable and PYTHONPATH=src.
@@ -62,6 +62,8 @@ for name, argv in runs:
     state[name] = scipy_modules()
     if name in no_j_nodes:
         j_formed[name] = "integration_matrix" in vars(make_grid(no_j_nodes[name]))
+# second-jet and propagate ran on 17 nodes, counterexample on the default 64
+d_formed = {n: "diff_matrix" in vars(make_grid(n)) for n in (17, 64)}
 
 try:
     pde_crosscheck.NoSuchName
@@ -73,6 +75,7 @@ print(json.dumps({
     "codes": codes,
     "scipy_after": state,
     "j_formed": j_formed,
+    "d_formed": d_formed,
     "grid_memo": grid_memo,
     "operator_module": pde_crosscheck.LinearOperator.__module__,
     "operator": [list(operator.shape), str(operator.dtype), operator.matvec([1.0, 2.0])],
@@ -104,6 +107,11 @@ def test_no_scipy_before_the_pde_check(cold, step):
 def test_calls_that_never_integrate_leave_j_unformed(cold):
     # the quadrature weights are J's last row, so reading them would form J
     assert cold["j_formed"] == {"second-jet": False}
+
+
+def test_no_subcommand_forms_d(cold):
+    # the 2-jet path's slopes and residual are closed forms, so no grid forms D
+    assert cold["d_formed"] == {"17": False, "64": False}
 
 
 def test_pde_check_builds_no_time_grid(cold):

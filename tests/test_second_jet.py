@@ -22,7 +22,7 @@ from torusjets.second_jet import (
 )
 from torusjets.timegrid import CoefficientSeries, derivative, make_grid
 
-from _oracles import jet_path_mp, shoot_jet_paths
+from _oracles import jet_path_mp, shoot_jet_paths, sigma1_mp
 
 GRID = make_grid(64)
 
@@ -422,9 +422,39 @@ ORACLE_CHORDS = {
 }
 
 
-@pytest.mark.parametrize("size", [1e-8, 1e-3, 1.0, 1e4, 1e7, 1e12, 1e50, 1e100, 1e150])
+ORACLE_SIZES = [1e-8, 1e-3, 1.0, 1e4, 1e7, 1e12, 1e50, 1e100, 1e150]
+
+
+@pytest.mark.parametrize("size", ORACLE_SIZES)
 @pytest.mark.parametrize("cls", list(ORACLE_CHORDS))
 def test_paths_match_mp_oracle_at_every_node(size, cls):
     for bdry in ORACLE_CHORDS[cls](size):
         assert solve_bvp(SecondJetBoundary(*bdry), GRID).causal_class.value == cls, bdry
         assert_matches_mp_oracle(bdry)
+
+
+def oracle_chords():
+    return [bdry for size in ORACLE_SIZES for chords in ORACLE_CHORDS.values()
+            for bdry in chords(size)]
+
+
+# Z0 = Z1 to rounding and D = 2.5e-12: Z'/Z is of order D^2 and of the rounding of da + db,
+# where forms that difference S'(1 - t) and S'(t) keep no digit
+NEAR_STATIONARY = (0.1, 0.2, 0.1 + 1e-12, 0.2 - 1e-12)
+
+
+def test_sigma1_matches_mp_oracle():
+    chords = oracle_chords() + [case[0] for case in CLOSED_FORM_CASES.values()] + [NEAR_STATIONARY]
+    for bdry in chords:
+        sigma1 = solve_bvp(SecondJetBoundary(*bdry), GRID).sigma1.values
+        ref = sigma1_mp(*bdry, GRID.nodes)
+        assert np.max(np.abs(sigma1 - ref)) <= 1e-13 * np.max(np.abs(ref)), bdry
+
+
+@pytest.mark.parametrize("nodes", [17, 64, 513, 2049])
+def test_ode_residual_of_oracle_chords_is_rounding(nodes):
+    # read off closed forms, the residual does not grow with the node count as a spectral
+    # derivative's rounding would
+    grid = make_grid(nodes)
+    for bdry in oracle_chords():
+        assert ode_residual(solve_bvp(SecondJetBoundary(*bdry), grid)) <= 1e-13, bdry
