@@ -21,9 +21,11 @@ Exit codes:
 - 3: mathematical precondition failure (GeodesicDomainError), such as a
   propagate boundary that is not space-like; propagate classifies the
   2-jets before it solves them.
-- 4: numeric failure: a solver that did not converge, a propagated order that
-  is not finite, or Fischer weights past the float range (NumericError); or an
-  identity that must hold numerically and did not (ConsistencyError).
+- 4: numeric failure: a solver that did not converge or a propagated order
+  that is not finite (NumericError); or an identity that must hold
+  numerically and did not (ConsistencyError).  The order-2n pairing is a
+  point evaluation with no factorial, so counterexample runs for every n
+  whose order 2n is within MAX_ORDER.
 
 second-jet solves every causal class in closed form and iterates nowhere.
 The class is the sign of dX^2 - dZ^2 = -16 da db, with a jet difference

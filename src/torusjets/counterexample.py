@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .jet_propagation import MAX_ORDER, ObstructionReport, compatibility_check, propagate
-from .poly_ops import fischer_weights
 from .timegrid import DEFAULT_NODES, TimeGrid, make_grid
 
 EPSILON_TOL = 1e-10
@@ -205,7 +204,10 @@ def obstruction_demo(n: int, grid: TimeGrid | None = None) -> ObstructionDemo:
 
     h~_n has the jets of h_n below order 2n, so one hierarchy serves both
     compatibility checks; kappa = argmax |v| (smallest index on ties) and
-    chi = exp(-n) are fixed by the check of h_n.
+    chi = exp(-n) are fixed by the check of h_n.  u and v weigh the raw derivatives
+    D_x^(2n-2i) D_y^(2i) phi(0): the check's monomial weights times 1/((2n-2i)! (2i)!),
+    0 where that underflows.  kappa reads the monomial weights times C(2n, 2i), which
+    is v times (2n)! and does not underflow at its largest entry.
     """
     if n < 3:
         raise ValueError(f"the family needs n >= 3, got {n}")
@@ -228,17 +230,19 @@ def obstruction_demo(n: int, grid: TimeGrid | None = None) -> ObstructionDemo:
     if not np.any(rep.v):  # argmax would have nothing to pick
         raise ConsistencyError("all pairing weights vanish; no index to perturb")
 
-    kappa = int(np.argmax(np.abs(rep.v)))
+    kappa = int(np.argmax([w * math.comb(top, 2 * i) for i, w in enumerate(rep.v)]))
     chi = math.exp(-n)
     jets_ht = jets_at_origin(build_h_tilde(n, kappa, chi), top)
     if not all(np.array_equal(jets_ht[order], jets_h[order]) for order in range(2, top, 2)):
         raise ConsistencyError(f"the perturbed potential moves a jet below order {top}")
     rep_t = compatibility_check(zero_top, jets_ht[top], lower, order=top)
 
-    predicted = rep.v[kappa] * fischer_weights(n)[kappa] * chi
+    predicted = rep.v[kappa] * chi
     if rep.satisfied and rep_t.satisfied:
         raise ConsistencyError("both compatibility conditions hold; the shift is too small")
     which = "h" if rep.satisfied else ("h_tilde" if rep_t.satisfied else "neither")
+    raw = np.array([1 / (math.factorial(top - 2 * i) * math.factorial(2 * i))
+                    for i in range(n + 1)])
     return ObstructionDemo(
         n=n,
         epsilon=rep.epsilon,
@@ -246,8 +250,8 @@ def obstruction_demo(n: int, grid: TimeGrid | None = None) -> ObstructionDemo:
         multiple=rep.multiple,
         kappa=kappa,
         chi=chi,
-        u=rep.u,
-        v=rep.v,
+        u=rep.u * raw,
+        v=rep.v * raw,
         K=rep.K,
         lhs_h=rep.lhs,
         lhs_htilde=rep_t.lhs,

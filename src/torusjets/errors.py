@@ -13,9 +13,10 @@ class GeodesicDomainError(Exception):
 class NumericError(Exception):
     """A computation left the floating-point range or could not finish.
 
-    An iterative solver did not converge or hit a degeneracy, a propagated
-    order's K1 or solution is not finite, or the Fischer weights (2n)! of an
-    order past 170 overflow a float.
+    An iterative solver did not converge or hit a degeneracy, or a propagated
+    order's K1 or solution is not finite.  The subcommands form no factorial;
+    poly_ops.fischer_weights, which only tests call, refuses degrees past 170,
+    whose (2n)! overflows a float.
     """
 
 

@@ -42,9 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeodesicDomainError, NumericError
-from .poly_ops import (
-    _check_A, apply_laplacian, d_weights, ea_from_laplacian, fischer_weights, q_adjoint, q_matrix,
-)
+from .poly_ops import _check_A, apply_laplacian, d_weights, ea_from_laplacian, q_adjoint, q_matrix
 from .second_jet import CausalClass, SecondJetBoundary, SecondJetPath, solve_bvp
 from .timegrid import CoefficientSeries, TimeGrid, _read_only, require_same_grid
 
@@ -129,8 +127,9 @@ class JetHierarchy:
 class ObstructionReport:
     """Compatibility data of the resonant order.
 
-    u pairs with the raw derivatives of the t=0 potential and v with the
-    t=1 potential; entry i multiplies D_x^(2n-2i) D_y^(2i) phi(0).  satisfied
+    u pairs with the order-2n jet of the t=0 potential and v with the t=1
+    potential: entry i multiplies the x^(2n-2i) y^(2i) coefficient, and is that
+    monomial at the point (X, Y) of d_weights.  satisfied
     holds when the residual |lhs - K| is at most COMPAT_TOL times the sum of the
     absolute terms of both pairings and |K|.
     """
@@ -508,8 +507,8 @@ def _compatibility(frame: _Frame, order: int, p0, p1, warnings) -> ObstructionRe
             "is not a multiple of pi"
         )
     k_top, m = frame.top_source(order), int(frame.tables.multiple[n])
-    fact, w0, w1 = fischer_weights(n), d_weights(n, frame.A[0]), d_weights(n, frame.A[-1])
-    terms0, terms1 = w0 * fact * p0, w1 * fact * p1
+    w0, w1 = d_weights(n, frame.A[0]), d_weights(n, frame.A[-1])
+    terms0, terms1 = w0 * p0, w1 * p1
     lhs = math.fsum(terms0) - (-1.0) ** m * math.fsum(terms1)
     K = _source_pairing(frame.grid, k_top, m)
     residual = abs(lhs - K)

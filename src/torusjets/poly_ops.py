@@ -25,6 +25,12 @@ invariant, so ||q_k||_F^2 = 2^(2n+1) (n+k)! (n-k)!, twice that at k = 0.  Hence
 Q^-1 = diag(1/||q_k||_F^2) Q^T W, with W the Fischer weights (2n-2i)! (2i)!, and
 Dtilde(g) = <q_n, g>_F / ||q_n||_F^2, in closed form without a linear solve.
 
+The pairing is a point evaluation.  On the even-even basis q_n is 2 (x+y)^(2n),
+and <(x+y)^(2n), g>_F = (2n)! g(1, 1) is the reproducing property of the Fischer
+product (Beauzamy, Bombieri, Enflo and Montgomery, J. Number Theory 36, 1990), so
+Dtilde(g) = 4^-n g(1, 1) = g(1/2, 1/2), and D(p) = Dtilde(U^-1 p) = p(X, Y) with
+X = 1/(2 sqrt(1+A^2)) and Y = A X.  Its monomial weights need no factorial.
+
 Monomial coefficient vectors are ordered by descending x exponent, so index i
 of an even-even degree-2n vector is the monomial x^(2n-2i) y^(2i).  Operators
 taking an array of A act on arrays whose axis 0 runs over this basis, with A
@@ -285,14 +291,17 @@ def dtilde_coefficients(n: int) -> np.ndarray:
 
 
 def d_weights(n: int, A: float) -> np.ndarray:
-    """Raw-derivative weights of D indexed like the even-even basis.
+    """Weights of D on the even-even monomials: D(p) = sum_i w_i p_i = p(X, Y).
 
-    Entry i multiplies the derivative value D_x^(2n-2i) D_y^(2i) phi(0); it is
-    nu_(n-i) A^(2i) / (1+A^2)^n.
+    Entry i is the monomial x^(2n-2i) y^(2i) at (X, Y), (X^2)^(n-i) (Y^2)^i with
+    X^2 = 1/(4(1+A^2)) and Y^2 = 1/(4(1+A^-2)).  With A = a/b as exact integers it
+    is b^(2n-2i) a^(2i) / (4(a^2+b^2))^n, rounded once: at most 4^-n, so it never
+    overflows, and it underflows only where the true weight does.  A raw
+    derivative D_x^(2n-2i) D_y^(2i) phi(0) takes w_i / ((2n-2i)! (2i)!).
     """
-    A = _check_A(A)
-    i = np.arange(n + 1)
-    return dtilde_coefficients(n)[::-1] * A ** (2 * i) / (1.0 + A * A) ** n
+    a, b = float(_check_A(A)).as_integer_ratio()
+    scale = (4 * (a * a + b * b)) ** n
+    return np.array([b ** (2 * n - 2 * i) * a ** (2 * i) / scale for i in range(n + 1)])
 
 
 def apply_d_operator(n: int, A: float, poly: PolyVector) -> float:
@@ -300,4 +309,4 @@ def apply_d_operator(n: int, A: float, poly: PolyVector) -> float:
     basis = PolyBasis(2 * n, Parity.EVEN_EVEN)
     if poly.basis != basis:
         raise ValueError(f"expected even-even degree-{2*n} vector, got {poly.basis}")
-    return float(math.fsum(d_weights(n, A) * poly.coeffs * fischer_weights(n)))
+    return float(math.fsum(d_weights(n, A) * poly.coeffs))

@@ -6,7 +6,8 @@ RK4 shooting method, its path and sigma1 are evaluated at 50 and 60 digits
 operators are rebuilt by symbolic differentiation on exact-rational
 bivariate polynomials, linear systems
 are solved by fraction-preserving elimination, and the obstruction of h_3 is
-carried through the whole chain in exact arithmetic (sympy).  Agreement
+carried through the whole chain in exact arithmetic (sympy).  The order-2n
+pairing weights come from the Fischer inner product of the exact q_n.  Agreement
 between these routines and the package is what the tests assert.
 """
 
@@ -369,6 +370,26 @@ def dtilde_weights_exact(n: int):
         rows.append(row)
     rhs = [Fraction(0)] * n + [Fraction(1)]
     return solve_fraction_system(rows, rhs)
+
+
+def pairing_weights_mp(n: int, A: float, dps: int = 50):
+    """Monomial weights of the order-2n boundary pairing D at A, as `dps`-digit mpf.
+
+    Dtilde(g) = <q_n, g>_F / ||q_n||_F^2 is formed in Fractions from the exact
+    coefficients of q_n and the Fischer norms a! b! of its monomials, and
+    D(p) = Dtilde(U^-1 p) divides by U's exact eigenvalues at the rational A.
+    Entry i multiplies the x^(2n-2i) y^(2i) coefficient of p; over (2n-2i)! (2i)!
+    it is the weight of the raw derivative D_x^(2n-2i) D_y^(2i) p.
+    """
+    import mpmath
+
+    qn = even_even_from_poly(q_poly(n, n), 2 * n)
+    fischer = [math.factorial(2 * n - 2 * i) * math.factorial(2 * i) for i in range(n + 1)]
+    norm = sum(c * c * f for c, f in zip(qn, fischer))
+    a = Fraction(A)
+    exact = [qn[i] * fischer[i] / norm / u_eigenvalue_exact(n, i, a) for i in range(n + 1)]
+    with mpmath.workdps(dps):
+        return [mpmath.mpf(w.numerator) / w.denominator for w in exact]
 
 
 def k1_from_node_data(order_data, degree):

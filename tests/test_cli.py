@@ -386,6 +386,24 @@ def test_counterexample_demo(capsys):
     assert rep["chi"] == math.exp(-3)
 
 
+@pytest.mark.parametrize("n", range(3, 17))
+def test_counterexample_report_reads_back_as_raw_derivative_weights(capsys, n):
+    # u and v weigh raw derivatives: kappa is argmax |v|, and v[kappa] times the Fischer
+    # weight (2n-2kappa)! (2kappa)! times chi is the shift of the pairing
+    rep = run_json(capsys, "counterexample", "--n", str(n))
+    v, kappa = np.array(rep["v"]), rep["kappa"]
+    assert kappa == int(np.argmax(np.abs(v)))
+    shift = v[kappa] * math.factorial(2 * n - 2 * kappa) * math.factorial(2 * kappa) * rep["chi"]
+    assert abs(rep["difference"] - shift) <= 1e-12 * abs(shift)
+
+
+def test_counterexample_past_the_factorial_range(capsys):
+    # (2n)! of order 172 overflows a float, and the pairing weights need none of it
+    rep = run_json(capsys, "counterexample", "--n", "86")
+    assert rep["resonant_order"] == 172 and rep["which_holds"] == "neither"
+    assert rep["difference"] == rep["predicted_difference"]
+
+
 def test_counterexample_builds_its_plot_only_under_the_flag(capsys, tmp_path, monkeypatch):
     solved = []
     real_solve = cli.solve_bvp

@@ -20,10 +20,11 @@ from torusjets.errors import ConsistencyError, NumericError
 from torusjets.jet_propagation import (
     MAX_ORDER, JetHierarchy, ObstructionReport, compatibility_check, propagate,
 )
-from torusjets.poly_ops import fischer_weights, q_adjoint, u_eigenvalues
+from torusjets.poly_ops import q_adjoint, u_eigenvalues
+from torusjets.second_jet import SecondJetBoundary, solve_bvp
 from torusjets.timegrid import make_grid
 
-from _oracles import obstruction_n3_exact, sin_power_series
+from _oracles import obstruction_n3_exact, pairing_weights_mp, sin_power_series
 
 GRID = make_grid(64)
 
@@ -302,9 +303,11 @@ def test_single_run_demo_matches_two_full_runs(n):
         zero, jets_at_origin(build_h_tilde(n, demo.kappa, demo.chi), 2 * n), 2 * n, GRID
     )
     assert isinstance(rep, ObstructionReport) and isinstance(rep_t, ObstructionReport)
+    # the runs weigh monomials, the demo raw derivatives: 1/((2n-2i)! (2i)!) apart
+    raw = [1 / (math.factorial(2 * n - 2 * i) * math.factorial(2 * i)) for i in range(n + 1)]
     for old in (rep, rep_t):
-        assert np.array_equal(demo.u, old.u)
-        assert np.array_equal(demo.v, old.v)
+        assert np.array_equal(demo.u, old.u * raw)
+        assert np.array_equal(demo.v, old.v * raw)
         assert demo.K == old.K
     assert demo.lhs_h == rep.lhs
     assert demo.lhs_htilde == rep_t.lhs
@@ -317,8 +320,8 @@ def test_a_compatible_top_datum_reads_satisfied(n):
     lower = propagate({2: np.zeros(2)}, jets, 2 * n - 2, GRID)
     zero = np.zeros(n + 1)
     rep = compatibility_check(zero, jets[2 * n], lower, order=2 * n)
-    # with p0 = 0 the pairing is lhs = -(-1)^m sum_i v_i W_i p1_i; move one p1 entry to lhs = K
-    weights = -((-1.0) ** rep.multiple) * rep.v * fischer_weights(n)
+    # with p0 = 0 the pairing is lhs = -(-1)^m sum_i v_i p1_i; move one p1 entry to lhs = K
+    weights = -((-1.0) ** rep.multiple) * rep.v
     kappa = int(np.argmax(np.abs(weights)))
     p1 = jets[2 * n].copy()
     p1[kappa] += (rep.K - rep.lhs) / weights[kappa]
@@ -351,10 +354,12 @@ def near_resonant_limit(n, eta, grid):
 # 10x the disagreement measured at 64 nodes, eta = 1e-5, relative to |lhs - K|; it grows
 # as the O(eta^2) term does, about as n^2
 LIMIT_TOL = {3: 2.6e-8, 4: 4.6e-8, 5: 7.4e-8, 6: 1.2e-7, 7: 1.7e-7, 8: 2.3e-7, 9: 3.1e-7,
-             10: 4.0e-7, 11: 5.1e-7, 12: 6.4e-7, 13: 7.8e-7, 14: 9.4e-7, 15: 1.2e-6, 16: 1.4e-6}
+             10: 4.0e-7, 11: 5.1e-7, 12: 6.4e-7, 13: 7.8e-7, 14: 9.4e-7, 15: 1.2e-6, 16: 1.4e-6,
+             20: 2.4e-6, 40: 1.4e-5, 60: 3.6e-5, 100: 1.3e-4}
 
 
-@pytest.mark.parametrize("n", range(3, 17))
+@pytest.mark.parametrize("n", [*range(3, 17), 20, 40, pytest.param(60, marks=pytest.mark.slow),
+                               pytest.param(100, marks=pytest.mark.slow)])
 def test_obstruction_is_the_limit_of_near_resonant_solves(n):
     # f'' + mu^2 f = k with mu = pi + g: g f_n(t) -> -(lhs - K) sin(pi t) as g -> 0, and
     # the O(g) error cancels in the mean over +-g
@@ -369,6 +374,35 @@ def test_obstruction_is_the_limit_of_near_resonant_solves(n):
     assert disagreement(demo.K) <= LIMIT_TOL[n]
     moved = demo.K + 10.0 * LIMIT_TOL[n] * abs(demo.lhs_h - demo.K)
     assert disagreement(moved) > LIMIT_TOL[n]
+
+
+def end_weights_mp(n):
+    """pairing_weights_mp at the t=1 end of h_n's 2-jet path, indexed like the demo's v."""
+    jets = jets_at_origin(build_h(n), 2)[2]
+    path = solve_bvp(SecondJetBoundary(0.0, 0.0, jets[0], jets[1]), GRID)
+    weights = pairing_weights_mp(n, path.A.values[-1])
+    return weights[::-1] if path.swapped_axes else weights
+
+
+# the demo holds for every n = 3..200; with nu and (2n-2i)! (2i)! formed apart, lhs_h
+# would read 0.0 at n = 74..82, and n >= 83 would be refused
+@pytest.mark.parametrize("n", [20, 74, 83, 86, *(pytest.param(n, marks=pytest.mark.slow)
+                                                 for n in (100, 128, 160, 200))])
+def test_the_family_reaches_its_obstruction(n):
+    demo = obstruction_demo(n, GRID)
+    assert demo.resonant_order == 2 * n and demo.which_holds == "neither"
+    assert demo.difference == demo.predicted_difference
+    assert demo.lhs_htilde == demo.lhs_h + demo.difference
+    weights = end_weights_mp(n)
+    # kappa is the largest raw-derivative weight, here where those underflow as well
+    raw = [w / (math.factorial(2 * n - 2 * i) * math.factorial(2 * i))
+           for i, w in enumerate(weights)]
+    assert demo.kappa == raw.index(max(raw))
+    # with p0 = 0, lhs = -(-1)^m sum_i v_i p1_i; it is a normal float up to n = 79
+    p1 = jets_at_origin(build_h(n), 2 * n)[2 * n]
+    ref = -((-1) ** demo.multiple) * sum(w * p for w, p in zip(weights, p1))
+    if n < 80:
+        assert abs(demo.lhs_h - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("n", [3, 5])

@@ -38,6 +38,7 @@ from _oracles import (
     ea_op,
     even_even_from_poly,
     matrix_of_operator,
+    pairing_weights_mp,
     poly_add,
     poly_diff,
     poly_from_even_even,
@@ -361,12 +362,28 @@ def test_fischer_weights_past_170_factorial_are_numeric_errors():
 
 
 def test_d_weights_formula():
+    # D(p) = p(X, Y): entry i is the monomial x^(2n-2i) y^(2i) at X^2 = 1/(4(1+A^2)),
+    # Y^2 = 1/(4(1+A^-2)), and the raw-derivative weight nu_(n-i) A^(2i)/(1+A^2)^n times
+    # the Fischer weight (2n-2i)! (2i)!
     n, A = 3, 1.3
-    nu = dtilde_coefficients(n)
+    nu, fact = dtilde_coefficients(n), fischer_weights(n)
     w = d_weights(n, A)
     for i in range(n + 1):
-        ref = nu[n - i] * A ** (2 * i) / (1 + A * A) ** n
+        ref = nu[n - i] * fact[i] * A ** (2 * i) / (1 + A * A) ** n
         assert abs(w[i] - ref) < 1e-15 * abs(ref)
+        point = (0.25 / (1 + A * A)) ** (n - i) * (0.25 / (1 + A**-2)) ** i
+        assert abs(w[i] - point) < 1e-15 * point
+
+
+# the n = 53 rows lose entries to underflow if the weights are formed as nu times
+# A^(2i)/(1+A^2)^n times (2n-2i)! (2i)!
+@pytest.mark.parametrize("n, A", [(3, 1.3), (16, 1.1), (53, 14.157), (53, 0.0535),
+                                  (100, 1.0), (200, 0.5)])
+def test_d_weights_match_the_fischer_oracle(n, A):
+    ref = pairing_weights_mp(n, A)
+    w = d_weights(n, A)
+    normal = [i for i in range(n + 1) if ref[i] >= np.finfo(float).tiny]
+    assert normal and max(abs(w[i] - ref[i]) / ref[i] for i in normal) <= 1e-14
 
 
 def test_apply_d_operator_validates_basis():
