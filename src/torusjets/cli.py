@@ -8,6 +8,11 @@ three solve on a time grid sized by --nodes or $GJL_DEFAULT_NODES; pde-check
 builds none and takes no --nodes.  Every report embeds the resolved
 configuration, so a run can be reproduced from its own output.
 
+Output files (--output, the --plot .dat and .gp pair, --dump-csv) are
+overwritten in place by report_io.write_file: written from the start and cut
+to the new length, never truncated to zero first.  As before, the write is
+not atomic: a crash or a concurrent reader can see partial data.
+
 Exit codes:
 
 - 0: success.
@@ -51,7 +56,7 @@ from .counterexample import TorusPotential, build_h, jets_at_origin, obstruction
 from .errors import ConsistencyError, GeodesicDomainError, NumericError
 from .jet_propagation import ObstructionReport, order_residual, propagate
 from .pde_crosscheck import crosscheck_report, dump_phi_csv, solve_geodesic
-from .report_io import dumps_json, fields_of, parse_potential, parse_side
+from .report_io import dumps_json, fields_of, parse_potential, parse_side, write_file
 from .second_jet import (
     CausalClass, SecondJetBoundary, epsilon_from_boundary, ode_residual, solve_bvp,
 )
@@ -222,20 +227,19 @@ def _write_plot(prefix: str, payload) -> None:
     header, cols, title = payload
     names = header.split()
     dat = prefix + ".dat"
-    with open(dat, "w") as fh:
-        fh.write("# " + header + "\n")
-        for row in cols:
-            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
+    rows = "".join(" ".join(format(v, ".17g") for v in row) + "\n" for row in cols)
+    write_file(dat, f"# {header}\n{rows}".encode())
     plots = []
     for idx, name in enumerate(names[1:], start=2):
         if name in ("a", "b", "sigma2"):
             plots.append(f"'{dat}' using 1:{idx} with lines title '{name}(t)'")
-    with open(prefix + ".gp", "w") as fh:
-        fh.write("set terminal pngcairo size 900,600\n")
-        fh.write(f"set output '{prefix}.png'\n")
-        fh.write(f"set title '{title}'\n")
-        fh.write("set xlabel 't'\n")
-        fh.write("plot " + ", \\\n     ".join(plots) + "\n")
+    write_file(prefix + ".gp", (
+        "set terminal pngcairo size 900,600\n"
+        f"set output '{prefix}.png'\n"
+        f"set title '{title}'\n"
+        "set xlabel 't'\n"
+        "plot " + ", \\\n     ".join(plots) + "\n"
+    ).encode())
 
 
 @functools.cache
@@ -302,8 +306,7 @@ def main(argv=None) -> int:
         payload = plot() if args.plot and plot is not None else None
         text = dumps_json(report)
         if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
+            write_file(args.output, text.encode())
         else:
             sys.stdout.write(text)
         if payload is not None:

@@ -53,7 +53,7 @@ NEAR_RESONANCE_TOL = 1e-6
 COMPAT_TOL = 1e-8
 # The saddle 0.1 sin^2 x - 0.1 sin^2 y stops with NumericError at order 246;
 # with 1e-6 in place of 0.1 it reaches this order at 64 nodes in about 50 s on a
-# 2-core x86 machine, with a 155 MiB peak RSS (222 MiB through the propagate command),
+# 2-core x86 machine, with a 155 MiB peak RSS (223 MiB through the propagate command),
 # and the cost grows about as the order cubed.
 MAX_ORDER = 400
 # The frame keeps 7 (n + 1) N floats for each stored order 2n = 4..max_order on N nodes,
@@ -61,7 +61,7 @@ MAX_ORDER = 400
 # order_residual with the 1e-6 saddle, one BLAS thread: 155 MiB at order 400 on 64 nodes
 # (9.1e6 floats) and 457 MiB at order 130 on 2049 nodes (3.2e7), about 14 bytes a float
 # over what the grid holds.  So this budget, 3.4e7 floats, keeps a propagation under about
-# 0.5 GiB.  The propagate command adds its report: the same two runs peak at 222 and 727 MiB.
+# 0.5 GiB.  The propagate command adds its report: the same two runs peak at 223 and 695 MiB.
 MAX_FRAME_FLOATS = 2**25
 
 

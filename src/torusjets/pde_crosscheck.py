@@ -27,6 +27,7 @@ import numpy as np
 
 from .counterexample import TorusPotential
 from .errors import NumericError
+from .report_io import write_file
 
 MAX_NEWTON_ITERS = 40
 MAX_HALVINGS = 12
@@ -455,11 +456,16 @@ def dump_phi_csv(sol: GridSolution, path, t_indices=None) -> None:
     """Row-major CSV dump of phi slices with a grid-metadata header."""
     if t_indices is None:
         t_indices = range(sol.nt)
-    with open(path, "w") as fh:
-        fh.write(f"# nt={sol.nt} nx={sol.nx} ny={sol.ny} delta={sol.delta!r}\n")
-        fh.write("# columns: t_index,x_index,y_index,phi\n")
-        for it in t_indices:
-            slab = sol.phi[it]
-            for jx in range(sol.nx):
-                for ky in range(sol.ny):
-                    fh.write(f"{it},{jx},{ky},{float(slab[jx, ky])!r}\n")
+    points = [f"{jx},{ky}," for jx in range(sol.nx) for ky in range(sol.ny)]
+    parts = [
+        f"# nt={sol.nt} nx={sol.nx} ny={sol.ny} delta={sol.delta!r}\n",
+        "# columns: t_index,x_index,y_index,phi\n",
+    ]
+    for it in t_indices:
+        lead = f"{it},"
+        # tolist gives Python floats, whose repr is that of float(phi[it, jx, ky])
+        parts.append("".join(
+            f"{lead}{point}{value!r}\n"
+            for point, value in zip(points, sol.phi[it].ravel().tolist())
+        ))
+    write_file(path, "".join(parts).encode())

@@ -1,4 +1,4 @@
-"""Report serialization and potential-spec parsing for the CLI.
+"""Report serialization, the output-file writer and potential-spec parsing for the CLI.
 
 JSON is the single canonical report format.  orjson writes it in compiled
 code, with shortest round-trip float digits, so every value parses back
@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import os
+import stat
 
 import numpy as np
 import orjson
@@ -70,6 +72,29 @@ def dumps_json(obj) -> str:
     """Serialize a report structure: 2-space indent, shortest round-trip floats."""
     _require_encodable(obj)
     return orjson.dumps(obj, default=_plain, option=_JSON_OPTIONS).decode()
+
+
+def write_file(path, data: bytes) -> None:
+    """Write `data` to `path`, creating the file or overwriting it in place.
+
+    The file is opened without O_TRUNC, written from offset 0 and then, if it is
+    a regular file, cut to len(data), so no stale tail stays.  Truncating a file
+    that holds data to zero length first frees its blocks and, on ext4, starts
+    writeback on close, which cost about as much as a second-jet solve.  A
+    device or pipe such as /dev/null is written but not truncated.  Like
+    open(path, "w"), this keeps the inode (hard links see the new data), applies
+    the umask to a new file, and is not atomic: a crash or a concurrent reader
+    can see partial data.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _number(value, what: str, whole: bool = False):

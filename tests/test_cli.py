@@ -177,6 +177,42 @@ def test_output_file_and_rerun_identical(capsys, tmp_path):
     assert json.loads(first)["causal_class"] == "SpaceLike"
 
 
+def test_short_report_over_a_longer_file_reads_as_a_fresh_write(capsys, tmp_path):
+    reused, fresh, link = tmp_path / "report.json", tmp_path / "fresh.json", tmp_path / "link.json"
+    assert run_cli(capsys, "second-jet", *FAMILY, "--output", str(reused))[0] == 0
+    os.link(reused, link)
+    long_size = reused.stat().st_size
+    short = ["second-jet", *FAMILY, "--nodes", "8"]
+    assert run_cli(capsys, *short, "--output", str(reused))[0] == 0
+    assert run_cli(capsys, *short, "--output", str(fresh))[0] == 0
+    assert reused.stat().st_size < long_size
+    assert reused.read_bytes() == fresh.read_bytes() == link.read_bytes()
+
+
+def test_output_to_a_device_is_not_truncated(capsys):
+    code, out, err = run_cli(capsys, "second-jet", *FAMILY, "--output", os.devnull)
+    assert (code, out, err) == (0, "", "")
+
+
+def test_output_files_are_opened_without_truncation(capsys, tmp_path, monkeypatch):
+    opened, real_open = {}, os.open
+
+    def recording_open(path, flags, *rest, **kwargs):
+        opened[os.fspath(path)] = flags
+        return real_open(path, flags, *rest, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    out, csv, prefix = tmp_path / "report.json", tmp_path / "phi.csv", tmp_path / "check"
+    for _ in range(2):  # create the files, then overwrite them
+        code, _out, err = run_cli(capsys, "pde-check", "--nt", "9", "--nx", "16", "--ny", "16",
+                                  "--delta", "1e-2", "--output", str(out),
+                                  "--dump-csv", str(csv), "--plot", str(prefix))
+        assert code == 0, err
+    targets = {str(out), str(csv), f"{prefix}.dat", f"{prefix}.gp"}
+    assert targets <= set(opened)
+    assert not any(opened[path] & os.O_TRUNC for path in targets)
+
+
 def report_floats(obj) -> np.ndarray:
     """Every number of a report structure, before or after JSON, as float64 in document order."""
     if dataclasses.is_dataclass(obj):

@@ -154,6 +154,28 @@ def test_dump_phi_csv(tmp_path):
     assert float(val) == sol.phi[4, 0, 0]
 
 
+def reference_phi_csv(sol: GridSolution, path, t_indices=None) -> None:
+    """The line-by-line CSV writer that dump_phi_csv replaced, kept as its reference."""
+    if t_indices is None:
+        t_indices = range(sol.nt)
+    with open(path, "w") as fh:
+        fh.write(f"# nt={sol.nt} nx={sol.nx} ny={sol.ny} delta={sol.delta!r}\n")
+        fh.write("# columns: t_index,x_index,y_index,phi\n")
+        for it in t_indices:
+            slab = sol.phi[it]
+            for jx in range(sol.nx):
+                for ky in range(sol.ny):
+                    fh.write(f"{it},{jx},{ky},{float(slab[jx, ky])!r}\n")
+
+
+@pytest.mark.parametrize("t_indices", [None, [0, 4, 8], [3]])
+def test_dump_phi_csv_matches_the_line_by_line_writer(tmp_path, t_indices):
+    sol = solve_geodesic(SADDLE, 9, 16, 16, [1e-1, 1e-2])
+    dump_phi_csv(sol, tmp_path / "phi.csv", t_indices=t_indices)
+    reference_phi_csv(sol, tmp_path / "reference.csv", t_indices=t_indices)
+    assert (tmp_path / "phi.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 # --- the Newton step's operators against an independent oracle --------------------
 
 def oracle_residual(phi, dt, hx, hy, delta):

@@ -2,12 +2,16 @@ import enum
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from torusjets.report_io import dumps_json, parse_jet_table, parse_potential, parse_side
+from torusjets import report_io
+from torusjets.report_io import (
+    dumps_json, parse_jet_table, parse_potential, parse_side, write_file,
+)
 
 
 def test_floats_roundtrip_bit_exact():
@@ -151,3 +155,67 @@ def test_parse_side():
     assert np.array_equal(jets[4], [-1.0 / 3.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="object"):
         parse_side([1, 2, 3], 4)
+
+
+# --- write_file -------------------------------------------------------------------
+
+def test_write_file_over_a_longer_file_leaves_no_stale_tail(tmp_path):
+    fresh, reused = tmp_path / "fresh.txt", tmp_path / "reused.txt"
+    reused.write_bytes(b"x" * 5000)
+    write_file(fresh, b"short\n")
+    write_file(reused, b"short\n")
+    assert reused.read_bytes() == fresh.read_bytes() == b"short\n"
+    write_file(reused, b"")
+    assert reused.read_bytes() == b""
+
+
+def test_write_file_keeps_the_inode_so_hard_links_see_the_new_data(tmp_path):
+    target, link = tmp_path / "report.json", tmp_path / "link.json"
+    write_file(target, b"old and longer\n")
+    os.link(target, link)
+    inode = target.stat().st_ino
+    write_file(target, b"new\n")
+    assert target.stat().st_ino == inode
+    assert link.read_bytes() == b"new\n"
+
+
+def test_write_file_to_a_device_does_not_truncate_it():
+    write_file(os.devnull, b"discarded\n")
+
+
+def test_write_file_creates_files_under_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_file(tmp_path / "new.txt", b"data")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "new.txt").stat().st_mode & 0o777 == 0o640
+
+
+def test_write_file_finishes_short_writes(tmp_path, monkeypatch):
+    real_write, sizes = os.write, []
+
+    def trickle(fd, data):
+        sizes.append(real_write(fd, bytes(data[:7])))
+        return sizes[-1]
+
+    monkeypatch.setattr(report_io.os, "write", trickle)
+    data = bytes(range(256)) * 3
+    write_file(tmp_path / "out.bin", data)
+    assert (tmp_path / "out.bin").read_bytes() == data
+    assert len(sizes) == -(-len(data) // 7)
+
+
+def test_write_file_closes_its_descriptor_when_a_write_fails(tmp_path, monkeypatch):
+    opened, closed = [], []
+    real_open, real_close = os.open, os.close
+    monkeypatch.setattr(report_io.os, "open", lambda *a: opened.append(real_open(*a)) or opened[-1])
+    monkeypatch.setattr(report_io.os, "close", lambda fd: closed.append(fd) or real_close(fd))
+
+    def full(fd, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(report_io.os, "write", full)
+    with pytest.raises(OSError, match="No space"):
+        write_file(tmp_path / "out.bin", b"data")
+    assert opened and closed == opened
