@@ -8,10 +8,13 @@ three solve on a time grid sized by --nodes or $GJL_DEFAULT_NODES; pde-check
 builds none and takes no --nodes.  Every report embeds the resolved
 configuration, so a run can be reproduced from its own output.
 
-Output files (--output, the --plot .dat and .gp pair, --dump-csv) are
-overwritten in place by report_io.write_file: written from the start and cut
-to the new length, never truncated to zero first.  As before, the write is
-not atomic: a crash or a concurrent reader can see partial data.
+The report is checked in full and then streamed as bytes, one order at a
+time (report_io.encode_report), to --output or to the binary buffer of
+stdout, so the whole report's text is never held.  A refused report writes
+nothing.  Output files (--output, the --plot .dat and .gp pair, --dump-csv)
+are overwritten in place by report_io.write_file: written from the start and
+cut to the new length, never truncated to zero first.  As before, the write
+is not atomic: a crash or a concurrent reader can see partial data.
 
 Exit codes:
 
@@ -56,7 +59,10 @@ from .counterexample import TorusPotential, build_h, jets_at_origin, obstruction
 from .errors import ConsistencyError, GeodesicDomainError, NumericError
 from .jet_propagation import ObstructionReport, order_residual, propagate
 from .pde_crosscheck import crosscheck_report, dump_phi_csv, solve_geodesic
-from .report_io import dumps_json, fields_of, parse_potential, parse_side, write_file
+from .report_io import encode_report, fields_of, parse_potential, parse_side, write_file
+# Not called here: bench/tracing.py looks this name up in this module when it
+# builds a tracer, so it must keep importing from here.
+from .report_io import dumps_json  # noqa: F401
 from .second_jet import (
     CausalClass, SecondJetBoundary, epsilon_from_boundary, ode_residual, solve_bvp,
 )
@@ -304,11 +310,12 @@ def main(argv=None) -> int:
     try:
         report, plot = _HANDLERS[args.command](args)
         payload = plot() if args.plot and plot is not None else None
-        text = dumps_json(report)
+        chunks = encode_report(report)
         if args.output:
-            write_file(args.output, text.encode())
+            write_file(args.output, chunks)
         else:
-            sys.stdout.write(text)
+            sys.stdout.flush()  # any text already written goes out before the report
+            sys.stdout.buffer.writelines(chunks)
         if payload is not None:
             _write_plot(args.plot, payload)
     except (ValueError, OSError) as exc:

@@ -53,15 +53,16 @@ NEAR_RESONANCE_TOL = 1e-6
 COMPAT_TOL = 1e-8
 # The saddle 0.1 sin^2 x - 0.1 sin^2 y stops with NumericError at order 246;
 # with 1e-6 in place of 0.1 it reaches this order at 64 nodes in about 50 s on a
-# 2-core x86 machine, with a 155 MiB peak RSS (223 MiB through the propagate command),
-# and the cost grows about as the order cubed.
+# 2-core x86 machine, with a 156 MiB peak RSS (the same through the propagate command,
+# which streams its report), and the cost grows about as the order cubed.
 MAX_ORDER = 400
 # The frame keeps 7 (n + 1) N floats for each stored order 2n = 4..max_order on N nodes,
 # and node tables of about 7 (max_order / 2 + 2) N.  Peak RSS of propagate and every
-# order_residual with the 1e-6 saddle, one BLAS thread: 155 MiB at order 400 on 64 nodes
-# (9.1e6 floats) and 457 MiB at order 130 on 2049 nodes (3.2e7), about 14 bytes a float
+# order_residual with the 1e-6 saddle, one BLAS thread: 156 MiB at order 400 on 64 nodes
+# (9.1e6 floats) and 424 MiB at order 130 on 2049 nodes (3.2e7), 12 to 14 bytes a float
 # over what the grid holds.  So this budget, 3.4e7 floats, keeps a propagation under about
-# 0.5 GiB.  The propagate command adds its report: the same two runs peak at 223 and 695 MiB.
+# 0.5 GiB.  The propagate command streams its report an order at a time, so it adds little:
+# the same two runs peak at 156 and 425 MiB through it (its 145 MB report included).
 MAX_FRAME_FLOATS = 2**25
 
 

@@ -369,8 +369,7 @@ def arc_epsilon(path: SecondJetPath) -> float:
     """Quadrature of (1/4) sqrt((X'^2 - Z'^2)/Z^2) along a space-like path."""
     if path.causal_class is not CausalClass.SPACE_LIKE:
         raise GeodesicDomainError("arc length quadrature needs a space-like path")
-    grid = path.grid
-    dX = grid.diff_matrix @ (2.0 * path.a.values - 2.0 * path.b.values)
-    dZ = grid.diff_matrix @ (2.0 * path.a.values + 2.0 * path.b.values)
+    a_dot, b_dot = path.a_dot.values, path.b_dot.values
+    dX, dZ = 2.0 * a_dot - 2.0 * b_dot, 2.0 * a_dot + 2.0 * b_dot
     z = 1.0 + 2.0 * path.a.values + 2.0 * path.b.values
-    return 0.25 * integrate(CoefficientSeries(grid, np.sqrt(dX**2 - dZ**2) / z))
+    return 0.25 * integrate(CoefficientSeries(path.grid, np.sqrt(dX**2 - dZ**2) / z))

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from torusjets import cli, counterexample, jet_propagation, pde_crosscheck, timegrid
 from torusjets.cli import NODES_ENV_VAR, main
-from torusjets.report_io import fields_of
+from torusjets.report_io import fields_of, parse_side
 
 
 def run_cli(capsys, *argv):
@@ -245,8 +246,8 @@ def test_reports_parse_back_bit_for_bit_and_rerun_identical(capsys, tmp_path, mo
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(REPORT_SPECS.get(command)))
     argv = [arg.format(spec=spec) for arg in REPORT_RUNS[command]]
-    sent, real_dumps = [], cli.dumps_json
-    monkeypatch.setattr(cli, "dumps_json", lambda report: sent.append(report) or real_dumps(report))
+    sent, real_encode = [], cli.encode_report
+    monkeypatch.setattr(cli, "encode_report", lambda report: sent.append(report) or real_encode(report))
     first = run_cli(capsys, *argv)
     assert first[0] == 0, first[2]
     assert run_cli(capsys, *argv) == first
@@ -407,6 +408,69 @@ def test_propagate_overflowing_order_is_numeric_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "propagate", "--spec", spec, "--max-order", "6")
     assert code == 4 and out == ""
     assert err.startswith("numeric error: ") and "order 6" in err and err.count("\n") == 1
+
+
+def bench_pair_spec(tmp_path):
+    """A space-like pair as the bench hierarchy draws them; X1 < X0, so the frame swaps."""
+    z0, x0, z1, x1 = 1.0, 0.0, 1.02, -0.08
+    return write_spec(tmp_path, {
+        "phi0": {"terms": [[(z0 - 1 + x0) / 4, 2, 0], [(z0 - 1 - x0) / 4, 0, 2]]},
+        "phi1": {"terms": [[(z1 - 1 + x1) / 4, 2, 0], [(z1 - 1 - x1) / 4, 0, 2]]},
+    })
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_propagate_command_holds_no_more_than_its_propagation(tmp_path):
+    # the report streams to its file an order at a time, so the command's peak is the
+    # propagation's; holding the whole report's text read 1.78x
+    spec = bench_pair_spec(tmp_path)
+    sides = json.loads(Path(spec).read_text())
+    jets0, jets1 = (parse_side(sides[key], 40) for key in ("phi0", "phi1"))
+    grid = timegrid.make_grid(513)
+    jet_propagation.propagate(jets0, jets1, 40, grid)  # memoised grid and basis tables
+    library = traced_peak(lambda: jet_propagation.propagate(jets0, jets1, 40, grid))
+    argv = ["propagate", "--spec", spec, "--max-order", "40", "--nodes", "513",
+            "--output", str(tmp_path / "out.json")]
+    command = traced_peak(lambda: main(argv))
+    assert (tmp_path / "out.json").stat().st_size > 3 * 2**20
+    assert command <= 1.10 * library, (command, library)
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_refused_report_leaves_the_output_file_as_it_was(capsys, tmp_path, monkeypatch, existing):
+    out = tmp_path / "out.json"
+    if existing:
+        out.write_bytes(b'{"an": "earlier report"}\n')
+    monkeypatch.setattr(cli, "order_residual", lambda result, order: math.inf)
+    code, stdout, err = run_cli(capsys, "propagate", "--spec", bench_pair_spec(tmp_path),
+                                "--max-order", "8", "--output", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and "non-finite" in err
+    if existing:
+        assert out.read_bytes() == b'{"an": "earlier report"}\n'
+    else:
+        assert not out.exists()
+
+
+def test_report_to_stdout_equals_the_report_to_a_file(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    argv = [sys.executable, "-m", "torusjets.cli", "propagate", "--spec", bench_pair_spec(tmp_path),
+            "--max-order", "12", "--nodes", "33"]
+    out = tmp_path / "out.json"
+    to_file = subprocess.run([*argv, "--output", str(out)], env=env, capture_output=True, timeout=60)
+    to_stdout = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    assert to_file.returncode == to_stdout.returncode == 0, to_stdout.stderr
+    assert to_file.stdout == b"" and len(out.read_bytes()) > 10_000
+    assert to_stdout.stdout == out.read_bytes()
 
 
 # --- counterexample ---------------------------------------------------------------
@@ -701,7 +765,8 @@ def run_contract(argv: list, spec, spec_path) -> int:
     if spec is not None:
         spec_path.write_text(json.dumps(spec))
         argv = [*argv, f"--spec={spec_path}"]
-    out, err = io.StringIO(), io.StringIO()
+    # a text stream over bytes, as a real stdout is: reports go to its binary buffer
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -710,7 +775,7 @@ def run_contract(argv: list, spec, spec_path) -> int:
     assert "Traceback" not in err.getvalue()
     assert not caught, (argv, [str(w.message) for w in caught])
     if code == 0 and argv[0] == "second-jet":
-        rep = json.loads(out.getvalue())
+        rep = json.loads(out.buffer.getvalue())
         a0, b0, a1, b1 = (rep["config"][k] for k in ("a0", "b0", "a1", "b1"))
         scale = max(1 + 2 * a0 + 2 * b0, 1 + 2 * a1 + 2 * b1)
         ends = [rep["a"][0] - a0, rep["b"][0] - b0, rep["a"][-1] - a1, rep["b"][-1] - b1]

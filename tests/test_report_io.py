@@ -1,3 +1,4 @@
+import dataclasses
 import enum
 import functools
 import json
@@ -6,11 +7,15 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from torusjets import report_io
 from torusjets.report_io import (
-    dumps_json, parse_jet_table, parse_potential, parse_side, write_file,
+    dumps_json, fields_of, parse_jet_table, parse_potential, parse_side, write_file,
 )
 
 
@@ -124,6 +129,96 @@ def test_unserializable_rejected():
         dumps_json({"x": object()})
 
 
+# --- encode_report ----------------------------------------------------------------
+
+# The one-call encoder that encode_report replaced: every array and numpy scalar
+# through its list, dataclasses through their fields, the whole report in one text.
+REFERENCE_OPTIONS = (
+    orjson.OPT_INDENT_2 | orjson.OPT_NON_STR_KEYS | orjson.OPT_APPEND_NEWLINE
+    | orjson.OPT_PASSTHROUGH_DATACLASS
+)
+
+
+def reference_plain(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return fields_of(obj)
+    raise TypeError(type(obj).__name__)
+
+
+def reference_encoding(obj) -> bytes:
+    return orjson.dumps(obj, default=reference_plain, option=REFERENCE_OPTIONS)
+
+
+@dataclass
+class Entry:
+    label: str
+    value: object
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7e308, -1.7e308, 0.1]),
+)
+INTS = st.one_of(st.integers(-(2**63), 2**64 - 1), st.sampled_from([-(2**63), 2**63 - 1, 2**64 - 1]))
+VIEWS = {
+    "whole": lambda a: a,
+    "reversed": lambda a: a[::-1] if a.ndim else a,
+    "strided": lambda a: a[::2] if a.ndim else a,
+    "transposed": lambda a: a.T,
+    "columns reversed": lambda a: a[:, ::-1] if a.ndim == 2 else a,
+}
+
+
+@st.composite
+def array_views(draw):
+    dtype = draw(st.sampled_from([np.float64, np.int64]))
+    elements = FLOATS if dtype is np.float64 else st.integers(-(2**63), 2**63 - 1)
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5))
+    arr = draw(hnp.arrays(dtype, shape, elements=elements))
+    return VIEWS[draw(st.sampled_from(sorted(VIEWS)))](arr)
+
+
+LEAVES = st.one_of(FLOATS, INTS, st.booleans(), st.text(max_size=8), st.none(), array_views(),
+                   FLOATS.map(np.float64))
+KEYS = st.one_of(st.text(max_size=6), st.integers(-5, 5))
+VALUES = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.dictionaries(KEYS, inner, max_size=4),
+    st.builds(Entry, st.text(max_size=4), inner),
+), max_leaves=12)
+
+
+@st.composite
+def reports(draw):
+    """Reports with an "orders" dict among other entries, as propagate writes, or any value."""
+    if draw(st.booleans()):
+        return draw(VALUES)
+    before = draw(st.dictionaries(st.text(max_size=6), VALUES, max_size=3))
+    before.pop("orders", None)
+    orders = draw(st.dictionaries(KEYS, st.one_of(array_views(), VALUES), max_size=5))
+    after = draw(st.dictionaries(st.text(max_size=6), VALUES, max_size=3))
+    return {**before, "orders": orders, **{k: v for k, v in after.items() if k not in before}}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(reports())
+def test_encoded_chunks_join_to_the_one_call_encoding(report):
+    chunks = list(report_io.encode_report(report))
+    text = b"".join(chunks)
+    assert text == reference_encoding(report)
+    assert text == dumps_json(report).encode()
+    orders = report.get("orders") if isinstance(report, dict) else None
+    # one chunk for each order and one for each comma between them
+    assert len(chunks) == (2 * len(orders) - 1 if isinstance(orders, dict) and orders else 1)
+
+
+def test_encode_report_refuses_before_it_returns():
+    with pytest.raises(ValueError, match="finite"):
+        report_io.encode_report({"orders": {"2": np.ones(3), "4": np.array([1.0, math.nan])}})
+
+
 def test_parse_potential():
     p = parse_potential({"terms": [[0.25, 2, 0], [-0.25, 0, 2]]})
     assert p.terms == ((0.25, 2, 0), (-0.25, 0, 2))
@@ -167,6 +262,9 @@ def test_write_file_over_a_longer_file_leaves_no_stale_tail(tmp_path):
     assert reused.read_bytes() == fresh.read_bytes() == b"short\n"
     write_file(reused, b"")
     assert reused.read_bytes() == b""
+    reused.write_bytes(b"x" * 5000)
+    write_file(reused, iter([b"sh", memoryview(b"..ort\n")[2:], b""]))
+    assert reused.read_bytes() == b"short\n"
 
 
 def test_write_file_keeps_the_inode_so_hard_links_see_the_new_data(tmp_path):
