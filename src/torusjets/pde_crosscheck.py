@@ -9,8 +9,11 @@ quadratic convergence of an exact step (Dembo, Eisenstat and Steihaug, SIAM
 J. Numer. Anal. 19, 1982). TorusPotential admits only even sin powers, so the
 data, the equation and every Newton iterate are even in x and in y: the solve
 runs, exactly, on the even-even quarter (x indices 0..nx/2, y indices
-0..ny/2) with reflective halos. Second jets extracted at the central fiber
-feed the sigma_2 and eps diagnostics of the closed form.
+0..ny/2) with reflective halos. The Jacobian's 15-point stencil runs on the
+flattened halo buffer, where the t, x and y neighbours are fixed offsets, so
+each of its terms is one ufunc call over one contiguous span (_newton_step).
+Second jets extracted at the central fiber feed the sigma_2 and eps
+diagnostics of the closed form.
 
 Each Newton step is solved by restarted GMRES in numpy (lgmres below),
 right-preconditioned by the time part of the Jacobian with its pointwise
@@ -49,8 +52,8 @@ RESTART = 30
 MAX_MATVECS = 400
 # The preconditioner applies its Green matrix in dense blocks of at most this many slices.
 GREEN_BLOCK = 32
-# The tracemalloc peak of a solve is 118 to 153 bytes a full-grid point (at 33 x 64 x 64,
-# 4096 x 16 x 16 and 16 x 256 x 256), so about 155 MiB here. About half of it is the
+# The tracemalloc peak of a solve is 119 to 162 bytes a full-grid point (at 33 x 64 x 64,
+# 4096 x 16 x 16 and 16 x 256 x 256), so about 162 MiB here. About half of it is the
 # GMRES basis, allocated whole but touched only as far as the Krylov space grows.
 MAX_GRID_POINTS = 2**20
 
@@ -174,8 +177,9 @@ class GridSolution:
 
 def _reflect(pad: np.ndarray) -> None:
     """Fill the four x and y halo faces of pad by even reflection, in place."""
-    pad[..., [0, -1], 1:-1] = pad[..., [2, -3], 1:-1]
-    pad[..., 1:-1, [0, -1]] = pad[..., 1:-1, [2, -3]]
+    for face, mirror in ((0, 2), (-1, -3)):
+        pad[..., face, 1:-1] = pad[..., mirror, 1:-1]
+        pad[..., 1:-1, face] = pad[..., 1:-1, mirror]
 
 
 def _residual(phi: np.ndarray, dt, hx, hy, delta):
@@ -188,7 +192,9 @@ def _residual(phi: np.ndarray, dt, hx, hy, delta):
     float range degenerates the metric anyway; its overflow reads as a minimum
     of -inf or nan and is refused too.
     """
-    pad = np.pad(phi, ((0, 0), (1, 1), (1, 1)), mode="reflect")  # the halo _reflect fills
+    pad = np.zeros((phi.shape[0], phi.shape[1] + 2, phi.shape[2] + 2))
+    pad[:, 1:-1, 1:-1] = phi
+    _reflect(pad)
     with np.errstate(over="ignore", invalid="ignore"):
         lap = (pad[:, 2:, 1:-1] - 2.0 * phi + pad[:, :-2, 1:-1]) / hx**2
         metric = 1.0 + (lap + (pad[:, 1:-1, 2:] - 2.0 * phi + pad[:, 1:-1, :-2]) / hy**2)
@@ -215,7 +221,12 @@ def _newton_step(fields, dt, hx, hy, res):
 
     J v = (1 + Lap phi) v_tt + phi_tt Lap v - 2 grad(phi_t).grad(v_t), v = 0 on
     the end slices, is a 15-point stencil; each matvec copies v into one halo
-    buffer, refreshes its reflective faces and sums the stencil from slices.
+    buffer and refreshes its reflective faces. With Q = qy + 2 and P = (qx + 2) Q,
+    the neighbours at +-y, +-x and +-t lie at offsets +-1, +-Q and +-P of the
+    flattened buffer, so each term is one ufunc call over the span from the first
+    interior point to the last, in buffers with the same x and y halo. Its halo
+    positions compute values that nothing reads; each interior point runs the
+    arithmetic of the strided 3-D stencil, in the same order.
     A Krylov vector is the quarter field raveled, so lgmres works in the
     quarter's own Euclidean norm. The preconditioner inverts (1 + Lap phi) D_tt,
     the time part of J with its pointwise metric, D_tt the Dirichlet second
@@ -224,39 +235,55 @@ def _newton_step(fields, dt, hx, hy, res):
     metric, phitt, gx, gy = fields
     m, qx, qy = phitt.shape
     size = m * qx * qy
-    wt = metric / dt**2
-    wx = phitt / hx**2
-    wy = phitt / hy**2
-    centre = -2.0 * (wt + wx + wy)
-    # -2 (phi_t)_x (v_t)_x is -gx / (2 dt hx) times the x difference of v(t+dt) - v(t-dt)
-    cx = gx / (-2.0 * dt * hx)
-    cy = gy / (-2.0 * dt * hy)
-
+    # the zero faces of the coefficients keep the values that nothing reads finite
     halo = np.zeros((m + 2, qx + 2, qy + 2))
-    inner = halo[1:-1]
-    core = inner[:, 1:-1, 1:-1]
-    vt = np.empty((m, qx + 2, qy + 2))
-    term = np.empty((m, qx, qy))
-    matvecs = 0
+    wt, wx, cx, cy = (np.zeros((m, qx + 2, qy + 2)) for _ in range(4))
+    wy = wx if hy == hx else np.zeros_like(wx)  # phi_tt / h^2 serves both axes of a square grid
+    centre, vt, term, total = (np.empty_like(wt) for _ in range(4))
+    inside = (slice(None), slice(1, -1), slice(1, -1))
+    np.divide(metric, dt**2, out=wt[inside])
+    np.divide(phitt, hx**2, out=wx[inside])
+    np.divide(phitt, hy**2, out=wy[inside])
+    np.add(wt, wx, out=centre)
+    centre += wy
+    centre *= -2.0
+    # -2 (phi_t)_x (v_t)_x is -gx / (2 dt hx) times the x difference of v(t+dt) - v(t-dt)
+    np.divide(gx, -2.0 * dt * hx, out=cx[inside])
+    np.divide(gy, -2.0 * dt * hy, out=cy[inside])
 
-    def accumulate(out, coeff, combine, first, second):
-        combine(first, second, out=term)
-        np.multiply(term, coeff, out=term)
-        out += term
+    Q, P = qy + 2, (qx + 2) * (qy + 2)
+    length = (m - 1) * P + (qx - 1) * Q + qy
+
+    def span(buf, shift=0, pad=0):
+        # the flat span of an (m, qx + 2, qy + 2) buf, moved by shift and widened by pad;
+        # halo has one more slice at each end, so its interior span is span(halo, P)
+        first = Q + 1 + shift - pad
+        return buf.reshape(-1)[first : first + length + 2 * pad]
+
+    core, v, diagonal = halo[1:-1][inside], span(halo, P), span(centre)
+    acc, scratch = span(total), span(term)
+    vt_span, ahead, behind = span(vt, pad=Q), span(halo, 2 * P, Q), span(halo, 0, Q)
+    terms = [
+        (span(wt), np.add, span(halo, 2 * P), span(halo)),
+        (span(wx), np.add, span(halo, P + Q), span(halo, P - Q)),
+        (span(wy), np.add, span(halo, P + 1), span(halo, P - 1)),
+        (span(cx), np.subtract, span(vt, Q), span(vt, -Q)),
+        (span(cy), np.subtract, span(vt, 1), span(vt, -1)),
+    ]
+    matvecs = 0
 
     def matvec(flat):
         nonlocal matvecs
         matvecs += 1
         core[...] = flat.reshape(m, qx, qy)
-        _reflect(inner)
-        np.subtract(halo[2:], halo[:-2], out=vt)
-        out = centre * core
-        accumulate(out, wt, np.add, halo[2:, 1:-1, 1:-1], halo[:-2, 1:-1, 1:-1])
-        accumulate(out, wx, np.add, inner[:, 2:, 1:-1], inner[:, :-2, 1:-1])
-        accumulate(out, wy, np.add, inner[:, 1:-1, 2:], inner[:, 1:-1, :-2])
-        accumulate(out, cx, np.subtract, vt[:, 2:, 1:-1], vt[:, :-2, 1:-1])
-        accumulate(out, cy, np.subtract, vt[:, 1:-1, 2:], vt[:, 1:-1, :-2])
-        return out.ravel()
+        _reflect(halo[1:-1])
+        np.subtract(ahead, behind, out=vt_span)
+        np.multiply(diagonal, v, out=acc)
+        for coeff, combine, first, second in terms:
+            combine(first, second, out=scratch)
+            np.multiply(scratch, coeff, out=scratch)
+            np.add(acc, scratch, out=acc)
+        return total[inside].ravel()
 
     # Column by column, the Dirichlet D_tt^-1 is the Green matrix G_ij = -c min(i, j)
     # (m + 1 - max(i, j)), c = dt^2 / (m + 1), i, j = 1..m: 128 MiB as one m x m matrix at
@@ -276,10 +303,11 @@ def _newton_step(fields, dt, hx, hy, res):
         np.divide(flat.reshape(m, -1), flat_metric, out=padded[:m])
         r = padded.reshape(nb, block, -1)
         u = diag @ r
-        below = np.cumsum((col @ r)[:-1], axis=0)  # sum of j r_j over the blocks before
-        above = np.cumsum(((m + 1.0 - col) @ r)[:0:-1], axis=0)[::-1]  # (m+1-j) r_j after
-        u[1:] -= c * (m + 1.0 - row[1:]) * below
-        u[:-1] -= c * row[:-1] * above
+        if nb > 1:
+            below = np.cumsum((col @ r)[:-1], axis=0)  # sum of j r_j over the blocks before
+            above = np.cumsum(((m + 1.0 - col) @ r)[:0:-1], axis=0)[::-1]  # (m+1-j) r_j after
+            u[1:] -= c * (m + 1.0 - row[1:]) * below
+            u[:-1] -= c * row[:-1] * above
         return u.reshape(nb * block, -1)[:m].ravel()
 
     op = LinearOperator((size, size), matvec=matvec, dtype=float)

@@ -388,6 +388,143 @@ def test_small_data_stops_at_the_rounding_floor(c):
     assert all(steps <= 3 for _, steps, _, _ in sol.per_delta)
 
 
+# --- the flat-span stencil against the strided one it replaced --------------------
+
+def reference_reflect(pad):
+    pad[..., [0, -1], 1:-1] = pad[..., [2, -3], 1:-1]
+    pad[..., 1:-1, [0, -1]] = pad[..., 1:-1, [2, -3]]
+
+
+def reference_residual(phi, dt, hx, hy, delta):
+    """The residual that padded phi with np.pad, kept as the reference."""
+    pad = np.pad(phi, ((0, 0), (1, 1), (1, 1)), mode="reflect")
+    with np.errstate(over="ignore", invalid="ignore"):
+        lap = (pad[:, 2:, 1:-1] - 2.0 * phi + pad[:, :-2, 1:-1]) / hx**2
+        metric = 1.0 + (lap + (pad[:, 1:-1, 2:] - 2.0 * phi + pad[:, 1:-1, :-2]) / hy**2)
+    zmin = float(np.min(metric))
+    if not zmin > 0.0:
+        raise NumericError(f"metric degenerated: min(1 + Lap phi) = {zmin:.6e}")
+    phitt = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dt**2
+    pt = (pad[2:] - pad[:-2]) / (2.0 * dt)
+    gx = (pt[:, 2:, 1:-1] - pt[:, :-2, 1:-1]) / (2.0 * hx)
+    gy = (pt[:, 1:-1, 2:] - pt[:, 1:-1, :-2]) / (2.0 * hy)
+    inner = metric[1:-1]
+    return phitt * inner - gx**2 - gy**2 - delta, (inner, phitt, gx, gy)
+
+
+def reference_newton_step(fields, dt, hx, hy, res):
+    """The Newton step that summed the stencil from strided 3-D slices of the halo
+    buffer and always applied the Green blocks' rank-one coupling, kept as the reference."""
+    metric, phitt, gx, gy = fields
+    m, qx, qy = phitt.shape
+    size = m * qx * qy
+    wt = metric / dt**2
+    wx = phitt / hx**2
+    wy = phitt / hy**2
+    centre = -2.0 * (wt + wx + wy)
+    cx = gx / (-2.0 * dt * hx)
+    cy = gy / (-2.0 * dt * hy)
+    halo = np.zeros((m + 2, qx + 2, qy + 2))
+    inner = halo[1:-1]
+    core = inner[:, 1:-1, 1:-1]
+    vt = np.empty((m, qx + 2, qy + 2))
+    term = np.empty((m, qx, qy))
+    matvecs = 0
+
+    def accumulate(out, coeff, combine, first, second):
+        combine(first, second, out=term)
+        np.multiply(term, coeff, out=term)
+        out += term
+
+    def matvec(flat):
+        nonlocal matvecs
+        matvecs += 1
+        core[...] = flat.reshape(m, qx, qy)
+        reference_reflect(inner)
+        np.subtract(halo[2:], halo[:-2], out=vt)
+        out = centre * core
+        accumulate(out, wt, np.add, halo[2:, 1:-1, 1:-1], halo[:-2, 1:-1, 1:-1])
+        accumulate(out, wx, np.add, inner[:, 2:, 1:-1], inner[:, :-2, 1:-1])
+        accumulate(out, wy, np.add, inner[:, 1:-1, 2:], inner[:, 1:-1, :-2])
+        accumulate(out, cx, np.subtract, vt[:, 2:, 1:-1], vt[:, :-2, 1:-1])
+        accumulate(out, cy, np.subtract, vt[:, 1:-1, 2:], vt[:, 1:-1, :-2])
+        return out.ravel()
+
+    block = min(m, pde_crosscheck.GREEN_BLOCK)
+    nb = -(-m // block)
+    col = np.arange(1.0, nb * block + 1.0).reshape(nb, 1, block)
+    row = col.swapaxes(1, 2)
+    c = dt**2 / (m + 1.0)
+    diag = -c * np.minimum(row, col) * (m + 1.0 - np.maximum(row, col))
+    flat_metric = metric.reshape(m, -1)
+    padded = np.zeros((nb * block, qx * qy))
+
+    def precond(flat):
+        np.divide(flat.reshape(m, -1), flat_metric, out=padded[:m])
+        r = padded.reshape(nb, block, -1)
+        u = diag @ r
+        below = np.cumsum((col @ r)[:-1], axis=0)
+        above = np.cumsum(((m + 1.0 - col) @ r)[:0:-1], axis=0)[::-1]
+        u[1:] -= c * (m + 1.0 - row[1:]) * below
+        u[:-1] -= c * row[:-1] * above
+        return u.reshape(nb * block, -1)[:m].ravel()
+
+    op = pde_crosscheck.LinearOperator((size, size), matvec=matvec)
+    pc = pde_crosscheck.LinearOperator((size, size), matvec=precond)
+    eta = max(min(pde_crosscheck.ETA_MAX, float(np.max(np.abs(res)))), pde_crosscheck.ETA_MIN)
+    step, info = pde_crosscheck.lgmres(op, -res.ravel(), M=pc, rtol=eta)
+    if info != 0:
+        raise NumericError(f"linear solver stalled in the Newton step (info={info})")
+    return step.reshape(m, qx, qy), matvecs
+
+
+BENCH_SADDLE = TorusPotential(terms=((0.1, 2, 0), (-0.1, 0, 2)))
+
+
+@pytest.mark.parametrize("pot, shape, schedule", [
+    (BENCH_SADDLE, (33, 32, 32), [1e-1, 1e-2, 1e-3]),
+    (BENCH_SADDLE, (33, 48, 48), [1e-1, 1e-2, 1e-3]),
+    (MIXED, (17, 16, 32), [1e-1, 1e-2]),
+    (MIXED, (11, 32, 16), [1e-1, 1e-2]),
+    (MIXED, (70, 16, 16), [1e-1, 1e-2]),  # 68 interior slices: three Green blocks
+])
+def test_flat_stencil_solve_matches_the_strided_reference(monkeypatch, pot, shape, schedule):
+    sol = solve_geodesic(pot, *shape, schedule)
+    monkeypatch.setattr(pde_crosscheck, "_residual", reference_residual)
+    monkeypatch.setattr(pde_crosscheck, "_newton_step", reference_newton_step)
+    ref = solve_geodesic(pot, *shape, schedule)
+    assert np.array_equal(sol.phi, ref.phi)
+    assert sol.per_delta == ref.per_delta
+    assert sol.min_metric == ref.min_metric
+    assert sol.residual_norm == ref.residual_norm
+
+
+def test_matvec_reuses_its_workspace(monkeypatch):
+    # the stencil runs in buffers that the Newton step allocates once, so each matvec
+    # allocates one quarter-sized array: the new one it returns
+    nt, nx, ny = 33, 48, 48
+    dt, hx, hy = 1.0 / (nt - 1), 2 * math.pi / nx, 2 * math.pi / ny
+    rng = np.random.default_rng(11)
+    phi = quarter(symmetrize(1e-3 * rng.standard_normal((nt, nx, ny))))
+    op, _ = capture_operators(monkeypatch, phi, dt, hx, hy, 1e-2)
+    vectors = rng.standard_normal((10, op.shape[0]))
+    expected = [op.matvec(v).copy() for v in vectors]
+    kept = []
+    tracemalloc.start()
+    try:
+        for v in vectors:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            kept.append(op.matvec(v))
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - before <= v.nbytes + 4096
+    finally:
+        tracemalloc.stop()
+    # later matvecs leave every earlier result as it was
+    for out, exp in zip(kept, expected):
+        assert np.array_equal(out, exp)
+
+
 # --- the Krylov solver ---------------------------------------------------------------
 
 def counted_operator(matrix):
