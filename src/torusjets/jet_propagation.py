@@ -10,8 +10,8 @@ where L collects all lower-order jets and K1(L) is the degree-2n part of
 each lower order keeps from when it is stored: a row-major block whose row r
 holds L'' and the gradients of L' of monomial r, and the rows of -Lap L.  The
 mode solve, the order residual and the compatibility check all read that one
-copy.  What the nodes give every order (mu and its resonances, cos(mu t), the
-powers of U and the weights of U'/U) is tabled once per propagation, and each
+copy.  What the nodes give every order (mu and its resonances, cos(mu t), and
+poly_ops' node tables of U and U'/U) is tabled once per propagation, and each
 order reads slices of it.  P = U g with g = Q f, f in the eigenbasis q_k,
 decouples the system into scalar Dirichlet problems
 
@@ -30,7 +30,8 @@ the Dirichlet problem is solvable only under the compatibility condition
     f(0) - (-1)^m f(1) = (1/(m pi)) * int_0^1 k_k(t) sin(m pi t) dt,
 
 which translates into a linear pairing of the order-2n boundary derivatives
-with the weights of the D operator.  Propagation stops there and reports the
+with the weights of the D operator, exact at the ends; the source side pairs K1
+with D's float weights at every node.  Propagation stops there and reports the
 obstruction data instead of a hierarchy.
 """
 
@@ -42,7 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeodesicDomainError, NumericError
-from .poly_ops import _check_A, apply_laplacian, d_weights, ea_from_laplacian, q_adjoint, q_matrix
+from .poly_ops import NodeTables, apply_laplacian, d_weights, ea_from_laplacian, node_tables
+from .poly_ops import q_adjoint, q_matrix
 from .second_jet import CausalClass, SecondJetBoundary, SecondJetPath, solve_bvp
 from .timegrid import CoefficientSeries, TimeGrid, _read_only, require_same_grid
 
@@ -57,9 +59,9 @@ COMPAT_TOL = 1e-8
 # which streams its report), and the cost grows about as the order cubed.
 MAX_ORDER = 400
 # The frame keeps 7 (n + 1) N floats for each stored order 2n = 4..max_order on N nodes,
-# and node tables of about 7 (max_order / 2 + 2) N.  Peak RSS of propagate and every
-# order_residual with the 1e-6 saddle, one BLAS thread: 156 MiB at order 400 on 64 nodes
-# (9.1e6 floats) and 424 MiB at order 130 on 2049 nodes (3.2e7), 12 to 14 bytes a float
+# and poly_ops' and the modes' tables of about 7 (max_order / 2 + 2) N.  Peak RSS of propagate
+# and every order_residual with the 1e-6 saddle, one BLAS thread: 156 MiB at order 400 on 64
+# nodes (9.1e6 floats) and 424 MiB at order 130 on 2049 nodes (3.2e7), 12 to 14 bytes a float
 # over what the grid holds.  So this budget, 3.4e7 floats, keeps a propagation under about
 # 0.5 GiB.  The propagate command streams its report an order at a time, so it adds little:
 # the same two runs peak at 156 and 425 MiB through it (its 145 MB report included).
@@ -217,82 +219,19 @@ def solve_mode(problem: ModeProblem, grid: TimeGrid) -> ModeSolution:
 
 
 @dataclass(frozen=True)
-class _NodeTables:
-    """The node quantities of one propagation that no order changes, row m = 0..top.
-
-    Order 2n reads rows 0..n of the mode tables: mu = 4 eps m classified by _classify,
-    and c, s and mu^2 from _trig.  Monomial i = x^(2n-2i) y^(2i) has exponents 2n - 2i and
-    2i, so it pairs row n - i of an x table with row i of a y table: the diagonal of U is
-    x_powers[n::-1] * y_powers[:n + 1], with (A^2 + 1)^m and (1 + A^-2)^m the factors
-    u_eigenvalues multiplies, and U'/U and its derivative come from 2m A, 2m/A, 2m/A^2
-    and 4 eps^2 (1 + A^2) as u_log_derivative forms them.  Each slice is the same operation
-    on the same operands as the per-order form, so it has the same bits.
-    """
-
-    eps: float
-    multiple: np.ndarray
-    resonant: np.ndarray
-    near: np.ndarray
-    cos: np.ndarray
-    sinc: np.ndarray
-    mu2: np.ndarray
-    two_m: np.ndarray
-    x_powers: np.ndarray
-    y_powers: np.ndarray
-    x_weights: np.ndarray
-    y_weights: np.ndarray
-    y_curvatures: np.ndarray
-    dell_scale: np.ndarray
-
-    def trig(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """c, s and mu^2 of modes 0..n."""
-        return self.cos[:n + 1], self.sinc[:n + 1], self.mu2[:n + 1]
-
-    def u(self, n: int) -> np.ndarray:
-        """u_eigenvalues(n, A)."""
-        return self.x_powers[n::-1] * self.y_powers[:n + 1]
-
-    def sa(self, n: int) -> np.ndarray:
-        """A x d_x - A^-1 y d_y on the degree-2n monomials, as apply_SA weighs them."""
-        return self.x_weights[n::-1] - self.y_weights[:n + 1]
-
-    def log_derivative(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """u_log_derivative(n, A, eps)."""
-        return (2.0 * self.eps * self.sa(n),
-                self.dell_scale * (self.two_m[n::-1] + self.y_curvatures[:n + 1]))
-
-
-def _node_tables(grid: TimeGrid, A: np.ndarray, eps: float, top: int) -> _NodeTables:
-    """The read-only node tables of rows 0..top along A."""
-    A = _check_A(A)
-    m = np.arange(top + 1.0)[:, None]
-    two_m = 2.0 * m
-    mu = 4.0 * eps * np.arange(top + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        tables = _NodeTables(
-            eps, *_classify(mu), *_trig(grid.nodes, mu), two_m,
-            x_powers=(A * A + 1.0) ** m, y_powers=(1.0 + A ** -2.0) ** m,
-            x_weights=A * two_m, y_weights=two_m / A, y_curvatures=two_m / (A * A),
-            dell_scale=4.0 * eps**2 * (1.0 + A * A))
-    for table in vars(tables).values():
-        if isinstance(table, np.ndarray):
-            _read_only(table)
-    return tables
-
-
-@dataclass(frozen=True)
 class _Frame:
     """Propagation state in the orientation that keeps A > 0.
 
-    `tables` holds what every order reads of the nodes, formed once per propagation for
-    the orders up to two above its top, which compatibility_check may reach.
+    What the nodes give every order is formed once per propagation, in rows m = 0..top
+    for the orders up to two above its top, which compatibility_check may reach:
+    poly_ops' `tables`, mu = 4 eps m classified by _classify, and `waves`, c, s and mu^2.
     Each stored order keeps L', and for K1 an (n + 1, 3, N) block `factors` whose row r
     is [L'', d_x L', d_y L'] of monomial r, and the (n + 1, N) rows -Lap L, zero-padded in
     row n.  So K1 adds contiguous windows of whole rows; the order residual reads L'' and
     -Lap L from these too.  With L, L' and K1, that is 7 (n + 1) N floats an order.
     What it stores, and each K1 it forms, is read-only, so that no caller handed a view
     of it can change a later order or a compatibility pairing.
-    A resonant order keeps its top mode's source, which every compatibility check reads.
+    A resonant order keeps D's end weights and its K, which every compatibility check reads.
     """
 
     grid: TimeGrid
@@ -300,23 +239,26 @@ class _Frame:
     eps: float
     A: np.ndarray
     Z: np.ndarray
-    tables: _NodeTables
+    tables: NodeTables
+    multiple: np.ndarray
+    resonant: np.ndarray
+    near: np.ndarray
+    waves: tuple[np.ndarray, np.ndarray, np.ndarray]
     orders: dict[int, np.ndarray] = field(default_factory=dict)
     dots: dict[int, np.ndarray] = field(default_factory=dict)
     factors: dict[int, np.ndarray] = field(default_factory=dict)
     neg_laps: dict[int, np.ndarray] = field(default_factory=dict)
     k1: dict[int, np.ndarray] = field(default_factory=dict)
-    top_sources: dict[int, np.ndarray] = field(default_factory=dict)
+    pairings: dict[int, tuple[np.ndarray, np.ndarray, float]] = field(default_factory=dict)
 
     def store(self, order: int, mat: np.ndarray, dot: np.ndarray, ddot: np.ndarray) -> None:
         """Keep an order with its first time derivative and its K1 factors."""
         n = order // 2
         # row r holds x^(2n-2r) y^(2r); d/dx and d/dy weigh it by 2n-2r and 2r
-        weights = self.tables.two_m
         factors = np.empty((n + 1, 3, self.grid.node_count))
         factors[:, 0] = ddot
-        factors[:, 1] = dot * weights[n::-1]
-        factors[:, 2] = dot * weights[:n + 1]
+        factors[:, 1] = dot * self.tables.two_m[n::-1]
+        factors[:, 2] = dot * self.tables.two_m[:n + 1]
         neg_lap = np.zeros((n + 1, self.grid.node_count))
         neg_lap[:n] = -apply_laplacian(n, mat)
         self.orders[order], self.dots[order] = _read_only(mat), _read_only(dot)
@@ -328,11 +270,18 @@ class _Frame:
             self.k1[order] = _read_only(_k1_divided(self, order))
         return self.k1[order]
 
-    def top_source(self, order: int) -> np.ndarray:
-        """The top mode of K1 in the q basis, formed on first request; NumericError if not finite."""
-        if order not in self.top_sources:
-            self.top_sources[order] = _finite_mode_sources(self, order)[1][-1]
-        return self.top_sources[order]
+    def pairing(self, order: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """D's exact weights at t = 0 and 1 and the source integral K, which pairs K1 with
+        D's float weights at every node; formed on first request, NumericError if not finite."""
+        if order not in self.pairings:
+            n = order // 2
+            with np.errstate(over="ignore", invalid="ignore"):
+                k_top = (self.tables.d(n) * self.source(order)).sum(0)
+            if not np.isfinite(k_top).all():
+                raise NumericError(f"the K1 source of order {order} is not finite")
+            K = _source_pairing(self.grid, k_top, int(self.multiple[n]))
+            self.pairings[order] = (d_weights(n, self.A[0]), d_weights(n, self.A[-1]), K)
+        return self.pairings[order]
 
     def orient(self, coeffs: np.ndarray) -> np.ndarray:
         """Axis 0 (basis index) reversed if the frame swaps x and y, to the frame and back."""
@@ -341,10 +290,12 @@ class _Frame:
 
 def _make_frame(path2: SecondJetPath, max_order: int) -> _Frame:
     """The empty frame of a space-like `path2`, with the node tables of orders up to max_order + 2."""
-    A = path2.A.values
-    return _Frame(grid=path2.grid, swapped=path2.swapped_axes, eps=path2.epsilon, A=A,
-                  Z=1.0 + 2.0 * path2.a.values + 2.0 * path2.b.values,
-                  tables=_node_tables(path2.grid, A, path2.epsilon, max_order // 2 + 1))
+    top = max_order // 2 + 1
+    mu = 4.0 * path2.epsilon * np.arange(top + 1)
+    waves = tuple(map(_read_only, _trig(path2.grid.nodes, mu)))
+    return _Frame(path2.grid, path2.swapped_axes, path2.epsilon, path2.A.values,
+                  1.0 + 2.0 * path2.a.values + 2.0 * path2.b.values,
+                  node_tables(path2.A.values, top), *map(_read_only, _classify(mu)), waves)
 
 
 def _normalize_jets(jets: dict, what: str) -> dict[int, np.ndarray]:
@@ -467,7 +418,6 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
         )
     path2 = solve_bvp(boundary, grid)
     frame = _make_frame(path2, max_order)
-    tables = frame.tables
 
     beyond: list[int] = []
     warnings: list[tuple[int, int]] = []
@@ -475,16 +425,16 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
         n = order // 2
         p0 = frame.orient(jets0.get(order, np.zeros(n + 1)))
         p1 = frame.orient(jets1.get(order, np.zeros(n + 1)))
-        warnings.extend((order, int(mode)) for mode in np.flatnonzero(tables.near[:n + 1]))
-        if tables.resonant[:n + 1].any():  # a resonant top mode is reported, a lower one refused
+        warnings.extend((order, int(mode)) for mode in np.flatnonzero(frame.near[:n + 1]))
+        if frame.resonant[:n + 1].any():  # a resonant top mode is reported, a lower one refused
             return _compatibility(frame, order, p0, p1, tuple(warnings))
         u_nodes, k_modes = _finite_mode_sources(frame, order)
         with np.errstate(over="ignore", invalid="ignore"):
             f0 = q_adjoint(n) @ (p0 / u_nodes[:, 0])
             f1 = q_adjoint(n) @ (p1 / u_nodes[:, -1])
-            c, s, mu2 = tables.trig(n)
+            c, s, mu2 = (rows[:n + 1] for rows in frame.waves)
             f, df = _vary_constants(grid, c, s, mu2, k_modes, f0, f1, np.zeros(n + 1, int))
-            qm, (ell, dell) = q_matrix(n), tables.log_derivative(n)
+            qm, (ell, dell) = q_matrix(n), frame.tables.log_derivative(n, frame.eps)
             g, dg, ddg = qm @ f, qm @ df, qm @ (k_modes - mu2 * f)
             derivs = (u_nodes * g, u_nodes * (dg + ell * g),
                       u_nodes * (ddg + 2.0 * ell * dg + (ell * ell + dell) * g))
@@ -502,16 +452,15 @@ def _compatibility(frame: _Frame, order: int, p0, p1, warnings) -> ObstructionRe
     """Obstruction data of `order`, whose top mode must resonate.  No lower mode can:
     mode k tops order 2k, where propagate stops.  A K1 that is not finite is a NumericError."""
     n = order // 2
-    if not frame.tables.resonant[n]:
+    if not frame.resonant[n]:
         raise ValueError(
             f"order {order} is not resonant: 4*eps*{n} = {4.0 * frame.eps * n} "
             "is not a multiple of pi"
         )
-    k_top, m = frame.top_source(order), int(frame.tables.multiple[n])
-    w0, w1 = d_weights(n, frame.A[0]), d_weights(n, frame.A[-1])
+    w0, w1, K = frame.pairing(order)
+    m = int(frame.multiple[n])
     terms0, terms1 = w0 * p0, w1 * p1
     lhs = math.fsum(terms0) - (-1.0) ** m * math.fsum(terms1)
-    K = _source_pairing(frame.grid, k_top, m)
     residual = abs(lhs - K)
     scale = math.fsum(np.abs(terms0)) + math.fsum(np.abs(terms1)) + abs(K)
     return ObstructionReport(

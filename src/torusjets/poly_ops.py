@@ -29,7 +29,9 @@ The pairing is a point evaluation.  On the even-even basis q_n is 2 (x+y)^(2n),
 and <(x+y)^(2n), g>_F = (2n)! g(1, 1) is the reproducing property of the Fischer
 product (Beauzamy, Bombieri, Enflo and Montgomery, J. Number Theory 36, 1990), so
 Dtilde(g) = 4^-n g(1, 1) = g(1/2, 1/2), and D(p) = Dtilde(U^-1 p) = p(X, Y) with
-X = 1/(2 sqrt(1+A^2)) and Y = A X.  Its monomial weights need no factorial.
+X = 1/(2 sqrt(1+A^2)) and Y = A X.  Its monomial weights need no factorial.  This
+module owns the node tables of U, S_A, U'/U and D along an array of A, which
+u_eigenvalues, apply_SA, u_log_derivative and the propagator all slice.
 
 Monomial coefficient vectors are ordered by descending x exponent, so index i
 of an even-even degree-2n vector is the monomial x^(2n-2i) y^(2i).  Operators
@@ -233,10 +235,7 @@ def ea_from_laplacian(A: np.ndarray, lap: np.ndarray) -> np.ndarray:
 
 def apply_SA(n: int, A, p: np.ndarray) -> np.ndarray:
     """S_A = A x d_x - A^-1 y d_y applied to even-even coefficient arrays p."""
-    A = _check_A(A)
-    p = np.asarray(p, dtype=float)
-    j, k = _exponents(n, Parity.EVEN_EVEN, p.ndim - 1)
-    return (A * j - k / A) * p
+    return node_tables(A, n, np.ndim(p) - 1).sa(n) * np.asarray(p, dtype=float)
 
 
 def op_EA(n: int, A: float) -> PolyOperator:
@@ -251,18 +250,68 @@ def op_SA(n: int, A: float) -> PolyOperator:
     return PolyOperator(basis, basis, apply_SA(n, float(A), np.eye(basis.dimension)))
 
 
-def u_eigenvalues(n: int, A, parity: Parity = Parity.EVEN_EVEN) -> np.ndarray:
-    """Diagonal of U on monomials: (A^2+1)^(j/2) (A^-2+1)^(k/2)."""
+@dataclass(frozen=True)
+class NodeTables:
+    """U, S_A, U'/U and D along an array A, in rows m = 0..top that each degree 2n <= 2 top reads.
+
+    Monomial i = x^(2n-2i) y^(2i) pairs row n - i of an x table with row i of a y table:
+    U's diagonal is (A^2 + 1)^(n-i) (1 + A^-2)^i and S_A weighs it by 2(n-i) A - 2i/A.
+    Every degree of one A slices the same arrays, so it has the same bits.  Rows run along
+    axis 0, A along the trailing axes, and a power past the float range reads inf.
+    """
+
+    two_m: np.ndarray
+    one_plus_A2: np.ndarray
+    x_powers: np.ndarray
+    y_powers: np.ndarray
+    x_weights: np.ndarray
+    y_weights: np.ndarray
+    y_curvatures: np.ndarray
+
+    def u(self, n: int) -> np.ndarray:
+        """Diagonal of U on the degree-2n monomials."""
+        return self.x_powers[n::-1] * self.y_powers[:n + 1]
+
+    def sa(self, n: int) -> np.ndarray:
+        """Weights of S_A = A x d_x - A^-1 y d_y on the degree-2n monomials."""
+        return self.x_weights[n::-1] - self.y_weights[:n + 1]
+
+    def log_derivative(self, n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """U'/U = 2 eps S_A along A = tan(2 eps t + theta0), and its time derivative."""
+        return (2.0 * eps * self.sa(n),
+                4.0 * eps**2 * self.one_plus_A2 * (self.two_m[n::-1] + self.y_curvatures[:n + 1]))
+
+    def d(self, n: int) -> np.ndarray:
+        """Float weights of D, 4^-n / u_i = (X^2)^(n-i) (Y^2)^i as D(p) = Dtilde(U^-1 p): the
+        point evaluation that d_weights forms exactly."""
+        return 4.0**-n / self.u(n)
+
+
+def node_tables(A, top: int, ndim: int | None = None) -> NodeTables:
+    """Read-only NodeTables of rows 0..top, A broadcast against `ndim` (or A.ndim) trailing axes."""
     A = _check_A(A)
-    ex, ey = _exponents(n, parity, A.ndim)
-    return (A * A + 1.0) ** (ex / 2.0) * (1.0 + A ** -2.0) ** (ey / 2.0)
+    m = np.arange(top + 1.0).reshape((-1,) + (1,) * (A.ndim if ndim is None else ndim))
+    two_m, one_plus_A2 = 2.0 * m, A * A + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = NodeTables(two_m, one_plus_A2, one_plus_A2 ** m, (1.0 + A ** -2.0) ** m,
+                            A * two_m, two_m / A, two_m / (A * A))
+    for table in vars(tables).values():
+        table.setflags(write=False)
+    return tables
+
+
+def u_eigenvalues(n: int, A, parity: Parity = Parity.EVEN_EVEN) -> np.ndarray:
+    """Diagonal of U on monomials: (A^2+1)^(j/2) (A^-2+1)^(k/2).
+
+    On the full basis it is the square root of the even-even diagonal of twice the degree."""
+    if parity is Parity.FULL:
+        return np.sqrt(node_tables(A, 2 * n).u(2 * n))
+    return node_tables(A, n).u(n)
 
 
 def u_log_derivative(n: int, A, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """U'/U = 2 eps S_A on monomials and its time derivative, along A = tan(2 eps t + theta0)."""
-    A = _check_A(A)
-    ex, ey = _exponents(n, Parity.EVEN_EVEN, A.ndim)
-    return 2.0 * eps * (A * ex - ey / A), 4.0 * eps**2 * (1.0 + A * A) * (ex + ey / (A * A))
+    return node_tables(A, n).log_derivative(n, eps)
 
 
 def op_U(n: int, A: float, parity: Parity = Parity.EVEN_EVEN) -> PolyOperator:

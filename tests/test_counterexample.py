@@ -407,17 +407,37 @@ def test_the_family_reaches_its_obstruction(n):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_demo_forms_each_mode_source_once(monkeypatch, n):
-    formed = Counter()
-    real = jet_propagation._finite_mode_sources
+    formed = {name: Counter() for name in ("_finite_mode_sources", "_k1_divided")}
 
-    def counting(frame, order):
-        formed[order] += 1
-        return real(frame, order)
+    def counting(name):
+        real = getattr(jet_propagation, name)
 
-    monkeypatch.setattr(jet_propagation, "_finite_mode_sources", counting)
+        def count(frame, order):
+            formed[name][order] += 1
+            return real(frame, order)
+        return count
+
+    for name in formed:
+        monkeypatch.setattr(jet_propagation, name, counting(name))
     obstruction_demo(n, GRID)
-    # propagate forms orders 4..2n-2, and the two checks of order 2n share one top source
-    assert formed == {order: 1 for order in range(4, 2 * n + 1, 2)}
+    # propagate forms the mode sources of orders 4..2n-2; order 2n pairs K1 with D, and
+    # its two checks share one K1
+    assert formed["_finite_mode_sources"] == {order: 1 for order in range(4, 2 * n, 2)}
+    assert formed["_k1_divided"] == {order: 1 for order in range(4, 2 * n + 1, 2)}
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_demo_forms_the_end_weights_once(monkeypatch, n):
+    calls = []
+    real = jet_propagation.d_weights
+
+    def counting(n, A):
+        calls.append(A)
+        return real(n, A)
+
+    monkeypatch.setattr(jet_propagation, "d_weights", counting)
+    obstruction_demo(n, GRID)
+    assert len(calls) == 2  # t = 0 and t = 1, shared by the checks of h_n and h~_n
 
 
 def test_demo_refuses_a_perturbation_below_the_top_order(monkeypatch):

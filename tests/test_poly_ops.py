@@ -20,6 +20,7 @@ from torusjets.poly_ops import (
     dtilde_coefficients,
     eigenbasis_q,
     fischer_weights,
+    node_tables,
     op_EA,
     op_SA,
     op_U,
@@ -190,9 +191,37 @@ def test_u_log_derivative_along_the_path():
     for n in (2, 5, 9):
         ell, dell = u_log_derivative(n, A, eps)
         assert ell.shape == dell.shape == (n + 1, 64)
-        assert np.array_equal(ell, 2.0 * eps * apply_SA(n, A, np.ones((n + 1, 64))))
         for closed, values in ((ell, np.log(u_eigenvalues(n, A))), (dell, ell)):
             assert np.max(np.abs(closed - values @ grid.diff_matrix.T)) <= 1e-9 * np.max(np.abs(closed))
+
+
+def test_node_tables_hold_the_exact_values_bit_for_bit():
+    # at dyadic A and eps every value is a float, so each must be its exact rational; one
+    # table of A = (2, 1/2) serves every degree, as in the propagator
+    eps, top = Fraction(1, 8), 22
+    A = np.array([2.0, 0.5])
+    tables = node_tables(A, top)
+    assert not any(table.flags.writeable for table in vars(tables).values())
+    for n in range(2, top + 1):
+        ell, dell = u_log_derivative(n, A, float(eps))
+        sliced_ell, sliced_dell = tables.log_derivative(n, float(eps))
+        ours = {"u": (u_eigenvalues(n, A), tables.u(n)),
+                "sa": (apply_SA(n, A, np.ones((n + 1, 2))), tables.sa(n)),
+                "ell": (ell, sliced_ell), "dell": (dell, sliced_dell)}
+        for col, a in enumerate(map(Fraction, A)):
+            rows = range(n + 1)
+            sa = [2 * (n - i) * a - 2 * i / a for i in rows]
+            exact = {"u": [u_eigenvalue_exact(n, i, a) for i in rows], "sa": sa,
+                     "ell": [2 * eps * s for s in sa],
+                     "dell": [4 * eps**2 * (1 + a * a) * (2 * (n - i) + 2 * i / (a * a))
+                              for i in rows]}
+            for name, values in exact.items():
+                ref = np.array([float(v) for v in values])
+                assert [Fraction(v) for v in ref] == values  # every value is a float
+                for arr in ours[name]:
+                    assert np.array_equal(arr[:, col], ref), (name, n, a)
+            # 4^-n / u rounds once, as d_weights does, so the float D has its bits here
+            assert np.array_equal(tables.d(n)[:, col], d_weights(n, float(a)))
 
 
 def test_exponents_are_memoised_read_only_columns():
