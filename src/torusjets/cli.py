@@ -37,11 +37,13 @@ Exit codes:
 
 second-jet solves every causal class in closed form and iterates nowhere.
 The class is the sign of dX^2 - dZ^2 = -16 da db, with a jet difference
-within one ulp of max(Z0, Z1) taken as zero.  Every path must meet both
-boundary jets within ENDPOINT_TOL * max(Z0, Z1).  It exits 4 when a path
-misses that check, when a node leaves the half-plane by rounding, when Z0 or
-Z1 or the jet-equation residual of the path leaves the float range, and never
-for non-convergence.
+within one ulp of max(Z0, Z1) taken as zero; such a still jet is held at
+its t = 0 value along the whole path, so the light-like or constant path
+that stands in stays a geodesic and misses that end by at most the tie.
+Every path must meet both boundary jets within ENDPOINT_TOL * max(Z0, Z1).
+It exits 4 when a path misses that check, when a node leaves the half-plane
+by rounding, when Z0 or Z1 or the jet-equation residual of the path leaves
+the float range, and never for non-convergence.
 """
 
 from __future__ import annotations

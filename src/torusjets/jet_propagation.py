@@ -15,14 +15,15 @@ poly_ops' node tables of U and U'/U) is tabled once per propagation, and each
 order reads slices of it.  P = U g with g = Q f, f in the eigenbasis q_k,
 decouples the system into scalar Dirichlet problems
 
-    f_k'' + mu_k^2 f_k = k_k(t),    mu_k = 4 eps k,    k = 0..n,
+    f_k'' + mu_k^2 f_k = k_k(t),    mu_k = 4 |eps| k,    k = 0..n,
 
 all solved at once by variation of constants on the grid (Greengard, SIAM J.
 Numer. Anal. 28, 1991).  With c = cos(mu t), s = sin(mu t)/mu and the grid's
 integration matrix J, f = f0 c + b s + s J(c k) - c J(s k) with b fixed by f(1),
 f' = b c - mu^2 f0 s + c J(c k) + mu^2 s J(s k) and f'' = k - mu^2 f.  Along
 A = tan(2 eps t + theta0), U'/U = l = 2 eps S_A, so P' = U (g' + l g) and
-P'' = U (g'' + 2 l g' + (l^2 + l') g): no solved order is differentiated.
+P'' = U (g'' + 2 l g' + (l^2 + l') g): no solved order is differentiated.  Every
+order is solved in the caller's axes: eps takes the sign of a' = eps A (1 + 2a + 2b).
 
 A mode with mu a positive multiple m*pi of pi is resonant: s(1) vanishes, and
 the Dirichlet problem is solvable only under the compatibility condition
@@ -99,9 +100,8 @@ class JetHierarchy:
     """Jets of even degree 4..max solved on top of a space-like 2-jet path.
 
     Only propagate builds one; it hands over the frame it solved every order in.
-    orders[2n] is the read-only (n + 1, N) matrix whose row i holds the
-    x^(2n-2i) y^(2i) coefficient over the nodes: the frame's own array, or its
-    axis-0 reversal on a swapped frame.
+    orders[2n] is the frame's own read-only (n + 1, N) matrix whose row i holds
+    the x^(2n-2i) y^(2i) coefficient over the nodes.
     """
 
     path2: SecondJetPath
@@ -220,7 +220,7 @@ def solve_mode(problem: ModeProblem, grid: TimeGrid) -> ModeSolution:
 
 @dataclass(frozen=True)
 class _Frame:
-    """Propagation state in the orientation that keeps A > 0.
+    """Propagation state in the caller's axes, along A and eps with a'/(1 + 2a + 2b) = eps A.
 
     What the nodes give every order is formed once per propagation, in rows m = 0..top
     for the orders up to two above its top, which compatibility_check may reach:
@@ -235,7 +235,6 @@ class _Frame:
     """
 
     grid: TimeGrid
-    swapped: bool
     eps: float
     A: np.ndarray
     Z: np.ndarray
@@ -283,19 +282,23 @@ class _Frame:
             self.pairings[order] = (d_weights(n, self.A[0]), d_weights(n, self.A[-1]), K)
         return self.pairings[order]
 
-    def orient(self, coeffs: np.ndarray) -> np.ndarray:
-        """Axis 0 (basis index) reversed if the frame swaps x and y, to the frame and back."""
-        return coeffs[::-1] if self.swapped else coeffs
-
 
 def _make_frame(path2: SecondJetPath, max_order: int) -> _Frame:
-    """The empty frame of a space-like `path2`, with the node tables of orders up to max_order + 2."""
+    """The empty frame of a space-like `path2`, with the node tables of orders up to max_order + 2.
+    The one reader of orientation: a path whose a falls has b' = eps A Z, so it runs on 1/A and
+    -eps, since swapping x and y maps E_A to E_(1/A), S_A to -S_(1/A), U's diagonal to its reversal
+    and q_k to (-1)^(n-k) q_k.  1/A past the float range is a NumericError."""
     top = max_order // 2 + 1
     mu = 4.0 * path2.epsilon * np.arange(top + 1)
     waves = tuple(map(_read_only, _trig(path2.grid.nodes, mu)))
-    return _Frame(path2.grid, path2.swapped_axes, path2.epsilon, path2.A.values,
-                  1.0 + 2.0 * path2.a.values + 2.0 * path2.b.values,
-                  node_tables(path2.A.values, top), *map(_read_only, _classify(mu)), waves)
+    A, eps = path2.A.values, path2.epsilon
+    if path2.swapped_axes:
+        with np.errstate(over="ignore"):
+            A, eps = _read_only(1.0 / A), -eps
+        if not np.isfinite(A).all():
+            raise NumericError("1/A of the 2-jet path is past the float range")
+    return _Frame(path2.grid, eps, A, 1.0 + 2.0 * path2.a.values + 2.0 * path2.b.values,
+                  node_tables(A, top), *map(_read_only, _classify(mu)), waves)
 
 
 def _normalize_jets(jets: dict, what: str) -> dict[int, np.ndarray]:
@@ -357,8 +360,7 @@ def source_K1(lower: JetHierarchy, order: int) -> np.ndarray:
     """
     if order < 4 or order % 2:
         raise ValueError(f"source order must be even and >= 4, got {order}")
-    frame = lower._lower_frame(order)
-    return frame.orient(frame.source(order))
+    return lower._lower_frame(order).source(order)
 
 
 def _finite_mode_sources(frame: _Frame, order: int):
@@ -423,8 +425,7 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
     warnings: list[tuple[int, int]] = []
     for order in range(4, max_order + 1, 2):
         n = order // 2
-        p0 = frame.orient(jets0.get(order, np.zeros(n + 1)))
-        p1 = frame.orient(jets1.get(order, np.zeros(n + 1)))
+        p0, p1 = jets0.get(order, np.zeros(n + 1)), jets1.get(order, np.zeros(n + 1))
         warnings.extend((order, int(mode)) for mode in np.flatnonzero(frame.near[:n + 1]))
         if frame.resonant[:n + 1].any():  # a resonant top mode is reported, a lower one refused
             return _compatibility(frame, order, p0, p1, tuple(warnings))
@@ -441,11 +442,10 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
             if not all(np.isfinite(d).all() for d in derivs):
                 raise NumericError(f"the solution of order {order} is not finite")
             frame.store(order, *derivs)
-        if 4.0 * frame.eps * n > math.pi + RESONANCE_TOL:
+        if 4.0 * path2.epsilon * n > math.pi + RESONANCE_TOL:
             beyond.append(order)
 
-    orders = {order: frame.orient(mat) for order, mat in frame.orders.items()}
-    return JetHierarchy(path2, orders, frame, tuple(beyond), tuple(warnings))
+    return JetHierarchy(path2, dict(frame.orders), frame, tuple(beyond), tuple(warnings))
 
 
 def _compatibility(frame: _Frame, order: int, p0, p1, warnings) -> ObstructionReport:
@@ -454,7 +454,7 @@ def _compatibility(frame: _Frame, order: int, p0, p1, warnings) -> ObstructionRe
     n = order // 2
     if not frame.resonant[n]:
         raise ValueError(
-            f"order {order} is not resonant: 4*eps*{n} = {4.0 * frame.eps * n} "
+            f"order {order} is not resonant: 4*|eps|*{n} = {4.0 * abs(frame.eps) * n} "
             "is not a multiple of pi"
         )
     w0, w1, K = frame.pairing(order)
@@ -464,9 +464,9 @@ def _compatibility(frame: _Frame, order: int, p0, p1, warnings) -> ObstructionRe
     residual = abs(lhs - K)
     scale = math.fsum(np.abs(terms0)) + math.fsum(np.abs(terms1)) + abs(K)
     return ObstructionReport(
-        resonant_order=order, u=frame.orient(w0), v=frame.orient(w1), K=K, lhs=lhs,
-        residual=residual, satisfied=residual <= COMPAT_TOL * scale, epsilon=frame.eps,
-        resonant_mode=n, multiple=m, near_resonance_warnings=warnings,
+        resonant_order=order, u=w0, v=w1, K=K, lhs=lhs, residual=residual,
+        satisfied=residual <= COMPAT_TOL * scale, epsilon=abs(frame.eps), resonant_mode=n,
+        multiple=m, near_resonance_warnings=warnings,
     )
 
 
@@ -483,8 +483,7 @@ def compatibility_check(
         order = max(lower.orders) + 2
     n = order // 2
     frame = lower._lower_frame(order)
-    p0 = frame.orient(np.asarray(phi0_order_jets, dtype=float))
-    p1 = frame.orient(np.asarray(phi1_order_jets, dtype=float))
+    p0, p1 = np.asarray(phi0_order_jets, dtype=float), np.asarray(phi1_order_jets, dtype=float)
     if p0.shape != (n + 1,) or p1.shape != (n + 1,):
         raise ValueError(f"order-{order} jets need {n + 1} coefficients")
     return _compatibility(frame, order, p0, p1, ())

@@ -4,10 +4,9 @@ JSON is the single canonical report format.  orjson writes it in compiled
 code, with shortest round-trip float digits, so every value parses back
 bit-identically through json.loads.  A float64 array of one or more
 dimensions is written by orjson's numpy support, straight from its buffer
-(a non-contiguous view, such as the reversed basis axis of a swapped frame,
-is copied to a contiguous one first); other arrays and numpy scalars go
-through their float64 or int lists, dataclasses through their fields and
-enums by value.  The text is the same as if every array were a list.  A
+(a non-contiguous view that a caller hands in is copied to a contiguous
+one first); other arrays and numpy scalars go through their float64 or int
+lists, dataclasses through their fields and enums by value.  The text is the same as if every array were a list.  A
 non-finite number is refused, where orjson would write null.
 
 encode_report checks the whole report before it hands out any text, then

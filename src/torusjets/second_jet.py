@@ -163,12 +163,16 @@ def _ends(boundary: SecondJetBoundary) -> tuple[CausalClass, float, float, float
     return _causal_class(da, db, max(z0, z1)), z0, z1, da, db
 
 
+def _moves(d: float, scale: float) -> bool:
+    """Whether a jet difference d is past the tie 2^-52 scale, one ulp of scale = max(Z0, Z1)."""
+    return abs(d) > 2.0**-52 * scale
+
+
 def _causal_class(da: float, db: float, scale: float) -> CausalClass:
-    """The sign rule: dX^2 - dZ^2 = -16 da db exactly.  A difference within 2^-52 scale,
-    one ulp of scale = max(Z0, Z1), is zero: the light-like or constant path that then
-    stands in misses its endpoint by at most that much."""
-    tie = 2.0**-52 * scale
-    a_moves, b_moves = abs(da) > tie, abs(db) > tie
+    """The sign rule: dX^2 - dZ^2 = -16 da db exactly.  A difference within the tie is zero:
+    the light-like or constant path that then stands in holds that jet still, and misses its
+    endpoint by at most the tie."""
+    a_moves, b_moves = _moves(da, scale), _moves(db, scale)
     if a_moves and b_moves:
         return CausalClass.SPACE_LIKE if (da < 0) != (db < 0) else CausalClass.TIME_LIKE
     return CausalClass.LIGHT_LIKE if a_moves or b_moves else CausalClass.STATIONARY
@@ -243,7 +247,10 @@ def solve_bvp(boundary: SecondJetBoundary, grid: TimeGrid) -> SecondJetPath:
       section's hyperbola, joined by the arc of proper time D.
     - Light-like: <P0, P1> = 1 and P1 - P0 is null, so the segment
       (1 - t) P0 + t P1 lies on the quadric: a null line X -+ Z = const on
-      which 1/Z is affine in t.  Stationary pairs take the same form.
+      which 1/Z is affine in t.  Stationary pairs take the same form.  A jet
+      that the class rule reads as still, its move within the tie, is held
+      at its t = 0 value, so the path stays a null line (or a point) and
+      misses that end by at most the tie.
 
     The jets are formed as increments from the end that dominates 1/Z:
 
@@ -260,6 +267,7 @@ def solve_bvp(boundary: SecondJetBoundary, grid: TimeGrid) -> SecondJetPath:
     whose rounded jets leave the half-plane with NumericError.
     """
     cls, z0, z1, da, db = _ends(boundary)
+    a1, b1 = boundary.a1, boundary.b1
     tau = grid.end_distances  # rows t and 1 - t
     sigma2, swapped, eps, A, bend, turn = 0.0, False, None, None, None, 0.0
     # shares: rows beta/Z1 and alpha/Z0, the two ends' parts of 1/Z; slopes: rows S'(t)/Z1
@@ -291,6 +299,12 @@ def solve_bvp(boundary: SecondJetBoundary, grid: TimeGrid) -> SecondJetPath:
         bend = (0.25 / (1.0 + math.exp(-D))) * em[0] * em[1]
         sigma2 = (0.25 * D) ** 2
     else:
+        scale = max(z0, z1)
+        if not _moves(da, scale):
+            a1, da = boundary.a0, 0.0
+        if not _moves(db, scale):
+            b1, db = boundary.b0, 0.0
+        z1 = 1.0 + 2.0 * (a1 + b1)
         shares = tau * _column(1.0 / z1, 1.0 / z0)
         slopes = _column(1.0 / z1, 1.0 / z0)
     u1, u0 = shares
@@ -301,7 +315,7 @@ def solve_bvp(boundary: SecondJetBoundary, grid: TimeGrid) -> SecondJetPath:
     if bend is not None:
         jets += bend
     jets *= Z
-    jets += np.array(((boundary.a0, boundary.a1), (boundary.b0, boundary.b1))).repeat(
+    jets += np.array(((boundary.a0, a1), (boundary.b0, b1))).repeat(
         (k, Z.size - k), axis=1)
     a, b = jets
     # Z'/Z off (Z - Z_hi)/Z and X'/Z off (X - X_lo)/Z: Z <= Z_hi, so Z/Z_hi amplifies nothing

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -415,8 +416,9 @@ def k1_left_row_loop(frame, order):
 @pytest.mark.parametrize("theta, swapped", [(0.05, False), (-0.05, True)])
 def test_k1_matches_the_left_row_loop_bit_for_bit(theta, swapped):
     jets0, jets1 = family_jets(theta, 24, seed=29)
-    frame = propagate(jets0, jets1, 24, GRID)._frame
-    assert frame.swapped == swapped
+    hier = propagate(jets0, jets1, 24, GRID)
+    assert hier.path2.swapped_axes == swapped
+    frame = hier._frame
     for order in range(6, 25, 2):
         k1, reference = jet_propagation._k1_divided(frame, order), k1_left_row_loop(frame, order)
         assert np.array_equal(k1, reference)
@@ -439,8 +441,9 @@ def vary_constants_reference(grid, mu, k, f0, f1, multiple):
 def propagate_reference(jets0, jets1, max_order, grid):
     """The propagation loop with every node quantity formed per order and the left-row K1.
 
-    Returns the orders, the order residuals and the K1 of orders 4..max_order + 2, all in
-    the orientation of the jets, and the top q-mode of the K1 of max_order + 2.
+    Returns the orders, the order residuals and the K1 of orders 4..max_order + 2, and the
+    top q-mode of the K1 of max_order + 2.  A path whose a falls runs on 1/A and -eps, with
+    |eps| in mu.
     """
     from torusjets.poly_ops import (
         apply_EA, apply_laplacian, apply_SA, q_adjoint, q_matrix, u_eigenvalues, u_log_derivative,
@@ -451,14 +454,15 @@ def propagate_reference(jets0, jets1, max_order, grid):
     jets1 = {order: np.asarray(v, dtype=float) for order, v in jets1.items()}
     path2 = solve_bvp(SecondJetBoundary(*jets0[2].tolist(), *jets1[2].tolist()), grid)
     A, eps = path2.A.values, path2.epsilon
+    if path2.swapped_axes:
+        A, eps = 1.0 / A, -eps
     Z = 1.0 + 2.0 * path2.a.values + 2.0 * path2.b.values
-    flip = (lambda m: m[::-1]) if path2.swapped_axes else (lambda m: m)
     factors, orders, residuals, k1s = {}, {}, {}, {}
     for order in range(4, max_order + 1, 2):
         n = order // 2
-        p0 = flip(jets0.get(order, np.zeros(n + 1)))
-        p1 = flip(jets1.get(order, np.zeros(n + 1)))
-        mu = 4.0 * eps * np.arange(n + 1)
+        p0 = jets0.get(order, np.zeros(n + 1))
+        p1 = jets1.get(order, np.zeros(n + 1))
+        mu = 4.0 * abs(eps) * np.arange(n + 1)
         k1 = left_row_k1(factors, Z, order)
         with np.errstate(over="ignore", invalid="ignore"):
             u_nodes = u_eigenvalues(n, A)
@@ -476,10 +480,10 @@ def propagate_reference(jets0, jets1, max_order, grid):
         factors[order][1:] = ddot, dot * weights[::-1], dot * weights
         lhs = factors[order][1] + 4.0 * eps**2 * apply_EA(n, A, mat) - 4.0 * eps * apply_SA(n, A, dot)
         residuals[order] = float(np.max(np.abs(lhs - k1)))
-        orders[order], k1s[order] = flip(mat), flip(k1)
+        orders[order], k1s[order] = mat, k1
     n = max_order // 2 + 1
     k1 = left_row_k1(factors, Z, 2 * n)
-    k1s[2 * n] = flip(k1)
+    k1s[2 * n] = k1
     with np.errstate(over="ignore", invalid="ignore"):
         top_mode = (q_adjoint(n) @ (k1 / u_eigenvalues(n, A)))[-1]
     return orders, residuals, k1s, top_mode
@@ -508,9 +512,27 @@ def test_propagate_matches_the_per_order_reference_bit_for_bit(case):
         assert_same_bits(source_K1(hier, order), k1)
     # D(K1) at each node: the point evaluation pairs K1 with the top q-mode's functional
     n = max_order // 2 + 1
-    flip = (lambda m: m[::-1]) if hier.path2.swapped_axes else (lambda m: m)
-    point = (node_tables(hier.path2.A.values, n).d(n) * flip(source_K1(hier, 2 * n))).sum(0)
+    A = hier.path2.A.values
+    point = (node_tables(1.0 / A if hier.path2.swapped_axes else A, n).d(n)
+             * source_K1(hier, 2 * n)).sum(0)
     assert np.max(np.abs(point - top_mode)) <= 4e-15 * np.max(np.abs(top_mode))
+
+
+@pytest.mark.parametrize("seed", [43, 7, 11])
+@pytest.mark.parametrize("max_order, nodes, tol", [(24, 64, 1e-11), (40, 129, 1e-10)])
+def test_a_swapped_pair_matches_its_unswapped_mirror(seed, max_order, nodes, tol):
+    # x <-> y reverses every coefficient vector; the mirror's a rises, so it runs on A and eps
+    # where the pair runs on 1/A and -eps.  The gaps measured at 64 and 129 nodes, 8.6e-13 and
+    # 5.6e-11, are the two paths' last-bit differences in A, which the orders amplify
+    grid = make_grid(nodes)
+    jets0, jets1 = family_jets(-0.05, max_order, seed)
+    mirror = [{order: v[::-1] for order, v in jets.items()} for jets in (jets0, jets1)]
+    hier, twin = propagate(jets0, jets1, max_order, grid), propagate(*mirror, max_order, grid)
+    assert hier.path2.swapped_axes and not twin.path2.swapped_axes
+    assert sorted(hier.orders) == sorted(twin.orders) == list(range(4, max_order + 1, 2))
+    for order in hier.orders:
+        ref = twin.order_matrix(order)[::-1]
+        assert np.max(np.abs(hier.order_matrix(order) - ref)) <= tol * np.max(np.abs(ref)), order
 
 
 def held_floats(arrays):
@@ -577,9 +599,9 @@ def pde_defects(hier):
         t = {2: {(2, 0): da[idx], (0, 2): db[idx]}}
         lap = {0: {(0, 0): 1.0 + 2.0 * a[idx] + 2.0 * b[idx]}}
         for order in range(4, top + 1, 2):
-            tt[order] = _homogeneous(frame.orient(frame.factors[order][:, 0]), order, idx)
-            t[order] = _homogeneous(frame.orient(frame.dots[order]), order, idx)
-            lap[order - 2] = _laplacian(_homogeneous(frame.orient(frame.orders[order]), order, idx))
+            tt[order] = _homogeneous(frame.factors[order][:, 0], order, idx)
+            t[order] = _homogeneous(frame.dots[order], order, idx)
+            lap[order - 2] = _laplacian(_homogeneous(frame.orders[order], order, idx))
         gx = {order - 1: poly_diff(p, "x") for order, p in t.items()}
         gy = {order - 1: poly_diff(p, "y") for order, p in t.items()}
         for degree in defect:
@@ -636,6 +658,17 @@ def test_the_pde_check_sees_a_1e_6_change_of_one_k1(monkeypatch):
     monkeypatch.setattr(jet_propagation, "_k1_divided", mutated)
     defects = pde_defects(pde_hierarchy(*PDE_PAIRS[1][:4]))
     assert defects[12] > 100.0 * PDE_TOL[12]
+
+
+def test_a_swapped_frame_whose_1_over_A_overflows_is_a_numeric_error():
+    # a path whose a falls runs on 1/A, so a subnormal A is past the float range there
+    hier = propagate(*family_jets(-0.3, 4, seed=11), 4, GRID)
+    assert hier.path2.swapped_axes
+    A = hier.path2.A.values.copy()
+    A[0] = 1e-310
+    path2 = dataclasses.replace(hier.path2, A=CoefficientSeries(GRID, A))
+    with pytest.raises(NumericError, match="1/A of the 2-jet path"):
+        jet_propagation._make_frame(path2, 4)
 
 
 def test_overflowing_order_stops_with_numeric_error():
@@ -725,6 +758,7 @@ def test_reversed_orientation_swaps_pairing_weights():
     fwd = propagate(jets0, jets1, 6, GRID)
     rev = propagate(jets1, jets0, 6, GRID)
     assert isinstance(fwd, ObstructionReport) and isinstance(rev, ObstructionReport)
+    assert rev.epsilon == fwd.epsilon
     scale = np.max(np.abs(fwd.u))
     assert np.max(np.abs(rev.u - fwd.v)) < 1e-14 * scale
     assert np.max(np.abs(rev.v - fwd.u)) < 1e-14 * scale

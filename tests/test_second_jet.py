@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from torusjets.errors import ConsistencyError, GeodesicDomainError
 from torusjets.second_jet import (
+    ENDPOINT_TOL,
     CausalClass,
     HalfPlanePoint,
     SecondJetBoundary,
@@ -416,6 +417,34 @@ def test_lightlike_path_off_its_endpoint_is_refused():
     assert solve_bvp(boundary, GRID).causal_class is CausalClass.LIGHT_LIKE
     with pytest.raises(ConsistencyError, match="LightLike closed form missed its endpoint"):
         solve_bvp(boundary, short)
+
+
+# a light-like pair whose a moves by 9.3e-10, below the tie 2^-52 max(Z0, Z1) = 4.6e-9; its
+# a <-> b mirror; and a stationary pair whose two moves are both below the tie
+SUB_TIE_PAIRS = {
+    "a-still": (5500675.005864095, 4926824.323415392, 5500675.005864096, 4926824.323416337),
+    "b-still": (4926824.323415392, 5500675.005864095, 4926824.323416337, 5500675.005864096),
+    "both-still": (5500675.005864095, 4926824.323415392, 5500675.005864096, 4926824.323415393),
+}
+
+
+@pytest.mark.parametrize("nodes", [17, 64, 2049])
+@pytest.mark.parametrize("case", list(SUB_TIE_PAIRS))
+def test_a_jet_that_moves_less_than_the_tie_is_held_still(case, nodes):
+    # a stand-in that kept the sub-tie move was no geodesic: its residual read 9.8e-4, and
+    # 0.5 on the stationary pair
+    bdry = SUB_TIE_PAIRS[case]
+    path = solve_bvp(SecondJetBoundary(*bdry), make_grid(nodes))
+    assert path.causal_class.value == ("Stationary" if case == "both-still" else "LightLike")
+    assert ode_residual(path) <= 1e-12
+    a, b = path.a.values, path.b.values
+    if case != "b-still":
+        assert np.all(a == bdry[0])
+    if case != "a-still":
+        assert np.all(b == bdry[1])
+    scale = max(1 + 2 * (bdry[0] + bdry[1]), 1 + 2 * (bdry[2] + bdry[3]))
+    ends = np.subtract([a[0], b[0], a[-1], b[-1]], bdry)
+    assert np.max(np.abs(ends)) <= ENDPOINT_TOL * scale
 
 
 def assert_matches_mp_oracle(bdry, tol=1e-13):
