@@ -133,6 +133,8 @@ def jets_at_origin(potential: TorusPotential, order: int) -> dict[int, np.ndarra
     jets = {2 * d: np.zeros(d + 1) for d in range(1, half + 1)}
     with np.errstate(over="ignore", invalid="ignore"):
         for coeff, px, py in potential.terms:
+            if px + py > order:  # O(|(x, y)|^(px + py)): no jet up to order sees it
+                continue
             my = py // 2
             for d, row in _taylor_products(px // 2, my, half):
                 jets[2 * d][my : my + row.size] += coeff * row

@@ -11,7 +11,7 @@ data, the equation and every Newton iterate are even in x and in y: the solve
 runs, exactly, on the even-even quarter (x indices 0..nx/2, y indices
 0..ny/2) with reflective halos. The Jacobian's 15-point stencil runs on the
 flattened halo buffer, where the t, x and y neighbours are fixed offsets, so
-each of its terms is one ufunc call over one contiguous span (_newton_step).
+each of its terms is one ufunc call over one contiguous span (_Quarter).
 Second jets extracted at the central fiber feed the sigma_2 and eps
 diagnostics of the closed form.
 
@@ -43,7 +43,7 @@ MAX_HALVINGS = 12
 RESIDUAL_SCALE = 1e-9
 RELATIVE_TARGET = 5e-8
 TARGET_FLOOR_ULPS = 8.0
-# Forcing-term bounds of the inexact Newton step (see _newton_step).
+# Forcing-term bounds of the inexact Newton step (see _Quarter.newton_step).
 ETA_MAX = 1e-3
 ETA_MIN = 1e-10
 # GMRES keeps RESTART Krylov vectors before it restarts, and one Newton step may
@@ -52,9 +52,9 @@ RESTART = 30
 MAX_MATVECS = 400
 # The preconditioner applies its Green matrix in dense blocks of at most this many slices.
 GREEN_BLOCK = 32
-# The tracemalloc peak of a solve is 119 to 162 bytes a full-grid point (at 33 x 64 x 64,
-# 4096 x 16 x 16 and 16 x 256 x 256), so about 162 MiB here. About half of it is the
-# GMRES basis, allocated whole but touched only as far as the Krylov space grows.
+# A solve of the bench saddle (delta 1e-1 to 1e-3) peaks at 119 to 162 traced bytes a grid point
+# at 33 x 64 x 64, 4096 x 16 x 16 and 16 x 256 x 256, so about 162 MiB here. About half of it
+# is the GMRES basis, allocated whole but touched only as far as the Krylov space grows.
 MAX_GRID_POINTS = 2**20
 
 
@@ -79,10 +79,10 @@ def lgmres(A, b, M=None, rtol=1e-5):
     on it).
 
     The name is the one scipy's solver had here, and it must stay a module
-    global that _newton_step looks up at each call: bench/tracing.py wraps
-    torusjets.pde_crosscheck.lgmres to time the solves and count matvecs, and
-    tests replace it by setattr on this module. A name bound inside
-    _newton_step would bypass both.
+    global that _Quarter.newton_step looks up at each call: bench/tracing.py
+    wraps torusjets.pde_crosscheck.lgmres to time the solves and count matvecs,
+    and tests replace it by setattr on this module. A name bound inside the
+    quarter would bypass both.
     """
     precond = (lambda v: v) if M is None else M.matvec
     x = np.zeros(b.shape[0])
@@ -182,42 +182,15 @@ def _reflect(pad: np.ndarray) -> None:
         pad[..., 1:-1, face] = pad[..., 1:-1, mirror]
 
 
-def _residual(phi: np.ndarray, dt, hx, hy, delta):
-    """Residual on the interior slices and the fields the Newton step reuses there,
-    (1 + Lap phi, phi_tt, d_x phi_t, d_y phi_t).
+class _Quarter:
+    """Central differences on the even-even quarter of an (nt, nx, ny) grid.
 
-    phi is padded once: the padded copy gives Lap phi, and its time difference
-    gives phi_t with the halo that d_x and d_y read. NumericError unless the
-    minimum of 1 + Lap phi is positive. Lap phi has mean zero, so a phi near the
-    float range degenerates the metric anyway; its overflow reads as a minimum
-    of -inf or nan and is refused too.
-    """
-    pad = np.zeros((phi.shape[0], phi.shape[1] + 2, phi.shape[2] + 2))
-    pad[:, 1:-1, 1:-1] = phi
-    _reflect(pad)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lap = (pad[:, 2:, 1:-1] - 2.0 * phi + pad[:, :-2, 1:-1]) / hx**2
-        metric = 1.0 + (lap + (pad[:, 1:-1, 2:] - 2.0 * phi + pad[:, 1:-1, :-2]) / hy**2)
-    zmin = float(np.min(metric))
-    if not zmin > 0.0:
-        raise NumericError(
-            f"metric degenerated: min(1 + Lap phi) = {zmin:.6e} at delta = {delta:.3e}; "
-            "reduce the boundary amplitude or enlarge delta"
-        )
-    phitt = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dt**2
-    pt = (pad[2:] - pad[:-2]) / (2.0 * dt)
-    gx = (pt[:, 2:, 1:-1] - pt[:, :-2, 1:-1]) / (2.0 * hx)
-    gy = (pt[:, 1:-1, 2:] - pt[:, 1:-1, :-2]) / (2.0 * hy)
-    inner = metric[1:-1]
-    return phitt * inner - gx**2 - gy**2 - delta, (inner, phitt, gx, gy)
-
-
-def _newton_step(fields, dt, hx, hy, res):
-    """One inexact Newton direction for the interior slices, and its matvec count.
-
-    lgmres stops at relative residual eta = max(min(ETA_MAX, |res|_inf), ETA_MIN):
-    loose while the Newton residual res is large and tight near the root, which
-    keeps the quadratic convergence of an exact solve for fewer matvecs.
+    A solve builds one. __init__ sets up all that depends only on the grid: the
+    stencil's halo and coefficient buffers and their flat spans, the Green blocks
+    and the two operators that newton_step hands lgmres; each step refills the
+    coefficients in place. The operators' closures read a state dict (the matvec
+    count and the step's metric), never the quarter: that reference cycle would
+    keep every buffer alive until the cyclic collector ran.
 
     J v = (1 + Lap phi) v_tt + phi_tt Lap v - 2 grad(phi_t).grad(v_t), v = 0 on
     the end slices, is a 15-point stencil; each matvec copies v into one halo
@@ -232,91 +205,133 @@ def _newton_step(fields, dt, hx, hy, res):
     the time part of J with its pointwise metric, D_tt the Dirichlet second
     difference over the m = nt - 2 interior slices: M^-1 r = D_tt^-1 (r / (1 + Lap phi)).
     """
-    metric, phitt, gx, gy = fields
-    m, qx, qy = phitt.shape
-    size = m * qx * qy
-    # the zero faces of the coefficients keep the values that nothing reads finite
-    halo = np.zeros((m + 2, qx + 2, qy + 2))
-    wt, wx, cx, cy = (np.zeros((m, qx + 2, qy + 2)) for _ in range(4))
-    wy = wx if hy == hx else np.zeros_like(wx)  # phi_tt / h^2 serves both axes of a square grid
-    centre, vt, term, total = (np.empty_like(wt) for _ in range(4))
-    inside = (slice(None), slice(1, -1), slice(1, -1))
-    np.divide(metric, dt**2, out=wt[inside])
-    np.divide(phitt, hx**2, out=wx[inside])
-    np.divide(phitt, hy**2, out=wy[inside])
-    np.add(wt, wx, out=centre)
-    centre += wy
-    centre *= -2.0
-    # -2 (phi_t)_x (v_t)_x is -gx / (2 dt hx) times the x difference of v(t+dt) - v(t-dt)
-    np.divide(gx, -2.0 * dt * hx, out=cx[inside])
-    np.divide(gy, -2.0 * dt * hy, out=cy[inside])
 
-    Q, P = qy + 2, (qx + 2) * (qy + 2)
-    length = (m - 1) * P + (qx - 1) * Q + qy
+    def __init__(self, nt: int, nx: int, ny: int):
+        self.dt = dt = 1.0 / (nt - 1)
+        self.hx = hx = 2.0 * math.pi / nx
+        self.hy = hy = 2.0 * math.pi / ny
+        m, qx, qy = nt - 2, nx // 2 + 1, ny // 2 + 1
+        size = m * qx * qy
+        # the zero faces of the coefficients keep the values that nothing reads finite
+        halo = np.zeros((m + 2, qx + 2, qy + 2))
+        self.wt, self.wx, self.cx, self.cy = (np.zeros((m, qx + 2, qy + 2)) for _ in range(4))
+        self.wy = self.wx if hy == hx else np.zeros_like(self.wx)  # one phi_tt / h^2 if square
+        self.centre, vt, term, total = (np.empty_like(self.wt) for _ in range(4))
+        inside = (slice(None), slice(1, -1), slice(1, -1))
+        Q, P = qy + 2, (qx + 2) * (qy + 2)
+        length = (m - 1) * P + (qx - 1) * Q + qy
 
-    def span(buf, shift=0, pad=0):
-        # the flat span of an (m, qx + 2, qy + 2) buf, moved by shift and widened by pad;
-        # halo has one more slice at each end, so its interior span is span(halo, P)
-        first = Q + 1 + shift - pad
-        return buf.reshape(-1)[first : first + length + 2 * pad]
+        def span(buf, shift=0, pad=0):
+            # the flat span of an (m, qx + 2, qy + 2) buf, moved by shift and widened by pad;
+            # halo has one more slice at each end, so its interior span is span(halo, P)
+            first = Q + 1 + shift - pad
+            return buf.reshape(-1)[first : first + length + 2 * pad]
 
-    core, v, diagonal = halo[1:-1][inside], span(halo, P), span(centre)
-    acc, scratch = span(total), span(term)
-    vt_span, ahead, behind = span(vt, pad=Q), span(halo, 2 * P, Q), span(halo, 0, Q)
-    terms = [
-        (span(wt), np.add, span(halo, 2 * P), span(halo)),
-        (span(wx), np.add, span(halo, P + Q), span(halo, P - Q)),
-        (span(wy), np.add, span(halo, P + 1), span(halo, P - 1)),
-        (span(cx), np.subtract, span(vt, Q), span(vt, -Q)),
-        (span(cy), np.subtract, span(vt, 1), span(vt, -1)),
-    ]
-    matvecs = 0
+        core, v, diagonal = halo[1:-1][inside], span(halo, P), span(self.centre)
+        acc, scratch = span(total), span(term)
+        vt_span, ahead, behind = span(vt, pad=Q), span(halo, 2 * P, Q), span(halo, 0, Q)
+        terms = [
+            (span(self.wt), np.add, span(halo, 2 * P), span(halo)),
+            (span(self.wx), np.add, span(halo, P + Q), span(halo, P - Q)),
+            (span(self.wy), np.add, span(halo, P + 1), span(halo, P - 1)),
+            (span(self.cx), np.subtract, span(vt, Q), span(vt, -Q)),
+            (span(self.cy), np.subtract, span(vt, 1), span(vt, -1)),
+        ]
+        self._state = state = {"matvecs": 0, "metric": None}
 
-    def matvec(flat):
-        nonlocal matvecs
-        matvecs += 1
-        core[...] = flat.reshape(m, qx, qy)
-        _reflect(halo[1:-1])
-        np.subtract(ahead, behind, out=vt_span)
-        np.multiply(diagonal, v, out=acc)
-        for coeff, combine, first, second in terms:
-            combine(first, second, out=scratch)
-            np.multiply(scratch, coeff, out=scratch)
-            np.add(acc, scratch, out=acc)
-        return total[inside].ravel()
+        def matvec(flat):
+            state["matvecs"] += 1
+            core[...] = flat.reshape(m, qx, qy)
+            _reflect(halo[1:-1])
+            np.subtract(ahead, behind, out=vt_span)
+            np.multiply(diagonal, v, out=acc)
+            for coeff, combine, first, second in terms:
+                combine(first, second, out=scratch)
+                np.multiply(scratch, coeff, out=scratch)
+                np.add(acc, scratch, out=acc)
+            return total[inside].ravel()
 
-    # Column by column, the Dirichlet D_tt^-1 is the Green matrix G_ij = -c min(i, j)
-    # (m + 1 - max(i, j)), c = dt^2 / (m + 1), i, j = 1..m: 128 MiB as one m x m matrix at
-    # nt = 4096. Cut into nb blocks of `block` slices (zero-padded at the end), its diagonal
-    # blocks are dense and the rest is rank one, -c (m + 1 - i) j below the diagonal and
-    # -c i (m + 1 - j) above, so it costs O(m GREEN_BLOCK) per column.
-    block = min(m, GREEN_BLOCK)
-    nb = -(-m // block)
-    col = np.arange(1.0, nb * block + 1.0).reshape(nb, 1, block)
-    row = col.swapaxes(1, 2)
-    c = dt**2 / (m + 1.0)
-    diag = -c * np.minimum(row, col) * (m + 1.0 - np.maximum(row, col))
-    flat_metric = metric.reshape(m, -1)
-    padded = np.zeros((nb * block, qx * qy))
+        # Column by column, the Dirichlet D_tt^-1 is the Green matrix G_ij = -c min(i, j)
+        # (m + 1 - max(i, j)), c = dt^2 / (m + 1), i, j = 1..m: 128 MiB as one m x m matrix at
+        # nt = 4096. Cut into nb blocks of `block` slices (zero-padded at the end), its diagonal
+        # blocks are dense and the rest is rank one, -c (m + 1 - i) j below the diagonal and
+        # -c i (m + 1 - j) above, so it costs O(m GREEN_BLOCK) per column.
+        block = min(m, GREEN_BLOCK)
+        nb = -(-m // block)
+        col = np.arange(1.0, nb * block + 1.0).reshape(nb, 1, block)
+        row = col.swapaxes(1, 2)
+        c = dt**2 / (m + 1.0)
+        diag = -c * np.minimum(row, col) * (m + 1.0 - np.maximum(row, col))
+        padded = np.zeros((nb * block, qx * qy))
 
-    def precond(flat):
-        np.divide(flat.reshape(m, -1), flat_metric, out=padded[:m])
-        r = padded.reshape(nb, block, -1)
-        u = diag @ r
-        if nb > 1:
-            below = np.cumsum((col @ r)[:-1], axis=0)  # sum of j r_j over the blocks before
-            above = np.cumsum(((m + 1.0 - col) @ r)[:0:-1], axis=0)[::-1]  # (m+1-j) r_j after
-            u[1:] -= c * (m + 1.0 - row[1:]) * below
-            u[:-1] -= c * row[:-1] * above
-        return u.reshape(nb * block, -1)[:m].ravel()
+        def precond(flat):
+            np.divide(flat.reshape(m, -1), state["metric"], out=padded[:m])
+            r = padded.reshape(nb, block, -1)
+            u = diag @ r
+            if nb > 1:
+                below = np.cumsum((col @ r)[:-1], axis=0)  # sum of j r_j over the blocks before
+                above = np.cumsum(((m + 1.0 - col) @ r)[:0:-1], axis=0)[::-1]  # (m+1-j) r_j after
+                u[1:] -= c * (m + 1.0 - row[1:]) * below
+                u[:-1] -= c * row[:-1] * above
+            return u.reshape(nb * block, -1)[:m].ravel()
 
-    op = LinearOperator((size, size), matvec=matvec, dtype=float)
-    pc = LinearOperator((size, size), matvec=precond, dtype=float)
-    eta = max(min(ETA_MAX, float(np.max(np.abs(res)))), ETA_MIN)
-    step, info = lgmres(op, -res.ravel(), M=pc, rtol=eta)
-    if info != 0:
-        raise NumericError(f"linear solver stalled in the Newton step (info={info})")
-    return step.reshape(m, qx, qy), matvecs
+        self.op = LinearOperator((size, size), matvec=matvec, dtype=float)
+        self.pc = LinearOperator((size, size), matvec=precond, dtype=float)
+
+    def residual(self, phi: np.ndarray, delta):
+        """Residual on the interior slices and the fields the Newton step reuses there,
+        (1 + Lap phi, phi_tt, d_x phi_t, d_y phi_t).
+
+        phi is padded once: the padded copy gives Lap phi, and its time difference
+        gives phi_t with the halo that d_x and d_y read. NumericError unless the
+        minimum of 1 + Lap phi is positive. Lap phi has mean zero, so a phi near the
+        float range degenerates the metric anyway; its overflow reads as a minimum
+        of -inf or nan and is refused too.
+        """
+        dt, hx, hy = self.dt, self.hx, self.hy
+        pad = np.zeros((phi.shape[0], phi.shape[1] + 2, phi.shape[2] + 2))
+        pad[:, 1:-1, 1:-1] = phi
+        _reflect(pad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lap = (pad[:, 2:, 1:-1] - 2.0 * phi + pad[:, :-2, 1:-1]) / hx**2
+            metric = 1.0 + (lap + (pad[:, 1:-1, 2:] - 2.0 * phi + pad[:, 1:-1, :-2]) / hy**2)
+        zmin = float(np.min(metric))
+        if not zmin > 0.0:
+            raise NumericError(
+                f"metric degenerated: min(1 + Lap phi) = {zmin:.6e} at delta = {delta:.3e}; "
+                "reduce the boundary amplitude or enlarge delta"
+            )
+        phitt = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dt**2
+        pt = (pad[2:] - pad[:-2]) / (2.0 * dt)
+        gx = (pt[:, 2:, 1:-1] - pt[:, :-2, 1:-1]) / (2.0 * hx)
+        gy = (pt[:, 1:-1, 2:] - pt[:, 1:-1, :-2]) / (2.0 * hy)
+        inner = metric[1:-1]
+        return phitt * inner - gx**2 - gy**2 - delta, (inner, phitt, gx, gy)
+
+    def newton_step(self, fields, res):
+        """One inexact Newton direction for the interior slices, and its matvec count.
+
+        lgmres stops at relative residual eta = max(min(ETA_MAX, |res|_inf), ETA_MIN):
+        loose while the Newton residual res is large and tight near the root, which
+        keeps the quadratic convergence of an exact solve for fewer matvecs.
+        """
+        metric, phitt, gx, gy = fields
+        inside = (slice(None), slice(1, -1), slice(1, -1))
+        np.divide(metric, self.dt**2, out=self.wt[inside])
+        np.divide(phitt, self.hx**2, out=self.wx[inside])
+        np.divide(phitt, self.hy**2, out=self.wy[inside])
+        np.add(self.wt, self.wx, out=self.centre)
+        self.centre += self.wy
+        self.centre *= -2.0
+        # -2 (phi_t)_x (v_t)_x is -gx / (2 dt hx) times the x difference of v(t+dt) - v(t-dt)
+        np.divide(gx, -2.0 * self.dt * self.hx, out=self.cx[inside])
+        np.divide(gy, -2.0 * self.dt * self.hy, out=self.cy[inside])
+        self._state.update(matvecs=0, metric=metric.reshape(metric.shape[0], -1))
+        eta = max(min(ETA_MAX, float(np.max(np.abs(res)))), ETA_MIN)
+        step, info = lgmres(self.op, -res.ravel(), M=self.pc, rtol=eta)
+        if info != 0:
+            raise NumericError(f"linear solver stalled in the Newton step (info={info})")
+        return step.reshape(res.shape), self._state["matvecs"]
 
 
 def solve_geodesic(
@@ -346,10 +361,9 @@ def solve_geodesic(
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("delta schedule must be strictly decreasing")
 
-    dt = 1.0 / (nt - 1)
-    hx = 2.0 * math.pi / nx
-    hy = 2.0 * math.pi / ny
-    xs, ys = (-math.pi + h * np.arange(n // 2 + 1) for h, n in ((hx, nx), (hy, ny)))
+    quarter = _Quarter(nt, nx, ny)
+    xs = -math.pi + quarter.hx * np.arange(nx // 2 + 1)
+    ys = -math.pi + quarter.hy * np.arange(ny // 2 + 1)
     top = phi1.evaluate(xs[:, None], ys[None, :])
     if not np.isfinite(top).all():
         raise ValueError("the boundary potential is not finite on the grid")
@@ -358,17 +372,18 @@ def solve_geodesic(
 
     per_delta = []
     for delta in schedule:
-        res, fields = _residual(phi, dt, hx, hy, delta)
+        res, fields = quarter.residual(phi, delta)
         if not per_delta:  # phi is the linear start
             data_size = float(np.max(fields[2] ** 2 + fields[3] ** 2))
         res_norm = float(np.max(np.abs(res)))
         steps = matvecs = halvings = 0
         for _ in range(MAX_NEWTON_ITERS):
-            floor = TARGET_FLOOR_ULPS * np.finfo(float).eps * float(np.max(np.abs(phi))) / dt**2
+            floor = TARGET_FLOOR_ULPS * np.finfo(float).eps * float(np.max(np.abs(phi)))
+            floor /= quarter.dt**2
             relative = max(RELATIVE_TARGET * data_size, floor)
             if res_norm < min(RESIDUAL_SCALE * (1.0 + delta), relative):
                 break
-            step, count = _newton_step(fields, dt, hx, hy, res)
+            step, count = quarter.newton_step(fields, res)
             steps += 1
             matvecs += count
             alpha = 1.0
@@ -376,7 +391,7 @@ def solve_geodesic(
                 cand = phi.copy()
                 cand[1:-1] += alpha * step
                 try:
-                    cand_res, cand_fields = _residual(cand, dt, hx, hy, delta)
+                    cand_res, cand_fields = quarter.residual(cand, delta)
                 except NumericError:  # a degenerate candidate halves alpha
                     cand_norm = math.inf
                 else:

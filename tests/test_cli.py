@@ -400,6 +400,19 @@ def test_terms_summing_past_the_float_range_are_input_errors(capsys, tmp_path, a
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["propagate", "--max-order", "4", "--nodes", "9"], 0),
+    # the report refuses to echo a power past 64 bits
+    (["pde-check", "--nt", "9", "--nx", "16", "--ny", "16", "--delta", "1e-1"], 2),
+])
+def test_a_sin_power_past_the_order_keeps_the_exit_contract(capsys, tmp_path, argv, code):
+    spec = write_spec(tmp_path, {"terms": [[0.001, 10**30, 0], [0.001, 2, 0], [-0.001, 0, 2]]})
+    got, out, err = run_cli(capsys, *argv, "--spec", spec)
+    assert got == code
+    assert (out != "") == (code == 0)
+    assert err.count("\n") == (code != 0) and "Traceback" not in err
+
+
 def test_propagate_overflowing_order_is_numeric_error(capsys, tmp_path):
     spec = write_spec(tmp_path, {
         "phi0": {"jets": {"2": [0, 0]}},

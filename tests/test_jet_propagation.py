@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from torusjets import jet_propagation
-from torusjets.counterexample import build_h, jets_at_origin
+from torusjets.counterexample import TorusPotential, build_h, jets_at_origin
 from torusjets.errors import GeodesicDomainError, NumericError
 from torusjets.jet_propagation import (
     JetHierarchy,
@@ -533,6 +533,57 @@ def test_a_swapped_pair_matches_its_unswapped_mirror(seed, max_order, nodes, tol
     for order in hier.orders:
         ref = twin.order_matrix(order)[::-1]
         assert np.max(np.abs(hier.order_matrix(order) - ref)) <= tol * np.max(np.abs(ref)), order
+
+
+# Phi(x, y, t) -> Phi(lam x, lam y, t) / lam^2 maps geodesics to geodesics: it fixes the
+# 2-jets and multiplies order 2n by lam^(2n - 2). With lam a power of two clear of
+# overflow, every product of the chain scales exactly, so no tolerance is needed.
+SCALES = (2.0**3, 2.0**-5)
+
+
+def scaled(jets, lam):
+    return {order: v * lam ** (order - 2) for order, v in jets.items()}
+
+
+def chord_pair_jets(rng, swapped, max_order):
+    """Jets of a seeded sin^2 pair of the bench's hierarchy kind: a space-like chord of
+    length 0.06..0.1 in (X, Z), falling in X (the frame runs on 1/A) when swapped."""
+    z0, x0 = rng.uniform(0.9, 1.1), rng.uniform(-0.1, 0.1)
+    length, slope = rng.uniform(0.06, 0.1), rng.uniform(-0.6, 0.6)
+    z1, x1 = z0 + slope * length, x0 + (-length if swapped else length)
+    return [jets_at_origin(TorusPotential(terms=(((z - 1 + x) / 4, 2, 0), ((z - 1 - x) / 4, 0, 2))),
+                           max_order) for z, x in ((z0, x0), (z1, x1))]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_orders_and_residuals_scale_covariantly_bit_for_bit(seed):
+    grid, rng = make_grid(129), np.random.default_rng(seed)
+    for i in range(8):
+        jets0, jets1 = chord_pair_jets(rng, i % 2 == 0, 40)
+        hier = propagate(jets0, jets1, 40, grid)
+        assert hier.path2.swapped_axes == (i % 2 == 0)
+        for lam in SCALES:
+            twin = propagate(scaled(jets0, lam), scaled(jets1, lam), 40, grid)
+            assert sorted(twin.orders) == sorted(hier.orders) == list(range(4, 41, 2))
+            for order in hier.orders:
+                factor = lam ** (order - 2)
+                assert np.array_equal(twin.order_matrix(order), factor * hier.order_matrix(order))
+                assert order_residual(twin, order) == factor * order_residual(hier, order)
+
+
+@pytest.mark.parametrize("n", [3, 6, 16])
+def test_obstruction_report_scales_covariantly_bit_for_bit(n):
+    jets0, jets1 = h_family_jets(n, 2 * n)
+    report = propagate(jets0, jets1, 2 * n, GRID)
+    assert isinstance(report, ObstructionReport)
+    for lam in SCALES:
+        twin = propagate(scaled(jets0, lam), scaled(jets1, lam), 2 * n, GRID)
+        factor = lam ** (2 * n - 2)
+        assert twin.K == factor * report.K
+        assert twin.lhs == factor * report.lhs
+        assert twin.residual == factor * report.residual
+        assert twin.satisfied == report.satisfied
+        assert np.array_equal(twin.u, report.u) and np.array_equal(twin.v, report.v)
 
 
 def held_floats(arrays):

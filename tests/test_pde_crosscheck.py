@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -202,7 +203,13 @@ def quarter(u):
     return u[:, : u.shape[1] // 2 + 1, : u.shape[2] // 2 + 1]
 
 
-def capture_operators(monkeypatch, phi, dt, hx, hy, delta):
+def grid_of(phi):
+    """The _Quarter of the full grid whose even-even quarter is phi."""
+    nt, qx, qy = phi.shape
+    return pde_crosscheck._Quarter(nt, 2 * (qx - 1), 2 * (qy - 1))
+
+
+def capture_operators(monkeypatch, phi, delta):
     seen = {}
 
     def capture(op, rhs, M=None, **kwargs):
@@ -210,8 +217,9 @@ def capture_operators(monkeypatch, phi, dt, hx, hy, delta):
         return np.zeros_like(rhs), 0
 
     monkeypatch.setattr(pde_crosscheck, "lgmres", capture)
-    res, fields = pde_crosscheck._residual(phi, dt, hx, hy, delta)
-    pde_crosscheck._newton_step(fields, dt, hx, hy, res)
+    q = grid_of(phi)
+    res, fields = q.residual(phi, delta)
+    q.newton_step(fields, res)
     return seen["op"], seen["M"]
 
 
@@ -224,7 +232,7 @@ def test_jacobian_matches_quadratic_oracle(monkeypatch, shape):
     dt, hx, hy, delta = 1.0 / (nt - 1), 2 * math.pi / nx, 2 * math.pi / ny, 1e-2
     rng = np.random.default_rng(nt * nx * ny)
     phi = symmetrize(1e-3 * rng.standard_normal(shape))
-    op, M = capture_operators(monkeypatch, quarter(phi), dt, hx, hy, delta)
+    op, M = capture_operators(monkeypatch, quarter(phi), delta)
     assert op.dtype == np.float64 and M.dtype == np.float64
     mid = phi[1:-1]
     metric = 1.0 + (
@@ -293,13 +301,13 @@ def test_solver_counters_match_the_krylov_calls(monkeypatch):
 
 
 def test_line_search_halvings_are_counted(monkeypatch):
-    newton_step = pde_crosscheck._newton_step
+    newton_step = pde_crosscheck._Quarter.newton_step
 
     def overshoot(*args):
         step, count = newton_step(*args)
         return 8.0 * step, count
 
-    monkeypatch.setattr(pde_crosscheck, "_newton_step", overshoot)
+    monkeypatch.setattr(pde_crosscheck._Quarter, "newton_step", overshoot)
     sol = solve_geodesic(SADDLE, 9, 16, 16, [1e-2])
     assert sol.halvings >= sol.newton_steps > 0
     assert sol.residual_norm < 1e-9 * (1 + 1e-2)
@@ -328,12 +336,12 @@ def test_relative_spread_is_scale_aware():
 def record_forcing(monkeypatch, rtol=None):
     """Record (|F|_inf, rtol) of every Newton step; rtol, if given, replaces the
     forcing term. Matvecs are counted by the solver itself."""
-    newton_step, original = pde_crosscheck._newton_step, pde_crosscheck.lgmres
+    newton_step, original = pde_crosscheck._Quarter.newton_step, pde_crosscheck.lgmres
     steps = []
 
-    def recording_step(fields, dt, hx, hy, res):
+    def recording_step(q, fields, res):
         steps.append([float(np.max(np.abs(res)))])
-        return newton_step(fields, dt, hx, hy, res)
+        return newton_step(q, fields, res)
 
     def recording_lgmres(op, rhs, **kwargs):
         steps[-1].append(kwargs["rtol"])
@@ -341,7 +349,7 @@ def record_forcing(monkeypatch, rtol=None):
             kwargs["rtol"] = rtol
         return original(op, rhs, **kwargs)
 
-    monkeypatch.setattr(pde_crosscheck, "_newton_step", recording_step)
+    monkeypatch.setattr(pde_crosscheck._Quarter, "newton_step", recording_step)
     monkeypatch.setattr(pde_crosscheck, "lgmres", recording_lgmres)
     return steps
 
@@ -490,8 +498,10 @@ BENCH_SADDLE = TorusPotential(terms=((0.1, 2, 0), (-0.1, 0, 2)))
 ])
 def test_flat_stencil_solve_matches_the_strided_reference(monkeypatch, pot, shape, schedule):
     sol = solve_geodesic(pot, *shape, schedule)
-    monkeypatch.setattr(pde_crosscheck, "_residual", reference_residual)
-    monkeypatch.setattr(pde_crosscheck, "_newton_step", reference_newton_step)
+    monkeypatch.setattr(pde_crosscheck._Quarter, "residual", lambda q, phi, delta:
+                        reference_residual(phi, q.dt, q.hx, q.hy, delta))
+    monkeypatch.setattr(pde_crosscheck._Quarter, "newton_step", lambda q, fields, res:
+                        reference_newton_step(fields, q.dt, q.hx, q.hy, res))
     ref = solve_geodesic(pot, *shape, schedule)
     assert np.array_equal(sol.phi, ref.phi)
     assert sol.per_delta == ref.per_delta
@@ -502,11 +512,9 @@ def test_flat_stencil_solve_matches_the_strided_reference(monkeypatch, pot, shap
 def test_matvec_reuses_its_workspace(monkeypatch):
     # the stencil runs in buffers that the Newton step allocates once, so each matvec
     # allocates one quarter-sized array: the new one it returns
-    nt, nx, ny = 33, 48, 48
-    dt, hx, hy = 1.0 / (nt - 1), 2 * math.pi / nx, 2 * math.pi / ny
     rng = np.random.default_rng(11)
-    phi = quarter(symmetrize(1e-3 * rng.standard_normal((nt, nx, ny))))
-    op, _ = capture_operators(monkeypatch, phi, dt, hx, hy, 1e-2)
+    phi = quarter(symmetrize(1e-3 * rng.standard_normal((33, 48, 48))))
+    op, _ = capture_operators(monkeypatch, phi, 1e-2)
     vectors = rng.standard_normal((10, op.shape[0]))
     expected = [op.matvec(v).copy() for v in vectors]
     kept = []
@@ -523,6 +531,46 @@ def test_matvec_reuses_its_workspace(monkeypatch):
     # later matvecs leave every earlier result as it was
     for out, exp in zip(kept, expected):
         assert np.array_equal(out, exp)
+
+
+def test_a_newton_step_after_the_first_allocates_only_its_right_hand_side(monkeypatch):
+    # the quarter sets up its stencil buffers, Green blocks and operators once; a later
+    # step refills the coefficients in place and allocates -res for lgmres, which here
+    # returns one more field of that size
+    handed = []
+
+    def stub(op, rhs, M=None, **kwargs):
+        handed.append((op, M))
+        return np.zeros_like(rhs), 0
+
+    monkeypatch.setattr(pde_crosscheck, "lgmres", stub)
+    rng = np.random.default_rng(13)
+    first, second = (quarter(symmetrize(1e-5 * rng.standard_normal((65, 64, 64))))
+                     for _ in range(2))
+    q = grid_of(first)
+    res, fields = q.residual(first, 1e-2)
+    q.newton_step(fields, res)
+    res, fields = q.residual(second, 1e-2)
+    tracemalloc.start()
+    try:
+        q.newton_step(fields, res)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert handed[0][0] is handed[1][0] and handed[0][1] is handed[1][1]
+    assert peak <= 2 * res.nbytes + 8 * np.getbufsize() + 4096
+
+
+def test_a_solve_leaves_nothing_for_the_cyclic_collector():
+    # operators whose closures held the quarter that holds them would keep every
+    # buffer of the solve alive until the cyclic collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        solve_geodesic(SADDLE, 17, 16, 16, [1e-1, 1e-2])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- the Krylov solver ---------------------------------------------------------------
@@ -571,23 +619,21 @@ def test_gmres_on_the_identity_breaks_down_after_one_step():
 
 
 def test_non_finite_operator_is_a_numeric_error():
-    nt, nx, ny = 9, 16, 16
-    phi = quarter(symmetrize(1e-3 * np.random.default_rng(5).standard_normal((nt, nx, ny))))
-    dt, hx, hy = 1.0 / (nt - 1), 2 * math.pi / nx, 2 * math.pi / ny
-    res, (metric, phitt, gx, gy) = pde_crosscheck._residual(phi, dt, hx, hy, 1e-2)
+    phi = quarter(symmetrize(1e-3 * np.random.default_rng(5).standard_normal((9, 16, 16))))
+    q = grid_of(phi)
+    res, (metric, phitt, gx, gy) = q.residual(phi, 1e-2)
     phitt[2, 3, 4] = np.nan
     with pytest.raises(NumericError, match="linear solver"):
-        pde_crosscheck._newton_step((metric, phitt, gx, gy), dt, hx, hy, res)
+        q.newton_step((metric, phitt, gx, gy), res)
 
 
 def test_newton_step_on_the_largest_grid_holds_no_time_by_time_matrix(monkeypatch):
     # 4096 x 16 x 16 is MAX_GRID_POINTS; a Green matrix over its 4094 interior slices
-    # would be 128 MiB on its own
+    # would be 128 MiB on its own. The quarter's set-up builds the Green blocks, so it
+    # runs inside the measurement with a residual and one step.
     nt, nx, ny = 4096, 16, 16
     assert nt * nx * ny == pde_crosscheck.MAX_GRID_POINTS
-    dt, hx, hy = 1.0 / (nt - 1), 2 * math.pi / nx, 2 * math.pi / ny
     phi = np.zeros((nt, nx // 2 + 1, ny // 2 + 1))
-    res, fields = pde_crosscheck._residual(phi, dt, hx, hy, 1e-2)
 
     def apply_once(op, rhs, M=None, **kwargs):
         return M.matvec(op.matvec(rhs)), 0
@@ -595,7 +641,9 @@ def test_newton_step_on_the_largest_grid_holds_no_time_by_time_matrix(monkeypatc
     monkeypatch.setattr(pde_crosscheck, "lgmres", apply_once)
     tracemalloc.start()
     try:
-        pde_crosscheck._newton_step(fields, dt, hx, hy, res)
+        q = pde_crosscheck._Quarter(nt, nx, ny)
+        res, fields = q.residual(phi, 1e-2)
+        q.newton_step(fields, res)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
