@@ -61,7 +61,9 @@ from .counterexample import TorusPotential, build_h, jets_at_origin, obstruction
 from .errors import ConsistencyError, GeodesicDomainError, NumericError
 from .jet_propagation import ObstructionReport, order_residual, propagate
 from .pde_crosscheck import crosscheck_report, dump_phi_csv, solve_geodesic
-from .report_io import encode_report, fields_of, parse_potential, parse_side, write_file
+from .report_io import (
+    encodable, encode_report, fields_of, parse_potential, parse_side, write_file,
+)
 # Not called here: bench/tracing.py looks this name up in this module when it
 # builds a tracer, so it must keep importing from here.
 from .report_io import dumps_json  # noqa: F401
@@ -197,6 +199,15 @@ def _cmd_pde_check(args):
     else:
         pot = TorusPotential(())
     deltas = [float(part) for part in args.delta.split(",") if part.strip()]
+    config = {
+        "terms": [list(term) for term in pot.terms],
+        "nt": args.nt, "nx": args.nx, "ny": args.ny,
+        "delta_schedule": deltas,
+        "package_version": __version__,
+    }
+    # the echoed terms are checked now, so a power past 64 bits is refused before the
+    # solve; the grid and the schedule are checked by solve_geodesic, before it solves
+    encodable(config["terms"])
     sol = solve_geodesic(pot, args.nt, args.nx, args.ny, deltas)
     jets = jets_at_origin(pot, 2)
     boundary = SecondJetBoundary(0.0, 0.0, jets[2][0], jets[2][1])
@@ -206,12 +217,7 @@ def _cmd_pde_check(args):
         dump_phi_csv(sol, args.dump_csv)
     report = {
         "command": "pde-check",
-        "config": {
-            "terms": [list(term) for term in pot.terms],
-            "nt": args.nt, "nx": args.nx, "ny": args.ny,
-            "delta_schedule": deltas,
-            "package_version": __version__,
-        },
+        "config": config,
         "delta": sol.delta,
         "residual_norm": sol.residual_norm,
         "solver": {

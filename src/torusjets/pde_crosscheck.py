@@ -17,8 +17,12 @@ diagnostics of the closed form.
 
 Each Newton step is solved by restarted GMRES in numpy (lgmres below),
 right-preconditioned by the time part of the Jacobian with its pointwise
-metric, so the package imports no scipy. Newton stops at a residual target
-that scales with the size of the boundary data (see solve_geodesic).
+metric, so the package imports no scipy. Its Arnoldi process projects each
+Krylov vector once, and a second time only where the first projection
+cancelled all but REORTH of its norm. Newton stops at a residual target that
+scales with the size of the boundary data (see solve_geodesic); each delta
+after the first starts from the last one's iterate and its fields, so only
+the constant delta in the residual changes.
 """
 
 from __future__ import annotations
@@ -50,10 +54,18 @@ ETA_MIN = 1e-10
 # spend MAX_MATVECS matvecs.
 RESTART = 30
 MAX_MATVECS = 400
+# lgmres projects each new Krylov vector once (classical Gram-Schmidt) and a second time
+# only when the first pass left less than REORTH of its norm, where the cancellation
+# can leave the new vector far from orthogonal (Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30,
+# 1976; Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 2005). On the bench
+# saddle the first pass leaves 0.012 to 0.42 of the norm, so the textbook 1/sqrt(2)
+# fired on every Arnoldi step and saved nothing; with one pass, max|V^T V - I| stayed
+# below 4e-7 there, and every solve's true residual within its tolerance.
+REORTH = 1e-2
 # The preconditioner applies its Green matrix in dense blocks of at most this many slices.
 GREEN_BLOCK = 32
-# A solve of the bench saddle (delta 1e-1 to 1e-3) peaks at 119 to 162 traced bytes a grid point
-# at 33 x 64 x 64, 4096 x 16 x 16 and 16 x 256 x 256, so about 162 MiB here. About half of it
+# A solve of the bench saddle (delta 1e-1 to 1e-3) peaks at 109 to 151 traced bytes a grid point
+# at 33 x 64 x 64, 4096 x 16 x 16 and 16 x 256 x 256, so about 151 MiB here. About half of it
 # is the GMRES basis, allocated whole but touched only as far as the Krylov space grows.
 MAX_GRID_POINTS = 2**20
 
@@ -71,8 +83,14 @@ def lgmres(A, b, M=None, rtol=1e-5):
     """Right-preconditioned restarted GMRES from x = 0: (x, info) with A M y = b, x = M y.
 
     GMRES(RESTART) of Saad and Schultz (SIAM J. Sci. Stat. Comput. 7, 1986), with
-    Gram-Schmidt done twice and Givens rotations. A and M are any operators with
-    a matvec, the identity when M is None. It stops once the Arnoldi residual is
+    classical Gram-Schmidt and Givens rotations. Each new Krylov vector is
+    projected once, and again only when the first pass left less than REORTH of
+    its norm. It is formed, projected and normalised in its row of the basis, so
+    whatever A.matvec returns is copied and never written to. The Arnoldi
+    relation A M V_k = V_k+1 H holds to rounding however orthogonal V is, so the
+    true residual exceeds the Arnoldi one by at most the largest singular value
+    of V_k+1, which stays near 1. A and M are any operators with a matvec, the
+    identity when M is None. It stops once the Arnoldi residual is
     at most rtol |b|, with info = 0. When it cannot, info > 0 is the number of
     matvecs spent (at least 1): MAX_MATVECS matvecs of A went by, a product was
     not finite, or the Krylov space closed short of the tolerance (A M singular
@@ -99,21 +117,26 @@ def lgmres(A, b, M=None, rtol=1e-5):
             if matvecs >= MAX_MATVECS:
                 return x, matvecs
             basis = np.empty((RESTART + 1, b.shape[0]))
-            basis[0] = r / beta
+            np.divide(r, beta, out=basis[0])
             hess = np.zeros((RESTART, RESTART))
             rotations = []
             g = [beta]
             while len(rotations) < RESTART and matvecs < MAX_MATVECS:
                 k = len(rotations)
-                w = A.matvec(precond(basis[k]))
+                w = basis[k + 1]
+                w[...] = A.matvec(precond(basis[k]))
                 matvecs += 1
                 v = basis[: k + 1]
+                before = np.linalg.norm(w)
                 h = v @ w
-                w = w - h @ v
-                again = v @ w
-                w = w - again @ v
-                h = (h + again).tolist()
+                w -= h @ v
                 wnorm = float(np.linalg.norm(w))
+                if wnorm < REORTH * before:
+                    again = v @ w
+                    w -= again @ v
+                    h += again
+                    wnorm = float(np.linalg.norm(w))
+                h = h.tolist()
                 for i, (c, s) in enumerate(rotations):
                     h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
                 diag = math.hypot(h[k], wnorm)
@@ -127,7 +150,7 @@ def lgmres(A, b, M=None, rtol=1e-5):
                 g[k] *= c
                 if abs(g[k + 1]) <= tol:
                     break
-                basis[k + 1] = w / wnorm
+                w /= wnorm
             k = len(rotations)
             x = x + precond(np.linalg.solve(hess[:k, :k], g[:k]) @ basis[:k])
             if not np.isfinite(x).all():
@@ -173,6 +196,13 @@ class GridSolution:
     @property
     def hy(self) -> float:
         return 2.0 * math.pi / self.ny
+
+
+def _defect(fields, delta) -> np.ndarray:
+    """The residual phi_tt (1 + Lap phi) - |grad phi_t|^2 - delta from the fields of
+    _Quarter.residual; a new delta at the same phi needs nothing else."""
+    inner, phitt, gx, gy = fields
+    return phitt * inner - gx**2 - gy**2 - delta
 
 
 def _reflect(pad: np.ndarray) -> None:
@@ -305,8 +335,8 @@ class _Quarter:
         pt = (pad[2:] - pad[:-2]) / (2.0 * dt)
         gx = (pt[:, 2:, 1:-1] - pt[:, :-2, 1:-1]) / (2.0 * hx)
         gy = (pt[:, 1:-1, 2:] - pt[:, 1:-1, :-2]) / (2.0 * hy)
-        inner = metric[1:-1]
-        return phitt * inner - gx**2 - gy**2 - delta, (inner, phitt, gx, gy)
+        fields = (metric[1:-1], phitt, gx, gy)
+        return _defect(fields, delta), fields
 
     def newton_step(self, fields, res):
         """One inexact Newton direction for the interior slices, and its matvec count.
@@ -372,9 +402,11 @@ def solve_geodesic(
 
     per_delta = []
     for delta in schedule:
-        res, fields = quarter.residual(phi, delta)
         if not per_delta:  # phi is the linear start
+            res, fields = quarter.residual(phi, delta)
             data_size = float(np.max(fields[2] ** 2 + fields[3] ** 2))
+        else:  # phi and its fields are those the last delta accepted
+            res = _defect(fields, delta)
         res_norm = float(np.max(np.abs(res)))
         steps = matvecs = halvings = 0
         for _ in range(MAX_NEWTON_ITERS):

@@ -12,7 +12,8 @@ non-finite number is refused, where orjson would write null.
 encode_report checks the whole report before it hands out any text, then
 hands it out as byte chunks, an entry of the report's "orders" dict at a
 time, so a writer holds about one order's text at a time, never the whole
-report.
+report.  encodable is that check alone, for a part of a report that is
+known before the work that fills the rest.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def fields_of(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
-def _encodable(obj):
+def encodable(obj):
     """`obj` in the types orjson writes as a report does, checked in full.
 
     Containers are rebuilt around the same leaves: dicts stay dicts, tuples
@@ -63,20 +64,20 @@ def _encodable(obj):
         if obj not in _INT_RANGE:
             raise ValueError(f"reports hold integers of at most 64 bits, got {obj}")
     elif isinstance(obj, dict):
-        return {key: _encodable(value) for key, value in obj.items()}
+        return {key: encodable(value) for key, value in obj.items()}
     elif isinstance(obj, (list, tuple)):
-        return [_encodable(value) for value in obj]
+        return [encodable(value) for value in obj]
     elif isinstance(obj, np.ndarray):
         if obj.dtype != np.float64 or obj.ndim == 0:
-            return _encodable(obj.tolist())
+            return encodable(obj.tolist())
         if not np.isfinite(obj).all():
-            _encodable(float(obj[~np.isfinite(obj)][0]))
+            encodable(float(obj[~np.isfinite(obj)][0]))
     elif isinstance(obj, np.generic):
-        return _encodable(obj.item())
+        return encodable(obj.item())
     elif isinstance(obj, enum.Enum):
-        return _encodable(obj.value)
+        return encodable(obj.value)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _encodable(fields_of(obj))
+        return encodable(fields_of(obj))
     elif not (obj is None or isinstance(obj, str)):
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
     return obj
@@ -102,7 +103,7 @@ def encode_report(obj) -> Iterator[bytes | memoryview]:
     re-indented, with the entries before "orders" in the first call and those
     after it in the last.  The chunks join to the text of one orjson call.
     """
-    report = _encodable(obj)
+    report = encodable(obj)
     orders = report.get(_SPLIT_KEY) if isinstance(report, dict) else None
     if not (isinstance(orders, dict) and orders):
         return iter((_dumps(report, last=True),))
@@ -163,9 +164,11 @@ def _number(value, what: str, whole: bool = False):
     """A finite JSON number as a float (an int if `whole`), else a ValueError naming `what`.
 
     Booleans and strings are not numbers, and a whole number may be written 2 or 2.0
-    but not 2.7.
+    but not 2.7. A JSON integer is returned exactly, never rounded through a float.
     """
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if whole and isinstance(value, numbers.Integral):
+            return int(value)
         try:
             x = float(value)
         except OverflowError:

@@ -376,6 +376,8 @@ def test_malformed_spec_values_are_input_errors(capsys, tmp_path, command, paylo
     {"terms": [[1, True, 0]]},
     {"phi1": {"jets": {"2": [True, 0]}}},
     {"phi1": {"jets": {"2": [math.inf, 0]}}},
+    # 2**53 + 1 is odd, and it is refused as [0.001, 3, 0] is; through a float it read 2**53
+    {"terms": [[0.001, 2**53 + 1, 0], [0.001, 2, 0], [-0.001, 0, 2]]},
 ])
 def test_booleans_fractional_powers_and_infinities_are_input_errors(capsys, tmp_path, payload):
     spec = write_spec(tmp_path, payload)
@@ -411,6 +413,27 @@ def test_a_sin_power_past_the_order_keeps_the_exit_contract(capsys, tmp_path, ar
     assert got == code
     assert (out != "") == (code == 0)
     assert err.count("\n") == (code != 0) and "Traceback" not in err
+
+
+def test_a_spec_power_past_64_bits_is_refused_before_the_solve(capsys, monkeypatch, tmp_path):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("pde-check solved a spec whose report it cannot echo")
+
+    monkeypatch.setattr(cli, "solve_geodesic", no_solve)
+    spec = write_spec(tmp_path, {"terms": [[0.001, 10**30, 0], [0.001, 2, 0], [-0.001, 0, 2]]})
+    code, out, err = run_cli(capsys, "pde-check", "--nt", "9", "--nx", "16", "--ny", "16",
+                             "--delta", "1e-1", "--spec", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(10**30) in err and err.count("\n") == 1
+
+
+def test_pde_check_echoes_a_spec_power_exactly(capsys, tmp_path):
+    # 2**64 - 2 is even and within the 64 bits a report holds; through a float it read 2**64
+    terms = [[0.001, 2**64 - 2, 0], [0.1, 2, 0], [-0.1, 0, 2]]
+    spec = write_spec(tmp_path, {"terms": terms})
+    rep = run_json(capsys, "pde-check", "--nt", "9", "--nx", "16", "--ny", "16",
+                   "--delta", "1e-1", "--spec", spec)
+    assert rep["config"]["terms"] == terms
 
 
 def test_propagate_overflowing_order_is_numeric_error(capsys, tmp_path):

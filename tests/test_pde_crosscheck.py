@@ -618,6 +618,49 @@ def test_gmres_on_the_identity_breaks_down_after_one_step():
     assert np.max(np.abs(x - b)) <= 1e-15 * np.max(np.abs(b))
 
 
+@pytest.mark.parametrize("shape", [(33, 32, 32), (33, 48, 48)])
+def test_every_newton_step_meets_its_tolerance_in_the_true_residual(monkeypatch, shape):
+    # one Gram-Schmidt pass leaves the bench saddle's Krylov basis off orthogonal by up
+    # to 4e-7, but the Arnoldi relation holds to rounding whatever the orthogonality, so
+    # the true |b - A M y| of each accepted step stays within 1% of the bound lgmres met
+    original = pde_crosscheck.lgmres
+    ratios = []
+
+    def checked(op, rhs, M=None, rtol=1e-5):
+        x, info = original(op, rhs, M=M, rtol=rtol)
+        if info == 0:
+            ratios.append(np.linalg.norm(rhs - op.matvec(x)) / (rtol * np.linalg.norm(rhs)))
+        return x, info
+
+    monkeypatch.setattr(pde_crosscheck, "lgmres", checked)
+    sol = solve_geodesic(BENCH_SADDLE, *shape, [1e-1, 1e-2, 1e-3])
+    assert len(ratios) == sol.newton_steps > 0
+    assert max(ratios) <= 1.01
+
+
+def test_gmres_projects_twice_where_one_pass_cancels(monkeypatch):
+    # A = I + 1e-4 R keeps about 1e-4 of each new Krylov vector's norm after the first
+    # projection, below REORTH; one pass alone lets max|V^T V - I| grow about 1e4-fold
+    # a step, to about 1e-4 by the fourth vector
+    n = 120
+    rng = np.random.default_rng(17)
+    matrix = np.eye(n) + 1e-4 * rng.standard_normal((n, n)) / math.sqrt(n)
+    b = rng.standard_normal(n)
+    basis = []
+
+    def matvec(v):
+        basis.append(v.copy())  # M is None, so lgmres hands A its basis vectors
+        return matrix @ v
+
+    op = pde_crosscheck.LinearOperator((n, n), matvec=matvec)
+    x, info = pde_crosscheck.lgmres(op, b, rtol=1e-14)
+    assert info == 0 and len(basis) >= 3
+    v = np.array(basis)
+    assert np.max(np.abs(v @ v.T - np.eye(len(basis)))) <= 1e-12
+    exact = np.linalg.solve(matrix, b)
+    assert np.linalg.norm(x - exact) <= 1e-13 * np.linalg.norm(exact)
+
+
 def test_non_finite_operator_is_a_numeric_error():
     phi = quarter(symmetrize(1e-3 * np.random.default_rng(5).standard_normal((9, 16, 16))))
     q = grid_of(phi)

@@ -228,6 +228,11 @@ def test_parse_potential():
         parse_potential({"terms": [[1.0, 2]]})
     with pytest.raises(ValueError, match="even"):
         parse_potential({"terms": [[1.0, 3, 0]]})
+    # a JSON integer power is kept exactly, not rounded through a float
+    with pytest.raises(ValueError, match="even"):
+        parse_potential({"terms": [[1.0, 2**53 + 1, 0]]})
+    assert parse_potential({"terms": [[1.0, 2**64 - 2, 0]]}).terms == ((1.0, 2**64 - 2, 0),)
+    assert parse_potential({"terms": [[1.0, 2.0, 0]]}).terms == ((1.0, 2, 0),)
 
 
 def test_parse_jet_table():
