@@ -638,7 +638,7 @@ def test_every_newton_step_meets_its_tolerance_in_the_true_residual(monkeypatch,
     assert max(ratios) <= 1.01
 
 
-def test_gmres_projects_twice_where_one_pass_cancels(monkeypatch):
+def test_gmres_projects_twice_where_one_pass_cancels():
     # A = I + 1e-4 R keeps about 1e-4 of each new Krylov vector's norm after the first
     # projection, below REORTH; one pass alone lets max|V^T V - I| grow about 1e4-fold
     # a step, to about 1e-4 by the fourth vector
