@@ -225,6 +225,7 @@ def _cmd_pde_check(args):
             "krylov_matvecs": sol.krylov_matvecs,
             "halvings": sol.halvings,
             "min_metric": sol.min_metric,
+            "newton_target": sol.newton_target,
             "per_delta": [
                 {"delta": d, "newton_steps": n, "krylov_matvecs": k, "halvings": h}
                 for d, n, k, h in sol.per_delta

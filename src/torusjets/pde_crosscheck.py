@@ -6,14 +6,19 @@ damped inexact Newton continuation over a decreasing delta schedule and
 central differences. Each Newton step solves its linear system only to a
 forcing term eta = O(|F|) of the residual F it starts from, which keeps the
 quadratic convergence of an exact step (Dembo, Eisenstat and Steihaug, SIAM
-J. Numer. Anal. 19, 1982). TorusPotential admits only even sin powers, so the
-data, the equation and every Newton iterate are even in x and in y: the solve
-runs, exactly, on the even-even quarter (x indices 0..nx/2, y indices
-0..ny/2) with reflective halos. The Jacobian's 15-point stencil runs on the
-flattened halo buffer, where the t, x and y neighbours are fixed offsets, so
-each of its terms is one ufunc call over one contiguous span (_Quarter).
-Second jets extracted at the central fiber feed the sigma_2 and eps
-diagnostics of the closed form.
+J. Numer. Anal. 19, 1982), and never tighter than TARGET_SHARE of the Newton
+target over |F|, which is all the step needs to end the solve (Eisenstat and
+Walker, SIAM J. Sci. Comput. 17, 1996; Kelley, Solving Nonlinear Equations
+with Newton's Method, SIAM 2003). A step is damped by halving until the
+residual falls by a sufficient share of what the linear model promises.
+TorusPotential admits only even sin powers, so the data, the equation and
+every Newton iterate are even in x and in y: the solve runs, exactly, on the
+even-even quarter (x indices 0..nx/2, y indices 0..ny/2) with reflective
+halos. The residual and the Jacobian's 15-point stencil run on flattened halo
+buffers, where the t, x and y neighbours are fixed offsets, so each of their
+terms is one ufunc call over one contiguous span (_Quarter). Second jets
+extracted at the central fiber feed the sigma_2 and eps diagnostics of the
+closed form.
 
 Each Newton step is solved by restarted GMRES in numpy (lgmres below),
 right-preconditioned by the time part of the Jacobian with its pointwise
@@ -47,9 +52,14 @@ MAX_HALVINGS = 12
 RESIDUAL_SCALE = 1e-9
 RELATIVE_TARGET = 5e-8
 TARGET_FLOOR_ULPS = 8.0
-# Forcing-term bounds of the inexact Newton step (see _Quarter.newton_step).
+# Forcing-term bounds of the inexact Newton step (see _Quarter.newton_step). A step's
+# linear solve stops at no tighter than TARGET_SHARE of the Newton target over |F|_inf.
 ETA_MAX = 1e-3
 ETA_MIN = 1e-10
+TARGET_SHARE = 0.5
+# The line search accepts alpha once |F(phi + alpha s)|_inf <= (1 - SUFFICIENT_DECREASE
+# alpha) |F(phi)|_inf (see solve_geodesic).
+SUFFICIENT_DECREASE = 0.5
 # GMRES keeps RESTART Krylov vectors before it restarts, and one Newton step may
 # spend MAX_MATVECS matvecs.
 RESTART = 30
@@ -64,9 +74,10 @@ MAX_MATVECS = 400
 REORTH = 1e-2
 # The preconditioner applies its Green matrix in dense blocks of at most this many slices.
 GREEN_BLOCK = 32
-# A solve of the bench saddle (delta 1e-1 to 1e-3) peaks at 109 to 151 traced bytes a grid point
-# at 33 x 64 x 64, 4096 x 16 x 16 and 16 x 256 x 256, so about 151 MiB here. About half of it
-# is the GMRES basis, allocated whole but touched only as far as the Krylov space grows.
+# A solve of the bench saddle (delta 1e-1 to 1e-3) peaks at 117, 159 and 104 traced bytes a grid
+# point at 33 x 64 x 64, 4096 x 16 x 16 and 16 x 256 x 256, so about 160 MiB here. About half of
+# it is the GMRES basis, allocated whole once per Newton step but touched only as far as the
+# Krylov space grows, and the residual's two sets of quarter fields take about 20 bytes.
 MAX_GRID_POINTS = 2**20
 
 
@@ -104,6 +115,7 @@ def lgmres(A, b, M=None, rtol=1e-5):
     """
     precond = (lambda v: v) if M is None else M.matvec
     x = np.zeros(b.shape[0])
+    basis = np.empty((RESTART + 1, b.shape[0]))  # each cycle overwrites the rows it reads
     matvecs = 0
     with np.errstate(all="ignore"):
         tol = rtol * np.linalg.norm(b)
@@ -116,7 +128,6 @@ def lgmres(A, b, M=None, rtol=1e-5):
                 return x, 0
             if matvecs >= MAX_MATVECS:
                 return x, matvecs
-            basis = np.empty((RESTART + 1, b.shape[0]))
             np.divide(r, beta, out=basis[0])
             hess = np.zeros((RESTART, RESTART))
             rotations = []
@@ -170,7 +181,8 @@ class GridSolution:
     on [-pi, pi) with the origin at (nx//2, ny//2). The counters cover the
     schedule: Newton steps, Krylov matvecs, line-search halvings and min(1 +
     Lap phi) of the result over its interior slices, the ones the solve moves;
-    per_delta holds the first three for each delta.
+    per_delta holds the first three for each delta. newton_target is the bound
+    below which the last delta's residual_norm was brought (see solve_geodesic).
     """
 
     nt: int
@@ -179,6 +191,7 @@ class GridSolution:
     delta: float
     phi: np.ndarray
     residual_norm: float
+    newton_target: float | None = None
     newton_steps: int = 0
     krylov_matvecs: int = 0
     halvings: int = 0
@@ -216,11 +229,12 @@ class _Quarter:
     """Central differences on the even-even quarter of an (nt, nx, ny) grid.
 
     A solve builds one. __init__ sets up all that depends only on the grid: the
-    stencil's halo and coefficient buffers and their flat spans, the Green blocks
-    and the two operators that newton_step hands lgmres; each step refills the
-    coefficients in place. The operators' closures read a state dict (the matvec
-    count and the step's metric), never the quarter: that reference cycle would
-    keep every buffer alive until the cyclic collector ran.
+    stencil's halo and coefficient buffers and their flat spans, the Green blocks,
+    the two operators that newton_step hands lgmres, and the residual's two sets
+    of field buffers; each step refills the coefficients in place. The closures
+    read a state dict (the matvec count, the step's metric and the spare field
+    set), never the quarter: that reference cycle would keep every buffer alive
+    until the cyclic collector ran.
 
     J v = (1 + Lap phi) v_tt + phi_tt Lap v - 2 grad(phi_t).grad(v_t), v = 0 on
     the end slices, is a 15-point stencil; each matvec copies v into one halo
@@ -229,7 +243,8 @@ class _Quarter:
     flattened buffer, so each term is one ufunc call over the span from the first
     interior point to the last, in buffers with the same x and y halo. Its halo
     positions compute values that nothing reads; each interior point runs the
-    arithmetic of the strided 3-D stencil, in the same order.
+    arithmetic of the strided 3-D stencil, in the same order. The residual runs
+    the same way on the halo buffer over all nt slices, between matvecs.
     A Krylov vector is the quarter field raveled, so lgmres works in the
     quarter's own Euclidean norm. The preconditioner inverts (1 + Lap phi) D_tt,
     the time part of J with its pointwise metric, D_tt the Dirichlet second
@@ -246,7 +261,8 @@ class _Quarter:
         halo = np.zeros((m + 2, qx + 2, qy + 2))
         self.wt, self.wx, self.cx, self.cy = (np.zeros((m, qx + 2, qy + 2)) for _ in range(4))
         self.wy = self.wx if hy == hx else np.zeros_like(self.wx)  # one phi_tt / h^2 if square
-        self.centre, vt, term, total = (np.empty_like(self.wt) for _ in range(4))
+        self.centre, total = np.empty_like(self.wt), np.empty_like(self.wt)
+        vt, term = np.empty_like(halo), np.empty_like(halo)  # nt slices for the residual
         inside = (slice(None), slice(1, -1), slice(1, -1))
         Q, P = qy + 2, (qx + 2) * (qy + 2)
         length = (m - 1) * P + (qx - 1) * Q + qy
@@ -254,6 +270,7 @@ class _Quarter:
         def span(buf, shift=0, pad=0):
             # the flat span of an (m, qx + 2, qy + 2) buf, moved by shift and widened by pad;
             # halo has one more slice at each end, so its interior span is span(halo, P)
+            # and the span of all its nt slices is span(halo, P, P)
             first = Q + 1 + shift - pad
             return buf.reshape(-1)[first : first + length + 2 * pad]
 
@@ -307,43 +324,90 @@ class _Quarter:
 
         self.op = LinearOperator((size, size), matvec=matvec, dtype=float)
         self.pc = LinearOperator((size, size), matvec=precond, dtype=float)
+        self.target = 0.0  # the Newton target newton_step's forcing term reads; 0 sets no bound
+
+        # The residual runs on the matvec's halo, vt and term buffers, which hold nothing
+        # between matvecs, and writes the quarter fields into one of two sets: one holds
+        # the accepted iterate's while the other takes a candidate's (see accept)
+        sets = [tuple(np.empty((k, qx, qy)) for k in (m + 2, m, m, m, m)) for _ in range(2)]
+        square = total.reshape(-1)[:size].reshape(m, qx, qy)
+        state["spare"] = 0
+
+        def residual(phi, delta):
+            metric, phitt, gx, gy, res = sets[state["spare"]]
+            try:
+                halo[:, 1:-1, 1:-1] = phi
+                _reflect(halo)
+                doubled, lap = span(term, P, P), span(vt, P, P)  # over all nt slices
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.multiply(span(halo, P, P), 2.0, out=doubled)
+                    np.subtract(span(halo, P + Q, P), doubled, out=lap)
+                    np.add(lap, span(halo, P - Q, P), out=lap)
+                    np.divide(lap, hx**2, out=lap)
+                    # phi_tt's numerator reads 2 phi before the y part of Lap phi takes its place
+                    np.subtract(span(halo, 2 * P), span(term, P), out=acc)
+                    np.add(acc, span(halo), out=acc)
+                    np.subtract(span(halo, P + 1, P), doubled, out=doubled)
+                    np.add(doubled, span(halo, P - 1, P), out=doubled)
+                    np.divide(doubled, hy**2, out=doubled)
+                    np.add(lap, doubled, out=lap)
+                    np.add(vt[inside], 1.0, out=metric)
+                zmin = float(np.min(metric))
+                if not zmin > 0.0:
+                    raise NumericError(
+                        f"metric degenerated: min(1 + Lap phi) = {zmin:.6e} at "
+                        f"delta = {delta:.3e}; reduce the boundary amplitude or enlarge delta"
+                    )
+                np.divide(total[inside], dt**2, out=phitt)
+                phit = span(term, P, Q)  # with the x and y halo that d_x and d_y read
+                np.subtract(span(halo, 2 * P, Q), span(halo, 0, Q), out=phit)
+                np.divide(phit, 2.0 * dt, out=phit)
+            finally:
+                halo[0] = halo[-1] = 0.0  # the matvec's v is 0 on the end slices
+            for grad, offset, h in ((gx, Q, hx), (gy, 1, hy)):
+                np.subtract(span(term, P + offset), span(term, P - offset), out=span(vt, P))
+                np.divide(vt[1:-1][inside], 2.0 * h, out=grad)
+            np.multiply(phitt, metric[1:-1], out=res)
+            for grad in (gx, gy):
+                np.square(grad, out=square)
+                np.subtract(res, square, out=res)
+            np.subtract(res, delta, out=res)
+            return res, (metric[1:-1], phitt, gx, gy)
+
+        self._residual = residual
 
     def residual(self, phi: np.ndarray, delta):
         """Residual on the interior slices and the fields the Newton step reuses there,
         (1 + Lap phi, phi_tt, d_x phi_t, d_y phi_t).
 
-        phi is padded once: the padded copy gives Lap phi, and its time difference
-        gives phi_t with the halo that d_x and d_y read. NumericError unless the
-        minimum of 1 + Lap phi is positive. Lap phi has mean zero, so a phi near the
-        float range degenerates the metric anyway; its overflow reads as a minimum
-        of -inf or nan and is refused too.
+        phi is copied once into a halo buffer of all nt slices, whose reflective faces
+        give Lap phi, and whose time difference gives phi_t with the halo that d_x and
+        d_y read. Each difference is one ufunc call over a flat span, like the matvec's
+        terms, and the last operation of each field writes it to its quarter array;
+        each point runs the arithmetic of the strided 3-D stencil in the same order,
+        so the result is the same bit for bit. The result and the fields are the
+        arrays of the spare one of two sets: accept() keeps them, and until then the
+        next call overwrites them. NumericError unless the minimum of 1 + Lap phi is
+        positive. Lap phi has mean zero, so a phi near the float range degenerates
+        the metric anyway; its overflow reads as a minimum of -inf or nan and is
+        refused too.
         """
-        dt, hx, hy = self.dt, self.hx, self.hy
-        pad = np.zeros((phi.shape[0], phi.shape[1] + 2, phi.shape[2] + 2))
-        pad[:, 1:-1, 1:-1] = phi
-        _reflect(pad)
-        with np.errstate(over="ignore", invalid="ignore"):
-            lap = (pad[:, 2:, 1:-1] - 2.0 * phi + pad[:, :-2, 1:-1]) / hx**2
-            metric = 1.0 + (lap + (pad[:, 1:-1, 2:] - 2.0 * phi + pad[:, 1:-1, :-2]) / hy**2)
-        zmin = float(np.min(metric))
-        if not zmin > 0.0:
-            raise NumericError(
-                f"metric degenerated: min(1 + Lap phi) = {zmin:.6e} at delta = {delta:.3e}; "
-                "reduce the boundary amplitude or enlarge delta"
-            )
-        phitt = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dt**2
-        pt = (pad[2:] - pad[:-2]) / (2.0 * dt)
-        gx = (pt[:, 2:, 1:-1] - pt[:, :-2, 1:-1]) / (2.0 * hx)
-        gy = (pt[:, 1:-1, 2:] - pt[:, 1:-1, :-2]) / (2.0 * hy)
-        fields = (metric[1:-1], phitt, gx, gy)
-        return _defect(fields, delta), fields
+        return self._residual(phi, delta)
+
+    def accept(self):
+        """Keep the result and the fields of the last residual: later calls write into the
+        other buffer set, so a rejected candidate leaves them as they are."""
+        self._state["spare"] ^= 1
 
     def newton_step(self, fields, res):
         """One inexact Newton direction for the interior slices, and its matvec count.
 
-        lgmres stops at relative residual eta = max(min(ETA_MAX, |res|_inf), ETA_MIN):
+        lgmres stops at the relative residual eta = min(ETA_MAX, max(eta0,
+        TARGET_SHARE target / |res|_inf)), eta0 = max(min(ETA_MAX, |res|_inf), ETA_MIN):
         loose while the Newton residual res is large and tight near the root, which
-        keeps the quadratic convergence of an exact solve for fewer matvecs.
+        keeps the quadratic convergence of an exact solve for fewer matvecs, but never
+        tighter than the step needs to bring res within a share of self.target, the
+        residual at which solve_geodesic stops (0, no such bound, until it sets one).
         """
         metric, phitt, gx, gy = fields
         inside = (slice(None), slice(1, -1), slice(1, -1))
@@ -357,7 +421,10 @@ class _Quarter:
         np.divide(gx, -2.0 * self.dt * self.hx, out=self.cx[inside])
         np.divide(gy, -2.0 * self.dt * self.hy, out=self.cy[inside])
         self._state.update(matvecs=0, metric=metric.reshape(metric.shape[0], -1))
-        eta = max(min(ETA_MAX, float(np.max(np.abs(res)))), ETA_MIN)
+        norm = float(np.max(np.abs(res)))
+        eta = max(min(ETA_MAX, norm), ETA_MIN)
+        if norm > 0.0:
+            eta = min(ETA_MAX, max(eta, TARGET_SHARE * self.target / norm))
         step, info = lgmres(self.op, -res.ravel(), M=self.pc, rtol=eta)
         if info != 0:
             raise NumericError(f"linear solver stalled in the Newton step (info={info})")
@@ -375,7 +442,23 @@ def solve_geodesic(
     is the size of the data's part of F, so small data are solved to the same
     relative accuracy as large ones. The second term never lets the target fall
     below the rounding of F at the iterate phi, and the first never lets it
-    rise above the absolute target RESIDUAL_SCALE (1 + delta).
+    rise above the absolute target RESIDUAL_SCALE (1 + delta). Each Newton step
+    is told the target (_Quarter.newton_step), so its linear solve stops once it
+    has done what the target needs.
+
+    A step s is damped to the first alpha = 1, 1/2, 1/4, ... with |F(phi + alpha
+    s)|_inf <= (1 - SUFFICIENT_DECREASE alpha) |F(phi)|_inf. F is quadratic in phi,
+    F(phi + alpha s) = (1 - alpha) F + alpha r + alpha^2 R(s), r the linear solve's
+    residual (|r| <= eta |F| in the 2-norm, eta <= ETA_MAX), so the linear model
+    promises (1 - alpha) |F|. SUFFICIENT_DECREASE = 1/2 asks for half of that
+    promise: a full step is kept whenever it halves |F|, as every step near the root
+    does; where R(s) dominates, the bound |F| (1 - alpha (1 - eta)) + alpha^2 |R(s)|
+    admits alpha up to (1/2 - eta) / (1 - eta), about half, of the largest alpha it
+    admits for any decrease, so the test costs about one halving more. A step that
+    overshoots by beta > 1 reaches its mirror image, |1 - beta alpha| = 1, at
+    alpha = 2 / beta, where plain decrease would turn on the signs of r, R and the
+    rounding; the sufficient decrease refuses it by a margin of 1/beta of |F|, far
+    above them.
 
     A phi1 that is not finite on the grid is refused with ValueError.
     """
@@ -404,6 +487,7 @@ def solve_geodesic(
     for delta in schedule:
         if not per_delta:  # phi is the linear start
             res, fields = quarter.residual(phi, delta)
+            quarter.accept()
             data_size = float(np.max(fields[2] ** 2 + fields[3] ** 2))
         else:  # phi and its fields are those the last delta accepted
             res = _defect(fields, delta)
@@ -413,8 +497,10 @@ def solve_geodesic(
             floor = TARGET_FLOOR_ULPS * np.finfo(float).eps * float(np.max(np.abs(phi)))
             floor /= quarter.dt**2
             relative = max(RELATIVE_TARGET * data_size, floor)
-            if res_norm < min(RESIDUAL_SCALE * (1.0 + delta), relative):
+            target = min(RESIDUAL_SCALE * (1.0 + delta), relative)
+            if res_norm < target:
                 break
+            quarter.target = target
             step, count = quarter.newton_step(fields, res)
             steps += 1
             matvecs += count
@@ -428,7 +514,8 @@ def solve_geodesic(
                     cand_norm = math.inf
                 else:
                     cand_norm = float(np.max(np.abs(cand_res)))
-                if cand_norm < res_norm:
+                if cand_norm <= (1.0 - SUFFICIENT_DECREASE * alpha) * res_norm:
+                    quarter.accept()
                     phi = cand
                     res, fields, res_norm = cand_res, cand_fields, cand_norm
                     break
@@ -439,6 +526,7 @@ def solve_geodesic(
                     f"Newton damping failed at delta = {delta:.3e} "
                     f"(residual {res_norm:.3e})"
                 )
+            del step  # not held while the next step's Krylov basis is
         else:
             raise NumericError(
                 f"no convergence within {MAX_NEWTON_ITERS} Newton iterations "
@@ -449,7 +537,7 @@ def solve_geodesic(
     _, steps, matvecs, halvings = map(sum, zip(*per_delta))
     return GridSolution(
         nt=nt, nx=nx, ny=ny, delta=schedule[-1], phi=phi[:, ix[:, None], iy],
-        residual_norm=res_norm, newton_steps=steps, krylov_matvecs=matvecs,
+        residual_norm=res_norm, newton_target=target, newton_steps=steps, krylov_matvecs=matvecs,
         halvings=halvings, min_metric=float(np.min(fields[0])), per_delta=tuple(per_delta),
     )
 

@@ -608,7 +608,8 @@ def test_pde_check_solver_block_and_rerun_identical(capsys, tmp_path):
     assert out_file.read_text() == first
     solver = json.loads(first)["solver"]
     assert set(solver) == {"newton_steps", "krylov_matvecs", "halvings", "min_metric",
-                           "per_delta"}
+                           "newton_target", "per_delta"}
+    assert 0.0 < json.loads(first)["residual_norm"] < solver["newton_target"]
     # the split by delta follows the schedule and sums to the totals
     assert [row["delta"] for row in solver["per_delta"]] == [0.1, 0.01]
     for key in ("newton_steps", "krylov_matvecs", "halvings"):
