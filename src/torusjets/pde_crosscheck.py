@@ -211,11 +211,16 @@ class GridSolution:
         return 2.0 * math.pi / self.ny
 
 
-def _defect(fields, delta) -> np.ndarray:
+def _defect(fields, delta, out=None, square=None) -> np.ndarray:
     """The residual phi_tt (1 + Lap phi) - |grad phi_t|^2 - delta from the fields of
-    _Quarter.residual; a new delta at the same phi needs nothing else."""
+    _Quarter.residual, into out and with square as scratch if given; a new delta at
+    the same phi needs nothing else."""
     inner, phitt, gx, gy = fields
-    return phitt * inner - gx**2 - gy**2 - delta
+    out = np.multiply(phitt, inner, out=out)
+    for grad in (gx, gy):
+        out -= np.square(grad, out=square)
+    out -= delta
+    return out
 
 
 def _reflect(pad: np.ndarray) -> None:
@@ -367,12 +372,8 @@ class _Quarter:
             for grad, offset, h in ((gx, Q, hx), (gy, 1, hy)):
                 np.subtract(span(term, P + offset), span(term, P - offset), out=span(vt, P))
                 np.divide(vt[1:-1][inside], 2.0 * h, out=grad)
-            np.multiply(phitt, metric[1:-1], out=res)
-            for grad in (gx, gy):
-                np.square(grad, out=square)
-                np.subtract(res, square, out=res)
-            np.subtract(res, delta, out=res)
-            return res, (metric[1:-1], phitt, gx, gy)
+            fields = (metric[1:-1], phitt, gx, gy)
+            return _defect(fields, delta, res, square), fields
 
         self._residual = residual
 
