@@ -25,9 +25,9 @@ right-preconditioned by the time part of the Jacobian with its pointwise
 metric, so the package imports no scipy. Its Arnoldi process projects each
 Krylov vector once, and a second time only where the first projection
 cancelled all but REORTH of its norm. Newton stops at a residual target that
-scales with the size of the boundary data (see solve_geodesic); each delta
-after the first starts from the last one's iterate and its fields, so only
-the constant delta in the residual changes.
+scales with the size of the boundary data (see solve_geodesic); every delta
+starts from the fields of the last accepted iterate, the linear start's for the
+first, so only the constant delta in the residual changes.
 """
 
 from __future__ import annotations
@@ -74,10 +74,12 @@ MAX_MATVECS = 400
 REORTH = 1e-2
 # The preconditioner applies its Green matrix in dense blocks of at most this many slices.
 GREEN_BLOCK = 32
-# A solve of the bench saddle (delta 1e-1 to 1e-3) peaks at 117, 159 and 104 traced bytes a grid
-# point at 33 x 64 x 64, 4096 x 16 x 16 and 16 x 256 x 256, so about 160 MiB here. About half of
-# it is the GMRES basis, allocated whole once per Newton step but touched only as far as the
-# Krylov space grows, and the residual's two sets of quarter fields take about 20 bytes.
+# A solve of the bench saddle (delta 1e-1 to 1e-3) peaks at 107, 147 and 94 traced bytes a grid
+# point at 33 x 64 x 64, 4096 x 16 x 16 and 16 x 256 x 256, so about 150 MiB here; the residual's
+# one set of quarter fields takes about 10 bytes. About half of each peak is the GMRES basis, whose
+# RESTART + 1 rows lgmres allocates at each call, while no Newton step of the bench saddle takes
+# more than 13 matvecs: most rows are never written, so RSS sees less than the traced peak. A
+# basis allocated once per solve would add an lgmres argument.
 MAX_GRID_POINTS = 2**20
 
 
@@ -235,11 +237,10 @@ class _Quarter:
 
     A solve builds one. __init__ sets up all that depends only on the grid: the
     stencil's halo and coefficient buffers and their flat spans, the Green blocks,
-    the two operators that newton_step hands lgmres, and the residual's two sets
-    of field buffers; each step refills the coefficients in place. The closures
-    read a state dict (the matvec count, the step's metric and the spare field
-    set), never the quarter: that reference cycle would keep every buffer alive
-    until the cyclic collector ran.
+    the two operators that newton_step hands lgmres, and the residual's one set of
+    field buffers; each step refills the coefficients in place. The closures read
+    a state dict (the matvec count and the step's metric), never the quarter: that
+    reference cycle would keep every buffer alive until the cyclic collector ran.
 
     J v = (1 + Lap phi) v_tt + phi_tt Lap v - 2 grad(phi_t).grad(v_t), v = 0 on
     the end slices, is a 15-point stencil; each matvec copies v into one halo
@@ -332,14 +333,11 @@ class _Quarter:
         self.target = 0.0  # the Newton target newton_step's forcing term reads; 0 sets no bound
 
         # The residual runs on the matvec's halo, vt and term buffers, which hold nothing
-        # between matvecs, and writes the quarter fields into one of two sets: one holds
-        # the accepted iterate's while the other takes a candidate's (see accept)
-        sets = [tuple(np.empty((k, qx, qy)) for k in (m + 2, m, m, m, m)) for _ in range(2)]
+        # between matvecs, and writes the quarter fields into one set that each call refills
+        metric, phitt, gx, gy, res = (np.empty((k, qx, qy)) for k in (m + 2, m, m, m, m))
         square = total.reshape(-1)[:size].reshape(m, qx, qy)
-        state["spare"] = 0
 
         def residual(phi, delta):
-            metric, phitt, gx, gy, res = sets[state["spare"]]
             try:
                 halo[:, 1:-1, 1:-1] = phi
                 _reflect(halo)
@@ -387,18 +385,13 @@ class _Quarter:
         terms, and the last operation of each field writes it to its quarter array;
         each point runs the arithmetic of the strided 3-D stencil in the same order,
         so the result is the same bit for bit. The result and the fields are the
-        arrays of the spare one of two sets: accept() keeps them, and until then the
-        next call overwrites them. NumericError unless the minimum of 1 + Lap phi is
+        quarter's one set of arrays, which the next call overwrites, whether or not it
+        is refused. NumericError unless the minimum of 1 + Lap phi is
         positive. Lap phi has mean zero, so a phi near the float range degenerates
         the metric anyway; its overflow reads as a minimum of -inf or nan and is
         refused too.
         """
         return self._residual(phi, delta)
-
-    def accept(self):
-        """Keep the result and the fields of the last residual: later calls write into the
-        other buffer set, so a rejected candidate leaves them as they are."""
-        self._state["spare"] ^= 1
 
     def newton_step(self, fields, res):
         """One inexact Newton direction for the interior slices, and its matvec count.
@@ -484,14 +477,11 @@ def solve_geodesic(
     t = np.linspace(0.0, 1.0, nt)
     phi = t[:, None, None] * top[None, :, :]
 
+    _, fields = quarter.residual(phi, schedule[0])
+    data_size = float(np.max(fields[2] ** 2 + fields[3] ** 2))
     per_delta = []
     for delta in schedule:
-        if not per_delta:  # phi is the linear start
-            res, fields = quarter.residual(phi, delta)
-            quarter.accept()
-            data_size = float(np.max(fields[2] ** 2 + fields[3] ** 2))
-        else:  # phi and its fields are those the last delta accepted
-            res = _defect(fields, delta)
+        res = _defect(fields, delta)  # phi and its fields are the last accepted iterate's
         res_norm = float(np.max(np.abs(res)))
         steps = matvecs = halvings = 0
         for _ in range(MAX_NEWTON_ITERS):
@@ -505,6 +495,10 @@ def solve_geodesic(
             step, count = quarter.newton_step(fields, res)
             steps += 1
             matvecs += count
+            # Each candidate's residual overwrites the quarter's one field set. That is all
+            # the search needs: past this point it reads only res_norm of the accepted
+            # iterate, never its res or fields, and an exhausted MAX_HALVINGS raises, so
+            # the set always ends holding the iterate the next step starts from
             alpha = 1.0
             for _ in range(MAX_HALVINGS):
                 cand = phi.copy()
@@ -516,7 +510,6 @@ def solve_geodesic(
                 else:
                     cand_norm = float(np.max(np.abs(cand_res)))
                 if cand_norm <= (1.0 - SUFFICIENT_DECREASE * alpha) * res_norm:
-                    quarter.accept()
                     phi = cand
                     res, fields, res_norm = cand_res, cand_fields, cand_norm
                     break

@@ -535,6 +535,24 @@ def test_a_swapped_pair_matches_its_unswapped_mirror(seed, max_order, nodes, tol
         assert np.max(np.abs(hier.order_matrix(order) - ref)) <= tol * np.max(np.abs(ref)), order
 
 
+@pytest.mark.parametrize("nodes", [33, 64])
+@pytest.mark.parametrize("theta, max_order, seed",
+                         [(0.05, 20, 21), (-0.3, 12, 11), (0.3, 12, 11), (0.2, 16, 5), (-0.1, 20, 7)])
+def test_a_reversed_pair_propagates_to_the_reversed_orders(theta, max_order, seed, nodes):
+    # t -> 1 - t maps the Lobatto nodes onto themselves and the chord onto its reverse, whose
+    # a falls where the pair's rises, so one of the two runs on 1/A and -eps. Measured: at
+    # most 1.04e-13 of an order's largest value over these cases
+    grid = make_grid(nodes)
+    jets0, jets1 = family_jets(theta, max_order, seed)
+    hier, back = propagate(jets0, jets1, max_order, grid), propagate(jets1, jets0, max_order, grid)
+    assert hier.path2.swapped_axes != back.path2.swapped_axes
+    assert sorted(hier.orders) == sorted(back.orders) == list(range(4, max_order + 1, 2))
+    for order in hier.orders:
+        ref = hier.order_matrix(order)
+        gap = np.max(np.abs(back.order_matrix(order)[:, ::-1] - ref))
+        assert gap <= 1e-12 * np.max(np.abs(ref)), order
+
+
 # Phi(x, y, t) -> Phi(lam x, lam y, t) / lam^2 maps geodesics to geodesics: it fixes the
 # 2-jets and multiplies order 2n by lam^(2n - 2). With lam a power of two clear of
 # overflow, every product of the chain scales exactly, so no tolerance is needed.

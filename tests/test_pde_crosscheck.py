@@ -617,42 +617,40 @@ def jacobian_at(q, phi):
     return q.op
 
 
-def test_a_rejected_candidate_leaves_the_accepted_fields():
-    start = linear_start(BENCH_SADDLE, (33, 32, 32))
-    q = grid_of(start)
-    res, fields = q.residual(start, 1e-2)
-    q.accept()
-    kept = [a.copy() for a in (res, *fields)]
-    for scale in (0.5, 2.0):  # two candidates, neither accepted
-        cand_res, cand_fields = q.residual(scale * start, 1e-2)
-        assert not np.array_equal(cand_res, res)
-    for got, want in zip((res, *fields), kept):
-        assert np.array_equal(got, want)
-    q.accept()  # keeps the last candidate, so the next call writes over the first set
-    q.residual(start, 1e-1)
-    assert np.array_equal(cand_res, reference_residual(2.0 * start, q.dt, q.hx, q.hy, 1e-2)[0])
-
-
-def test_the_line_search_keeps_the_accepted_fields_through_its_halvings(monkeypatch):
-    # an 8x overshoot makes the line search reject candidates; each rejected candidate
-    # leaves the res and fields that the next Newton step reads as they were accepted
+@pytest.mark.parametrize("scale", [8.0, 64.0, 300.0])
+def test_one_field_set_solves_as_the_allocating_residual(monkeypatch, scale):
+    # an overshooting step makes the line search halve, and the metric check refuse
+    # candidates, while every candidate overwrites the quarter's one field set; the solve
+    # is still the one whose residual allocates fresh arrays at each call. Measured: 18,
+    # 36 and 176 halvings, with 0, 1 and 6 refused candidates
     newton_step, residual = pde_crosscheck._Quarter.newton_step, pde_crosscheck._Quarter.residual
-    accepted, checks = [], []
+    refused = []
 
     def overshoot(q, fields, res):
-        accepted[:] = [(a, a.copy()) for a in (res, *fields)]
         step, count = newton_step(q, fields, res)
-        return 8.0 * step, count
+        return scale * step, count
 
-    def checked(q, phi, delta):
-        checks.append(all(np.array_equal(a, copy) for a, copy in accepted))
-        return residual(q, phi, delta)
+    def counted(q, phi, delta):
+        try:
+            return residual(q, phi, delta)
+        except NumericError:
+            refused.append(delta)
+            raise
 
     monkeypatch.setattr(pde_crosscheck._Quarter, "newton_step", overshoot)
-    monkeypatch.setattr(pde_crosscheck._Quarter, "residual", checked)
-    sol = solve_geodesic(SADDLE, 9, 16, 16, [1e-2])
+    monkeypatch.setattr(pde_crosscheck._Quarter, "residual", counted)
+    sol = solve_geodesic(BENCH_SADDLE, 9, 16, 16, [1e-1, 1e-2])
+    monkeypatch.setattr(pde_crosscheck._Quarter, "residual", lambda q, phi, delta:
+                        reference_residual(phi, q.dt, q.hx, q.hy, delta))
+    ref = solve_geodesic(BENCH_SADDLE, 9, 16, 16, [1e-1, 1e-2])
+    assert np.array_equal(sol.phi, ref.phi)
+    assert sol.per_delta == ref.per_delta
+    assert sol.residual_norm == ref.residual_norm
+    assert sol.min_metric == ref.min_metric
+    assert sol.newton_target == ref.newton_target
     assert sol.halvings >= sol.newton_steps > 0
-    assert len(checks) > sol.newton_steps + sol.halvings and all(checks)
+    if scale == 300.0:
+        assert refused
 
 
 def test_matvec_reuses_its_workspace(monkeypatch):
@@ -705,6 +703,19 @@ def test_a_newton_step_after_the_first_allocates_only_its_right_hand_side(monkey
         tracemalloc.stop()
     assert handed[0][0] is handed[1][0] and handed[0][1] is handed[1][1]
     assert peak <= 2 * res.nbytes + 8 * np.getbufsize() + 4096
+
+
+def test_a_solve_peaks_below_two_field_sets():
+    # the residual's one field set takes about 10 bytes a grid point; a solve of the bench
+    # saddle at (33, 48, 48) peaked at 110.3 traced bytes a point with one set, 120.6 with two
+    shape = (33, 48, 48)
+    tracemalloc.start()
+    try:
+        solve_geodesic(BENCH_SADDLE, *shape, [1e-1, 1e-2, 1e-3])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 115 * math.prod(shape)
 
 
 def test_a_solve_leaves_nothing_for_the_cyclic_collector():
