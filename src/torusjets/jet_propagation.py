@@ -12,8 +12,9 @@ holds L'' and the gradients of L' of monomial r, and the rows of -Lap L.  The
 mode solve, the order residual and the compatibility check all read that one
 copy.  What the nodes give every order (mu and its resonances, cos(mu t), and
 poly_ops' node tables of U and U'/U) is tabled once per propagation, and each
-order reads slices of it.  P = U g with g = Q f, f in the eigenbasis q_k,
-decouples the system into scalar Dirichlet problems
+order reads slices of it.  That state is the JetHierarchy propagate returns.
+P = U g with g = Q f, f in the eigenbasis q_k, decouples the system into scalar
+Dirichlet problems
 
     f_k'' + mu_k^2 f_k = k_k(t),    mu_k = 4 |eps| k,    k = 0..n,
 
@@ -59,13 +60,13 @@ COMPAT_TOL = 1e-8
 # 2-core x86 machine, with a 156 MiB peak RSS (the same through the propagate command,
 # which streams its report), and the cost grows about as the order cubed.
 MAX_ORDER = 400
-# The frame keeps 7 (n + 1) N floats for each stored order 2n = 4..max_order on N nodes,
-# and poly_ops' and the modes' tables of about 7 (max_order / 2 + 2) N.  Peak RSS of propagate
-# and every order_residual with the 1e-6 saddle, one BLAS thread: 156 MiB at order 400 on 64
-# nodes (9.1e6 floats) and 424 MiB at order 130 on 2049 nodes (3.2e7), 12 to 14 bytes a float
-# over what the grid holds.  So this budget, 3.4e7 floats, keeps a propagation under about
-# 0.5 GiB.  The propagate command streams its report an order at a time, so it adds little:
-# the same two runs peak at 156 and 425 MiB through it (its 145 MB report included).
+# The hierarchy, which is the frame, keeps 7 (n + 1) N floats for each stored order 2n on N
+# nodes, and poly_ops' and the modes' tables of about 7 (max_order / 2 + 2) N.  Peak RSS of
+# propagate and every order_residual with the 1e-6 saddle, one BLAS thread: 156 MiB at order
+# 400 on 64 nodes (9.1e6 floats) and 424 MiB at order 130 on 2049 nodes (3.2e7), 12 to 14
+# bytes a float over what the grid holds.  So this budget, 3.4e7 floats, keeps a propagation
+# under about 0.5 GiB.  The propagate command streams its report an order at a time, so it
+# adds little: the same two runs peak at 156 and 425 MiB through it (its 145 MB report included).
 MAX_FRAME_FLOATS = 2**25
 
 
@@ -93,37 +94,6 @@ class ModeSolution:
     compat_residual: float | None = None
     compatible: bool | None = None
     near_resonance: bool = False
-
-
-@dataclass(frozen=True)
-class JetHierarchy:
-    """Jets of even degree 4..max solved on top of a space-like 2-jet path.
-
-    Only propagate builds one; it hands over the frame it solved every order in.
-    orders[2n] is the frame's own read-only (n + 1, N) matrix whose row i holds
-    the x^(2n-2i) y^(2i) coefficient over the nodes.
-    """
-
-    path2: SecondJetPath
-    orders: dict[int, np.ndarray]
-    _frame: _Frame = field(repr=False, compare=False)
-    beyond_scope_orders: tuple[int, ...] = ()
-    near_resonance_warnings: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.path2.grid
-
-    def order_matrix(self, order: int) -> np.ndarray:
-        return self.orders[order]
-
-    def _lower_frame(self, order: int) -> _Frame:
-        """The frame, if it stores every order 4..`order` - 2 that K1 of `order` reads."""
-        top = max(self.orders)
-        if order > top + 2:
-            raise ValueError(f"order {order} needs orders {list(range(top + 2, order - 1, 2))}, "
-                             f"above the top order {top} of the hierarchy")
-        return self._frame
 
 
 @dataclass(frozen=True)
@@ -219,9 +189,13 @@ def solve_mode(problem: ModeProblem, grid: TimeGrid) -> ModeSolution:
 
 
 @dataclass(frozen=True)
-class _Frame:
-    """Propagation state in the caller's axes, along A and eps with a'/(1 + 2a + 2b) = eps A.
+class JetHierarchy:
+    """Jets of even degree 4..max solved on top of a space-like 2-jet path, and the state
+    they were solved in: the caller's axes, along A and eps with a'/(1 + 2a + 2b) = eps A.
 
+    Only propagate builds one, through _make_frame, and fills it order by order.
+    orders[2n] is a read-only (n + 1, N) matrix whose row i holds the x^(2n-2i) y^(2i)
+    coefficient over the nodes.
     What the nodes give every order is formed once per propagation, in rows m = 0..top
     for the orders up to two above its top, which compatibility_check may reach:
     poly_ops' `tables`, mu = 4 eps m classified by _classify, and `waves`, c, s and mu^2.
@@ -234,7 +208,7 @@ class _Frame:
     A resonant order keeps D's end weights and its K, which every compatibility check reads.
     """
 
-    grid: TimeGrid
+    path2: SecondJetPath
     eps: float
     A: np.ndarray
     Z: np.ndarray
@@ -243,12 +217,28 @@ class _Frame:
     resonant: np.ndarray
     near: np.ndarray
     waves: tuple[np.ndarray, np.ndarray, np.ndarray]
+    beyond_scope_orders: tuple[int, ...]
+    near_resonance_warnings: tuple[tuple[int, int], ...]
     orders: dict[int, np.ndarray] = field(default_factory=dict)
     dots: dict[int, np.ndarray] = field(default_factory=dict)
     factors: dict[int, np.ndarray] = field(default_factory=dict)
     neg_laps: dict[int, np.ndarray] = field(default_factory=dict)
     k1: dict[int, np.ndarray] = field(default_factory=dict)
     pairings: dict[int, tuple[np.ndarray, np.ndarray, float]] = field(default_factory=dict)
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.path2.grid
+
+    def order_matrix(self, order: int) -> np.ndarray:
+        return self.orders[order]
+
+    def _require_reach(self, order: int) -> None:
+        """ValueError unless every order 4..`order` - 2 that K1 of `order` reads is stored."""
+        top = max(self.orders)
+        if order > top + 2:
+            raise ValueError(f"order {order} needs orders {list(range(top + 2, order - 1, 2))}, "
+                             f"above the top order {top} of the hierarchy")
 
     def store(self, order: int, mat: np.ndarray, dot: np.ndarray, ddot: np.ndarray) -> None:
         """Keep an order with its first time derivative and its K1 factors."""
@@ -283,22 +273,27 @@ class _Frame:
         return self.pairings[order]
 
 
-def _make_frame(path2: SecondJetPath, max_order: int) -> _Frame:
-    """The empty frame of a space-like `path2`, with the node tables of orders up to max_order + 2.
+def _make_frame(path2: SecondJetPath, max_order: int) -> JetHierarchy:
+    """The empty hierarchy of a space-like `path2`, with the node tables of orders up to
+    max_order + 2, and the orders 4..max_order beyond scope or with near-resonant modes.
     The one reader of orientation: a path whose a falls has b' = eps A Z, so it runs on 1/A and
     -eps, since swapping x and y maps E_A to E_(1/A), S_A to -S_(1/A), U's diagonal to its reversal
     and q_k to (-1)^(n-k) q_k.  1/A past the float range is a NumericError."""
     top = max_order // 2 + 1
     mu = 4.0 * path2.epsilon * np.arange(top + 1)
     waves = tuple(map(_read_only, _trig(path2.grid.nodes, mu)))
+    multiple, resonant, near = map(_read_only, _classify(mu))
+    beyond = tuple(2 * n for n in range(2, top) if mu[n] > math.pi + RESONANCE_TOL)
+    near_modes = np.flatnonzero(near).tolist()
+    warnings = tuple((2 * n, k) for n in range(2, top) for k in near_modes if k <= n)
     A, eps = path2.A.values, path2.epsilon
     if path2.swapped_axes:
         with np.errstate(over="ignore"):
             A, eps = _read_only(1.0 / A), -eps
         if not np.isfinite(A).all():
             raise NumericError("1/A of the 2-jet path is past the float range")
-    return _Frame(path2.grid, eps, A, 1.0 + 2.0 * path2.a.values + 2.0 * path2.b.values,
-                  node_tables(A, top), *map(_read_only, _classify(mu)), waves)
+    return JetHierarchy(path2, eps, A, path2.Z, node_tables(A, top), multiple, resonant, near,
+                        waves, beyond, warnings)
 
 
 def _normalize_jets(jets: dict, what: str) -> dict[int, np.ndarray]:
@@ -315,7 +310,7 @@ def _normalize_jets(jets: dict, what: str) -> dict[int, np.ndarray]:
     return out
 
 
-def _k1_divided(frame: _Frame, order: int) -> np.ndarray:
+def _k1_divided(hier: JetHierarchy, order: int) -> np.ndarray:
     """Degree-`order` part of (-(Lap L) L'' + |grad L'|^2) / (1 + 2a + 2b).
 
     Only pairs of orders 4..order-2, all stored, contribute; the 2-jet factors are
@@ -330,14 +325,14 @@ def _k1_divided(frame: _Frame, order: int) -> np.ndarray:
     rows; over the right factor's rows s it runs falling, so that r = row - s still rises.
     """
     n = order // 2
-    nodes = frame.grid.node_count
+    nodes = hier.grid.node_count
     out = np.zeros((n + 1, nodes))
     conv, tmp = np.empty((2, n + 2, 3, nodes))
     for i in range(2, n):
         left = np.empty((i + 1, 3, nodes))
-        left[:, 0] = frame.neg_laps[2 * i]
-        left[:, 1:] = frame.factors[2 * i][:, 1:]
-        right = frame.factors[2 * (n + 1 - i)]
+        left[:, 0] = hier.neg_laps[2 * i]
+        left[:, 1:] = hier.factors[2 * i][:, 1:]
+        right = hier.factors[2 * (n + 1 - i)]
         short, long, starts = (left, right, range(i + 1)) if i <= n + 1 - i \
             else (right, left, range(n + 1 - i, -1, -1))
         width = len(long)
@@ -348,7 +343,7 @@ def _k1_divided(frame: _Frame, order: int) -> np.ndarray:
         out += conv[:-1, 0]
         out += conv[:-1, 1]
         out += conv[1:, 2]  # y^(2r-1) y^(2s-1) is row r + s - 1
-    return out / frame.Z
+    return out / hier.Z
 
 
 def source_K1(lower: JetHierarchy, order: int) -> np.ndarray:
@@ -360,15 +355,16 @@ def source_K1(lower: JetHierarchy, order: int) -> np.ndarray:
     """
     if order < 4 or order % 2:
         raise ValueError(f"source order must be even and >= 4, got {order}")
-    return lower._lower_frame(order).source(order)
+    lower._require_reach(order)
+    return lower.source(order)
 
 
-def _finite_mode_sources(frame: _Frame, order: int):
+def _finite_mode_sources(hier: JetHierarchy, order: int):
     """U diagonal per node and K1 in the q basis of one order; NumericError if not finite."""
     n = order // 2
     with np.errstate(over="ignore", invalid="ignore"):
-        u_nodes = frame.tables.u(n)
-        k_modes = q_adjoint(n) @ (frame.source(order) / u_nodes)
+        u_nodes = hier.tables.u(n)
+        k_modes = q_adjoint(n) @ (hier.source(order) / u_nodes)
     if not np.isfinite(k_modes).all():
         raise NumericError(f"the K1 source of order {order} is not finite")
     return u_nodes, k_modes
@@ -378,12 +374,11 @@ def order_residual(hier: JetHierarchy, order: int) -> float:
     """Max nodewise residual of the divided degree-`order` vector equation."""
     if order not in hier.orders:
         raise ValueError(f"order {order} is not stored in the hierarchy")
-    frame = hier._frame
     n = order // 2
-    lap = -frame.neg_laps[order][:-1]
-    lhs = frame.factors[order][:, 0] + 4.0 * frame.eps**2 * ea_from_laplacian(frame.A, lap) \
-        - 4.0 * frame.eps * (frame.tables.sa(n) * frame.dots[order])
-    return float(np.max(np.abs(lhs - frame.source(order))))
+    lap = -hier.neg_laps[order][:-1]
+    lhs = hier.factors[order][:, 0] + 4.0 * hier.eps**2 * ea_from_laplacian(hier.A, lap) \
+        - 4.0 * hier.eps * (hier.tables.sa(n) * hier.dots[order])
+    return float(np.max(np.abs(lhs - hier.source(order))))
 
 
 def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
@@ -393,11 +388,11 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
     vectors (index i holds the x^(2m-2i) y^(2i) coefficient of the degree-2m
     part).  Returns a JetHierarchy, or an ObstructionReport when a mode of
     some order is resonant.  The 2-jets are classified before they are solved,
-    and boundary jets that are not space-like raise GeodesicDomainError.  Each
-    order's modes are classified from mu = 4 eps k first; a resonant top mode
-    goes to the report unsolved, and otherwise one variation-of-constants call
+    and boundary jets that are not space-like raise GeodesicDomainError.  The
+    modes of every order are classified from mu = 4 eps k first; a resonant top
+    mode goes to the report unsolved, and otherwise one variation-of-constants call
     solves all n + 1 modes.  An order whose K1 or solution is not finite stops
-    the propagation with NumericError.  A max_order whose frame on the grid
+    the propagation with NumericError.  A max_order whose hierarchy on the grid
     would pass MAX_FRAME_FLOATS is refused with ValueError before any allocation.
     """
     if max_order < 4 or max_order % 2:
@@ -419,53 +414,51 @@ def propagate(phi0_jets: dict, phi1_jets: dict, max_order: int, grid: TimeGrid):
             f"propagation needs a space-like second-jet path, got {boundary.causal_class.value}"
         )
     path2 = solve_bvp(boundary, grid)
-    frame = _make_frame(path2, max_order)
-
-    beyond: list[int] = []
-    warnings: list[tuple[int, int]] = []
-    for order in range(4, max_order + 1, 2):
+    hier = _make_frame(path2, max_order)
+    # the first order whose modes include a resonant one; a resonant top mode is reported,
+    # a lower one refused
+    resonant = np.flatnonzero(hier.resonant[:max_order // 2 + 1])
+    stop = max(4, 2 * int(resonant[0])) if resonant.size else None
+    for order in range(4, (stop or max_order) + 1, 2):
         n = order // 2
         p0, p1 = jets0.get(order, np.zeros(n + 1)), jets1.get(order, np.zeros(n + 1))
-        warnings.extend((order, int(mode)) for mode in np.flatnonzero(frame.near[:n + 1]))
-        if frame.resonant[:n + 1].any():  # a resonant top mode is reported, a lower one refused
-            return _compatibility(frame, order, p0, p1, tuple(warnings))
-        u_nodes, k_modes = _finite_mode_sources(frame, order)
+        if order == stop:
+            warnings = tuple(w for w in hier.near_resonance_warnings if w[0] <= order)
+            return _compatibility(hier, order, p0, p1, warnings)
+        u_nodes, k_modes = _finite_mode_sources(hier, order)
         with np.errstate(over="ignore", invalid="ignore"):
             f0 = q_adjoint(n) @ (p0 / u_nodes[:, 0])
             f1 = q_adjoint(n) @ (p1 / u_nodes[:, -1])
-            c, s, mu2 = (rows[:n + 1] for rows in frame.waves)
+            c, s, mu2 = (rows[:n + 1] for rows in hier.waves)
             f, df = _vary_constants(grid, c, s, mu2, k_modes, f0, f1, np.zeros(n + 1, int))
-            qm, (ell, dell) = q_matrix(n), frame.tables.log_derivative(n, frame.eps)
+            qm, (ell, dell) = q_matrix(n), hier.tables.log_derivative(n, hier.eps)
             g, dg, ddg = qm @ f, qm @ df, qm @ (k_modes - mu2 * f)
             derivs = (u_nodes * g, u_nodes * (dg + ell * g),
                       u_nodes * (ddg + 2.0 * ell * dg + (ell * ell + dell) * g))
             if not all(np.isfinite(d).all() for d in derivs):
                 raise NumericError(f"the solution of order {order} is not finite")
-            frame.store(order, *derivs)
-        if 4.0 * path2.epsilon * n > math.pi + RESONANCE_TOL:
-            beyond.append(order)
-
-    return JetHierarchy(path2, dict(frame.orders), frame, tuple(beyond), tuple(warnings))
+            hier.store(order, *derivs)
+    return hier
 
 
-def _compatibility(frame: _Frame, order: int, p0, p1, warnings) -> ObstructionReport:
+def _compatibility(hier: JetHierarchy, order: int, p0, p1, warnings) -> ObstructionReport:
     """Obstruction data of `order`, whose top mode must resonate.  No lower mode can:
     mode k tops order 2k, where propagate stops.  A K1 that is not finite is a NumericError."""
     n = order // 2
-    if not frame.resonant[n]:
+    if not hier.resonant[n]:
         raise ValueError(
-            f"order {order} is not resonant: 4*|eps|*{n} = {4.0 * abs(frame.eps) * n} "
+            f"order {order} is not resonant: 4*|eps|*{n} = {4.0 * abs(hier.eps) * n} "
             "is not a multiple of pi"
         )
-    w0, w1, K = frame.pairing(order)
-    m = int(frame.multiple[n])
+    w0, w1, K = hier.pairing(order)
+    m = int(hier.multiple[n])
     terms0, terms1 = w0 * p0, w1 * p1
     lhs = math.fsum(terms0) - (-1.0) ** m * math.fsum(terms1)
     residual = abs(lhs - K)
     scale = math.fsum(np.abs(terms0)) + math.fsum(np.abs(terms1)) + abs(K)
     return ObstructionReport(
         resonant_order=order, u=w0, v=w1, K=K, lhs=lhs, residual=residual,
-        satisfied=residual <= COMPAT_TOL * scale, epsilon=abs(frame.eps), resonant_mode=n,
+        satisfied=residual <= COMPAT_TOL * scale, epsilon=abs(hier.eps), resonant_mode=n,
         multiple=m, near_resonance_warnings=warnings,
     )
 
@@ -482,8 +475,8 @@ def compatibility_check(
     if order is None:
         order = max(lower.orders) + 2
     n = order // 2
-    frame = lower._lower_frame(order)
+    lower._require_reach(order)
     p0, p1 = np.asarray(phi0_order_jets, dtype=float), np.asarray(phi1_order_jets, dtype=float)
     if p0.shape != (n + 1,) or p1.shape != (n + 1,):
         raise ValueError(f"order-{order} jets need {n + 1} coefficients")
-    return _compatibility(frame, order, p0, p1, ())
+    return _compatibility(lower, order, p0, p1, ())

@@ -127,6 +127,11 @@ class SecondJetPath:
         return self.a.grid
 
     @property
+    def Z(self) -> np.ndarray:
+        """Z = 1 + 2a + 2b at the nodes, formed from the node values of a and b."""
+        return 1.0 + 2.0 * self.a.values + 2.0 * self.b.values
+
+    @property
     def hyperbola(self) -> Hyperbola | None:
         """The level set through both ends; None for a vertical chord."""
         return _chord_hyperbola(*to_halfplane(self.boundary))
@@ -330,14 +335,15 @@ def solve_bvp(boundary: SecondJetBoundary, grid: TimeGrid) -> SecondJetPath:
                abs(a[-1] - boundary.a1), abs(b[-1] - boundary.b1))
     if not miss <= ENDPOINT_TOL * max(z0, z1):
         raise ConsistencyError(f"{cls.value} closed form missed its endpoint by {miss:.3g}")
-    # the exact path never leaves the half-plane, so a node outside it, or nan, is rounding;
-    # checked in the form every reader of the jets forms Z
-    if not (1.0 + 2.0 * a + 2.0 * b).min() > 0:
-        raise NumericError("path leaves the half-plane: 1 + 2a + 2b <= 0 at a node")
-    return SecondJetPath(boundary, cls, CoefficientSeries(grid, a), CoefficientSeries(grid, b),
+    path = SecondJetPath(boundary, cls, CoefficientSeries(grid, a), CoefficientSeries(grid, b),
                          CoefficientSeries(grid, a_dot), CoefficientSeries(grid, b_dot),
                          CoefficientSeries(grid, 0.5 * zrate), sigma2, swapped, eps,
                          None if A is None else CoefficientSeries(grid, A))
+    # the exact path never leaves the half-plane, so a node outside it, or nan, is rounding;
+    # checked on the Z that every reader of the jets reads
+    if not path.Z.min() > 0:
+        raise NumericError("path leaves the half-plane: 1 + 2a + 2b <= 0 at a node")
+    return path
 
 
 def _column(x: float, y: float) -> np.ndarray:
@@ -369,9 +375,8 @@ def ode_residual(path: SecondJetPath) -> float:
     """Max miss of a''/Z = 4 (a'/Z)^2 and b''/Z = 4 (b'/Z)^2 over the nodes, relative to their
     largest term, with a''/Z = 4 sigma1 a'/Z - 4 sigma2 from S'' = 16 sigma2 S and Z read off
     the node values; NumericError if it is not finite."""
-    z = 1.0 + 2.0 * path.a.values + 2.0 * path.b.values
     with np.errstate(over="ignore", invalid="ignore"):
-        rates = np.array((path.a_dot.values, path.b_dot.values)) / z
+        rates = np.array((path.a_dot.values, path.b_dot.values)) / path.Z
         terms = np.array((4.0 * path.sigma1.values * rates - 4.0 * path.sigma2, 4.0 * rates**2))
         residual = float(np.max(np.abs(terms[0] - terms[1])) / (np.max(np.abs(terms)) or 1.0))
     if not math.isfinite(residual):
@@ -385,5 +390,4 @@ def arc_epsilon(path: SecondJetPath) -> float:
         raise GeodesicDomainError("arc length quadrature needs a space-like path")
     a_dot, b_dot = path.a_dot.values, path.b_dot.values
     dX, dZ = 2.0 * a_dot - 2.0 * b_dot, 2.0 * a_dot + 2.0 * b_dot
-    z = 1.0 + 2.0 * path.a.values + 2.0 * path.b.values
-    return 0.25 * integrate(CoefficientSeries(path.grid, np.sqrt(dX**2 - dZ**2) / z))
+    return 0.25 * integrate(CoefficientSeries(path.grid, np.sqrt(dX**2 - dZ**2) / path.Z))

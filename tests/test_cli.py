@@ -308,9 +308,22 @@ def test_propagate_with_explicit_sides(capsys, tmp_path):
         "phi0": {"jets": {"2": [0.0, 0.0]}},
         "phi1": {"jets": {"2": [0.2, -0.2], "4": [0.1, 0.0, 0.0]}},
     })
-    rep = run_json(capsys, "propagate", "--spec", spec, "--max-order", "4")
+    rep = run_json(capsys, "propagate", "--spec", spec, "--max-order", "8")
     assert rep["type"] == "hierarchy"
     assert rep["config"]["phi1_jets"]["4"] == [0.1, 0.0, 0.0]
+    # 4 eps n crosses pi at n = 4 for this boundary, and no mode is near a multiple of pi
+    assert rep["beyond_scope_orders"] == [8]
+    assert rep["near_resonance_warnings"] == []
+
+
+def test_propagate_reports_near_resonant_modes(capsys, tmp_path):
+    # the family chord with 4 eps k = pi + 3e-7 at k = 5: mode 5 of orders 10 and 12
+    c = 0.5 * math.sin((math.pi + 3e-7) / 10)
+    spec = write_spec(tmp_path, {"phi0": {"jets": {"2": [0.0, 0.0]}},
+                                 "phi1": {"jets": {"2": [c, -c]}}})
+    rep = run_json(capsys, "propagate", "--spec", spec, "--max-order", "12")
+    assert rep["type"] == "hierarchy"
+    assert rep["near_resonance_warnings"] == [[10, 5], [12, 5]]
 
 
 def test_propagate_timelike_is_domain_error(capsys, tmp_path):

@@ -358,7 +358,7 @@ def near_resonant_limit(n, eta, grid):
         jets[2 * n] = jets_h[2 * n]
         hier = propagate({2: np.zeros(2)}, jets, 2 * n, grid)
         assert isinstance(hier, JetHierarchy)  # no mode resonates off c
-        frame = hier._frame
+        frame = hier
         f_n = (q_adjoint(n) @ (frame.orders[2 * n] / u_eigenvalues(n, frame.A)))[n]
         products.append((4.0 * frame.eps * n - math.pi) * f_n)
     return 0.5 * (products[0] + products[1])

@@ -262,7 +262,7 @@ def test_mode_transform_roundtrip():
     jets0 = {2: np.zeros(2), 4: rng.uniform(-1, 1, 3)}
     jets1 = {2: np.array([0.2, -0.2]), 4: rng.uniform(-1, 1, 3)}
     hier = propagate(jets0, jets1, 4, GRID)
-    frame = hier._frame
+    frame = hier
     p = hier.order_matrix(4)
     u_nodes = u_eigenvalues(2, frame.A)
     q = np.linalg.solve(q_matrix(2), p / u_nodes)
@@ -361,7 +361,7 @@ def test_propagate_matches_per_mode_reference(theta):
 def test_k1_formed_once_per_order(monkeypatch):
     formed, stored = Counter(), Counter()
     real_k1 = jet_propagation._k1_divided
-    real_store = jet_propagation._Frame.store
+    real_store = jet_propagation.JetHierarchy.store
 
     def counting_k1(frame, order):
         formed[order] += 1
@@ -372,7 +372,7 @@ def test_k1_formed_once_per_order(monkeypatch):
         return real_store(frame, order, mat, dot, ddot)
 
     monkeypatch.setattr(jet_propagation, "_k1_divided", counting_k1)
-    monkeypatch.setattr(jet_propagation._Frame, "store", counting_store)
+    monkeypatch.setattr(jet_propagation.JetHierarchy, "store", counting_store)
     jets0, jets1 = family_jets(-0.05, 20, seed=23)
     hier = propagate(jets0, jets1, 20, GRID)
     assert sorted(hier.orders) == list(range(4, 21, 2))
@@ -418,7 +418,7 @@ def test_k1_matches_the_left_row_loop_bit_for_bit(theta, swapped):
     jets0, jets1 = family_jets(theta, 24, seed=29)
     hier = propagate(jets0, jets1, 24, GRID)
     assert hier.path2.swapped_axes == swapped
-    frame = hier._frame
+    frame = hier
     for order in range(6, 25, 2):
         k1, reference = jet_propagation._k1_divided(frame, order), k1_left_row_loop(frame, order)
         assert np.array_equal(k1, reference)
@@ -618,7 +618,7 @@ def test_the_frame_keeps_seven_floats_an_order_and_node():
     # the per-order count that MAX_FRAME_FLOATS budgets, and node tables of O(max_order N)
     grid = make_grid(129)
     jets0, jets1 = family_jets(0.05, 40, seed=43)
-    frame = propagate(jets0, jets1, 40, grid)._frame
+    frame = propagate(jets0, jets1, 40, grid)
     kept = (frame.orders, frame.dots, frame.factors, frame.neg_laps, frame.k1)
     assert sorted(frame.k1) == list(range(4, 41, 2))
     for order in range(4, 41, 2):
@@ -657,7 +657,7 @@ def pde_defects(hier):
     Phi_tt (1 + Lap Phi) - |grad Phi_t|^2 over all nodes, relative to the largest of its two
     terms, for Phi = a x^2 + b y^2 + sum P_2k.  Degrees above the top order would need the
     next one.  P, P' and P'' come from the frame, a' and a'' from D."""
-    frame, top, d = hier._frame, max(hier.orders), hier.grid.diff_matrix
+    frame, top, d = hier, max(hier.orders), hier.grid.diff_matrix
     a, b = hier.path2.a.values, hier.path2.b.values
     da, db = d @ a, d @ b
     dda, ddb = d @ da, d @ db
