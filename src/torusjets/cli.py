@@ -233,8 +233,8 @@ def _cmd_pde_check(args):
         },
     }
     report.update(fields_of(rep))
-    del report["t"]
-    cols = np.column_stack([rep.t[1:-1], rep.a[1:-1], rep.b[1:-1], rep.sigma2])
+    t = np.linspace(0.0, 1.0, sol.nt)
+    cols = np.column_stack([t[1:-1], rep.a[1:-1], rep.b[1:-1], rep.sigma2])
     return report, lambda: ("t a b sigma2", cols, "pde cross-check")
 
 

@@ -215,7 +215,6 @@ class JetHierarchy:
     tables: NodeTables
     multiple: np.ndarray
     resonant: np.ndarray
-    near: np.ndarray
     waves: tuple[np.ndarray, np.ndarray, np.ndarray]
     beyond_scope_orders: tuple[int, ...]
     near_resonance_warnings: tuple[tuple[int, int], ...]
@@ -292,8 +291,8 @@ def _make_frame(path2: SecondJetPath, max_order: int) -> JetHierarchy:
             A, eps = _read_only(1.0 / A), -eps
         if not np.isfinite(A).all():
             raise NumericError("1/A of the 2-jet path is past the float range")
-    return JetHierarchy(path2, eps, A, path2.Z, node_tables(A, top), multiple, resonant, near,
-                        waves, beyond, warnings)
+    return JetHierarchy(path2, eps, A, path2.Z, node_tables(A, top), multiple, resonant, waves,
+                        beyond, warnings)
 
 
 def _normalize_jets(jets: dict, what: str) -> dict[int, np.ndarray]:

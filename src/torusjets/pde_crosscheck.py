@@ -74,12 +74,13 @@ MAX_MATVECS = 400
 REORTH = 1e-2
 # The preconditioner applies its Green matrix in dense blocks of at most this many slices.
 GREEN_BLOCK = 32
-# A solve of the bench saddle (delta 1e-1 to 1e-3) peaks at 107, 147 and 94 traced bytes a grid
-# point at 33 x 64 x 64, 4096 x 16 x 16 and 16 x 256 x 256, so about 150 MiB here; the residual's
-# one set of quarter fields takes about 10 bytes. About half of each peak is the GMRES basis, whose
-# RESTART + 1 rows lgmres allocates at each call, while no Newton step of the bench saddle takes
-# more than 13 matvecs: most rows are never written, so RSS sees less than the traced peak. A
-# basis allocated once per solve would add an lgmres argument.
+# A solve of the bench saddle (delta 1e-1 to 1e-3) peaks at 109.5, 150.5 and 96.5 traced bytes a
+# grid point at 33 x 64 x 64, 4096 x 16 x 16 and 16 x 256 x 256, so about 150 MiB here; the
+# residual's one set of quarter fields takes about 10 bytes and its own halo 2 to 4. (At 4096 x 16
+# x 16 the line search refuses delta = 1e-3; the solve to 1e-2 reaches the same peak.) About half
+# of each peak is the GMRES basis, whose RESTART + 1 rows lgmres allocates at each call, while no
+# Newton step of the bench saddle takes more than 13 matvecs: most rows are never written, so RSS
+# sees less than the traced peak. A basis allocated once per solve would add an lgmres argument.
 MAX_GRID_POINTS = 2**20
 
 
@@ -237,10 +238,12 @@ class _Quarter:
 
     A solve builds one. __init__ sets up all that depends only on the grid: the
     stencil's halo and coefficient buffers and their flat spans, the Green blocks,
-    the two operators that newton_step hands lgmres, and the residual's one set of
-    field buffers; each step refills the coefficients in place. The closures read
-    a state dict (the matvec count and the step's metric), never the quarter: that
-    reference cycle would keep every buffer alive until the cyclic collector ran.
+    the two operators that newton_step hands lgmres, and the residual's own halo and
+    its one set of field buffers; each step refills the coefficients in place. The
+    closures read a state dict (the matvec count and the step's metric), never the
+    quarter: that reference cycle would keep every buffer alive until the cyclic
+    collector ran. The residual and the Newton step share no halo and read nothing
+    that the caller sets on the quarter: each takes what it needs as arguments.
 
     J v = (1 + Lap phi) v_tt + phi_tt Lap v - 2 grad(phi_t).grad(v_t), v = 0 on
     the end slices, is a 15-point stencil; each matvec copies v into one halo
@@ -250,7 +253,7 @@ class _Quarter:
     interior point to the last, in buffers with the same x and y halo. Its halo
     positions compute values that nothing reads; each interior point runs the
     arithmetic of the strided 3-D stencil, in the same order. The residual runs
-    the same way on the halo buffer over all nt slices, between matvecs.
+    the same way on a halo buffer of its own over all nt slices, between matvecs.
     A Krylov vector is the quarter field raveled, so lgmres works in the
     quarter's own Euclidean norm. The preconditioner inverts (1 + Lap phi) D_tt,
     the time part of J with its pointwise metric, D_tt the Dirichlet second
@@ -330,43 +333,41 @@ class _Quarter:
 
         self.op = LinearOperator((size, size), matvec=matvec, dtype=float)
         self.pc = LinearOperator((size, size), matvec=precond, dtype=float)
-        self.target = 0.0  # the Newton target newton_step's forcing term reads; 0 sets no bound
 
-        # The residual runs on the matvec's halo, vt and term buffers, which hold nothing
-        # between matvecs, and writes the quarter fields into one set that each call refills
+        # The residual copies phi into its own halo buffer of all nt slices, runs on the
+        # matvec's vt and term buffers, which hold nothing between matvecs, and writes the
+        # quarter fields into one set that each call refills
+        pad = np.zeros_like(halo)
         metric, phitt, gx, gy, res = (np.empty((k, qx, qy)) for k in (m + 2, m, m, m, m))
         square = total.reshape(-1)[:size].reshape(m, qx, qy)
 
         def residual(phi, delta):
-            try:
-                halo[:, 1:-1, 1:-1] = phi
-                _reflect(halo)
-                doubled, lap = span(term, P, P), span(vt, P, P)  # over all nt slices
-                with np.errstate(over="ignore", invalid="ignore"):
-                    np.multiply(span(halo, P, P), 2.0, out=doubled)
-                    np.subtract(span(halo, P + Q, P), doubled, out=lap)
-                    np.add(lap, span(halo, P - Q, P), out=lap)
-                    np.divide(lap, hx**2, out=lap)
-                    # phi_tt's numerator reads 2 phi before the y part of Lap phi takes its place
-                    np.subtract(span(halo, 2 * P), span(term, P), out=acc)
-                    np.add(acc, span(halo), out=acc)
-                    np.subtract(span(halo, P + 1, P), doubled, out=doubled)
-                    np.add(doubled, span(halo, P - 1, P), out=doubled)
-                    np.divide(doubled, hy**2, out=doubled)
-                    np.add(lap, doubled, out=lap)
-                    np.add(vt[inside], 1.0, out=metric)
-                zmin = float(np.min(metric))
-                if not zmin > 0.0:
-                    raise NumericError(
-                        f"metric degenerated: min(1 + Lap phi) = {zmin:.6e} at "
-                        f"delta = {delta:.3e}; reduce the boundary amplitude or enlarge delta"
-                    )
-                np.divide(total[inside], dt**2, out=phitt)
-                phit = span(term, P, Q)  # with the x and y halo that d_x and d_y read
-                np.subtract(span(halo, 2 * P, Q), span(halo, 0, Q), out=phit)
-                np.divide(phit, 2.0 * dt, out=phit)
-            finally:
-                halo[0] = halo[-1] = 0.0  # the matvec's v is 0 on the end slices
+            pad[:, 1:-1, 1:-1] = phi
+            _reflect(pad)
+            doubled, lap = span(term, P, P), span(vt, P, P)  # over all nt slices
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(span(pad, P, P), 2.0, out=doubled)
+                np.subtract(span(pad, P + Q, P), doubled, out=lap)
+                np.add(lap, span(pad, P - Q, P), out=lap)
+                np.divide(lap, hx**2, out=lap)
+                # phi_tt's numerator reads 2 phi before the y part of Lap phi takes its place
+                np.subtract(span(pad, 2 * P), span(term, P), out=acc)
+                np.add(acc, span(pad), out=acc)
+                np.subtract(span(pad, P + 1, P), doubled, out=doubled)
+                np.add(doubled, span(pad, P - 1, P), out=doubled)
+                np.divide(doubled, hy**2, out=doubled)
+                np.add(lap, doubled, out=lap)
+                np.add(vt[inside], 1.0, out=metric)
+            zmin = float(np.min(metric))
+            if not zmin > 0.0:
+                raise NumericError(
+                    f"metric degenerated: min(1 + Lap phi) = {zmin:.6e} at "
+                    f"delta = {delta:.3e}; reduce the boundary amplitude or enlarge delta"
+                )
+            np.divide(total[inside], dt**2, out=phitt)
+            phit = span(term, P, Q)  # with the x and y halo that d_x and d_y read
+            np.subtract(span(pad, 2 * P, Q), span(pad, 0, Q), out=phit)
+            np.divide(phit, 2.0 * dt, out=phit)
             for grad, offset, h in ((gx, Q, hx), (gy, 1, hy)):
                 np.subtract(span(term, P + offset), span(term, P - offset), out=span(vt, P))
                 np.divide(vt[1:-1][inside], 2.0 * h, out=grad)
@@ -379,29 +380,29 @@ class _Quarter:
         """Residual on the interior slices and the fields the Newton step reuses there,
         (1 + Lap phi, phi_tt, d_x phi_t, d_y phi_t).
 
-        phi is copied once into a halo buffer of all nt slices, whose reflective faces
-        give Lap phi, and whose time difference gives phi_t with the halo that d_x and
-        d_y read. Each difference is one ufunc call over a flat span, like the matvec's
-        terms, and the last operation of each field writes it to its quarter array;
-        each point runs the arithmetic of the strided 3-D stencil in the same order,
-        so the result is the same bit for bit. The result and the fields are the
-        quarter's one set of arrays, which the next call overwrites, whether or not it
-        is refused. NumericError unless the minimum of 1 + Lap phi is
-        positive. Lap phi has mean zero, so a phi near the float range degenerates
-        the metric anyway; its overflow reads as a minimum of -inf or nan and is
-        refused too.
+        phi is copied once into a halo buffer of all nt slices that the residual owns
+        and no matvec reads. Its reflective faces give Lap phi, and its time
+        difference gives phi_t with the halo that d_x and d_y read. Each difference is
+        one ufunc call over a flat span, like the matvec's terms, and the last
+        operation of each field writes it to its quarter array; each point runs the
+        arithmetic of the strided 3-D stencil in the same order, so the result is the
+        same bit for bit. The result and the fields are the quarter's one set of
+        arrays, which the next call overwrites, whether or not it is refused.
+        NumericError unless the minimum of 1 + Lap phi is positive. Lap phi has mean
+        zero, so a phi near the float range degenerates the metric anyway; its
+        overflow reads as a minimum of -inf or nan and is refused too.
         """
         return self._residual(phi, delta)
 
-    def newton_step(self, fields, res):
+    def newton_step(self, fields, res, target):
         """One inexact Newton direction for the interior slices, and its matvec count.
 
         lgmres stops at the relative residual eta = min(ETA_MAX, max(eta0,
         TARGET_SHARE target / |res|_inf)), eta0 = max(min(ETA_MAX, |res|_inf), ETA_MIN):
         loose while the Newton residual res is large and tight near the root, which
         keeps the quadratic convergence of an exact solve for fewer matvecs, but never
-        tighter than the step needs to bring res within a share of self.target, the
-        residual at which solve_geodesic stops (0, no such bound, until it sets one).
+        tighter than the step needs to bring res within a share of target, the residual
+        at which solve_geodesic stops; a target of 0 sets no such bound.
         """
         metric, phitt, gx, gy = fields
         inside = (slice(None), slice(1, -1), slice(1, -1))
@@ -418,7 +419,7 @@ class _Quarter:
         norm = float(np.max(np.abs(res)))
         eta = max(min(ETA_MAX, norm), ETA_MIN)
         if norm > 0.0:
-            eta = min(ETA_MAX, max(eta, TARGET_SHARE * self.target / norm))
+            eta = min(ETA_MAX, max(eta, TARGET_SHARE * target / norm))
         step, info = lgmres(self.op, -res.ravel(), M=self.pc, rtol=eta)
         if info != 0:
             raise NumericError(f"linear solver stalled in the Newton step (info={info})")
@@ -491,8 +492,7 @@ def solve_geodesic(
             target = min(RESIDUAL_SCALE * (1.0 + delta), relative)
             if res_norm < target:
                 break
-            quarter.target = target
-            step, count = quarter.newton_step(fields, res)
+            step, count = quarter.newton_step(fields, res, target)
             steps += 1
             matvecs += count
             # Each candidate's residual overwrites the quarter's one field set. That is all
@@ -556,7 +556,6 @@ def extract_second_jets(sol: GridSolution) -> tuple[np.ndarray, np.ndarray]:
 class CrosscheckReport:
     """sigma_2 constancy of a grid solution against a closed-form path."""
 
-    t: np.ndarray
     a: np.ndarray
     b: np.ndarray
     sigma2: np.ndarray
@@ -594,9 +593,7 @@ def crosscheck_report(sol: GridSolution, epsilon_reference: float | None) -> Cro
     eps_err = None
     if eps_est is not None and epsilon_reference is not None and epsilon_reference > 0:
         eps_err = abs(eps_est - epsilon_reference) / epsilon_reference
-    t = np.linspace(0.0, 1.0, sol.nt)
     return CrosscheckReport(
-        t=t,
         a=a,
         b=b,
         sigma2=sigma2,

@@ -114,20 +114,6 @@ def _check_A(A) -> np.ndarray:
     return A
 
 
-@functools.lru_cache(maxsize=256)
-def _exponents(n: int, parity: Parity, ndim: int) -> tuple[np.ndarray, np.ndarray]:
-    """x and y exponents of the degree-2n basis as columns over `ndim` trailing axes.
-
-    Memoised per (n, parity, ndim) and read-only, like q_matrix.
-    """
-    ex, ey = np.array(PolyBasis(2 * n, parity).monomials).T
-    shape = (-1,) + (1,) * ndim
-    ex, ey = ex.reshape(shape), ey.reshape(shape)
-    ex.setflags(write=False)
-    ey.setflags(write=False)
-    return ex, ey
-
-
 def boost(n: int) -> PolyOperator:
     """Matrix of B = x d_y + y d_x on the full degree-2n basis."""
     basis = PolyBasis(2 * n, Parity.FULL)
@@ -217,8 +203,8 @@ def apply_laplacian(n: int, p: np.ndarray) -> np.ndarray:
     Row i of the result, x^(2n-2-2i) y^(2i), takes d_xx of row i and d_yy of row i+1.
     """
     p = np.asarray(p, dtype=float)
-    j, k = _exponents(n, Parity.EVEN_EVEN, p.ndim - 1)
-    jx, ky = j[:-1], k[1:]
+    ky = np.arange(2, 2 * n + 1, 2).reshape((-1,) + (1,) * (p.ndim - 1))  # y exponents 2..2n
+    jx = ky[::-1]  # x exponents 2n..2 of rows 0..n-1
     return p[:-1] * jx * (jx - 1) + p[1:] * ky * (ky - 1)
 
 

@@ -51,10 +51,11 @@ def encodable(obj):
     Containers are rebuilt around the same leaves: dicts stay dicts, tuples
     become lists, dataclasses the dict of their fields (orjson's own dataclass
     path writes the instance __dict__, memoised properties included), enums
-    their value.  A float64 array of one or more dimensions stays an array;
-    every other array and numpy scalar becomes its list or Python value, where
-    orjson's numpy support would write differently (float32 by its own
-    shortest digits, 0-d arrays not at all).  ValueError on a non-finite number
+    their value.  A float64 array of one or more dimensions stays an array, in
+    the C order that orjson writes (a strided view is copied); every other
+    array and numpy scalar becomes its list or Python value, where orjson's
+    numpy support would write differently (float32 by its own shortest digits,
+    0-d arrays not at all).  ValueError on a non-finite number
     or an int beyond 64 bits, TypeError on a value no report holds.
     """
     if isinstance(obj, float):
@@ -72,6 +73,7 @@ def encodable(obj):
             return encodable(obj.tolist())
         if not np.isfinite(obj).all():
             encodable(float(obj[~np.isfinite(obj)][0]))
+        return np.ascontiguousarray(obj)
     elif isinstance(obj, np.generic):
         return encodable(obj.item())
     elif isinstance(obj, enum.Enum):
@@ -83,14 +85,9 @@ def encodable(obj):
     return obj
 
 
-def _contiguous(obj):
-    """orjson's fallback, reached only by non-contiguous float64 arrays."""
-    return np.ascontiguousarray(obj)
-
-
 def _dumps(obj, last: bool) -> bytes:
     option = _JSON_OPTIONS | orjson.OPT_APPEND_NEWLINE if last else _JSON_OPTIONS
-    return orjson.dumps(obj, default=_contiguous, option=option)
+    return orjson.dumps(obj, option=option)
 
 
 def encode_report(obj) -> Iterator[bytes | memoryview]:

@@ -7,7 +7,8 @@ operators are rebuilt by symbolic differentiation on exact-rational
 bivariate polynomials, linear systems
 are solved by fraction-preserving elimination, and the obstruction of h_3 is
 carried through the whole chain in exact arithmetic (sympy).  The order-2n
-pairing weights come from the Fischer inner product of the exact q_n.  Agreement
+pairing weights come from the Fischer inner product of the exact q_n, and the
+geodesic of a potential in x alone from the Legendre transform of its ends.  Agreement
 between these routines and the package is what the tests assert.
 """
 
@@ -200,6 +201,47 @@ def _geodesic_mp(mpmath, a0, b0, a1, b1, t_nodes):
     ss = [s0 + (s1 - s0) * t for t in ts]
     return [(lam + side * r * mpmath.coth(s), r / mpmath.sinh(s), -(s1 - s0) * mpmath.coth(s) / 2)
             for s in ss]
+
+
+# ---------------------------------------------------------------------------
+# The geodesic of a potential in x alone as the Legendre transform of a straight
+# line (Semmes 1992; Donaldson 1999; Rubinstein and Zelditch 2012): with
+# u_t = x^2/2 + phi(t, x), phi_tt (1 + phi_xx) - phi_tx^2 = 0 is the 2-D homogeneous
+# real Monge-Ampere equation, and u_t* = (1 - t) u_0* + t u_1*.
+# ---------------------------------------------------------------------------
+
+def _sin_powers(terms, s):
+    """phi1(s) = sum c sin(s)^p over terms (c, p), p >= 2, and its first two derivatives."""
+    sin, cos = np.sin(s), np.cos(s)
+    phi1, d1, d2 = (np.zeros_like(s) for _ in range(3))
+    for c, p in terms:
+        phi1 += c * sin**p
+        d1 += c * p * sin ** (p - 1) * cos
+        d2 += c * p * ((p - 1) * sin ** (p - 2) * cos**2 - sin**p)
+    return phi1, d1, d2
+
+
+def legendre_geodesic(terms, t, x):
+    """phi(t, x) of the geodesic from phi0 = 0 to phi1 = sum c sin(x)^p, terms (c, p).
+
+    Each point solves x = s + (1 - t) phi1'(s) for s by scalar Newton from s = x,
+    monotone while 1 + phi1'' > 0. Then p = s + phi1'(s), u1(s) = s^2/2 + phi1(s) and
+    phi = p x - (1 - t) p^2/2 - t (p s - u1(s)) - x^2/2. t and x broadcast.
+    """
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    s = x.copy()
+    for _ in range(50):
+        _, d1, d2 = _sin_powers(terms, s)
+        step = (s + (1.0 - t) * d1 - x) / (1.0 + (1.0 - t) * d2)
+        s = s - step
+        if np.max(np.abs(step)) <= 1e-15 * (1.0 + np.max(np.abs(s))):
+            break
+    else:
+        raise AssertionError("the Legendre inversion did not converge")
+    phi1, d1, _ = _sin_powers(terms, s)
+    p = s + d1
+    u1 = s * s / 2.0 + phi1
+    return p * x - (1.0 - t) * p * p / 2.0 - t * (p * s - u1) - x * x / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -605,9 +605,15 @@ def test_pde_check_saddle_with_artifacts(capsys, tmp_path):
     assert rep["relative_spread"] < 0.1
     assert rep["epsilon_relative_error"] < 0.01
     assert csv.exists()
+    assert "t" not in rep
     lines = (tmp_path / "check.dat").read_text().splitlines()
     assert lines[0] == "# t a b sigma2"
     assert len(lines) == 1 + 17 - 2
+    # the interior nodes j / (nt - 1), j = 1..nt-2, beside the report's jets and sigma_2
+    rows = np.array([[float(v) for v in line.split()] for line in lines[1:]])
+    assert rows[:, 0].tolist() == [j / 16 for j in range(1, 16)]
+    assert rows[:, 1].tolist() == rep["a"][1:-1] and rows[:, 2].tolist() == rep["b"][1:-1]
+    assert rows[:, 3].tolist() == rep["sigma2"]
 
 
 def test_pde_check_solver_block_and_rerun_identical(capsys, tmp_path):

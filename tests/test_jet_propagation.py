@@ -623,7 +623,7 @@ def test_the_frame_keeps_seven_floats_an_order_and_node():
     assert sorted(frame.k1) == list(range(4, 41, 2))
     for order in range(4, 41, 2):
         assert held_floats([store[order] for store in kept]) <= 7 * (order // 2 + 1) * 129
-    tables = [*vars(frame.tables).values(), frame.multiple, frame.resonant, frame.near, *frame.waves]
+    tables = [*vars(frame.tables).values(), frame.multiple, frame.resonant, *frame.waves]
     assert held_floats(tables) <= 8 * (40 // 2 + 2) * 129
 
 

@@ -18,6 +18,8 @@ from torusjets.pde_crosscheck import (
 from torusjets.second_jet import SecondJetBoundary, solve_bvp
 from torusjets.timegrid import make_grid
 
+from _oracles import legendre_geodesic
+
 ZERO = TorusPotential(terms=())
 SADDLE = TorusPotential(terms=((0.02, 2, 0), (-0.02, 0, 2)))
 MIXED = TorusPotential(terms=((0.02, 2, 0), (-0.02, 0, 2), (0.01, 2, 2), (0.005, 4, 0)))
@@ -220,7 +222,7 @@ def capture_operators(monkeypatch, phi, delta):
     monkeypatch.setattr(pde_crosscheck, "lgmres", capture)
     q = grid_of(phi)
     res, fields = q.residual(phi, delta)
-    q.newton_step(fields, res)
+    q.newton_step(fields, res, 0.0)
     return seen["op"], seen["M"]
 
 
@@ -340,9 +342,9 @@ def record_forcing(monkeypatch, rtol=None):
     newton_step, original = pde_crosscheck._Quarter.newton_step, pde_crosscheck.lgmres
     steps = []
 
-    def recording_step(q, fields, res):
+    def recording_step(q, fields, res, target):
         steps.append([float(np.max(np.abs(res)))])
-        return newton_step(q, fields, res)
+        return newton_step(q, fields, res, target)
 
     def recording_lgmres(op, rhs, **kwargs):
         steps[-1].append(kwargs["rtol"])
@@ -447,6 +449,44 @@ def test_small_data_stops_at_the_rounding_floor(c):
     sol = solve_geodesic(pot, 65, 16, 16, [1e-1, 1e-2])
     assert sol.residual_norm < pde_crosscheck.RESIDUAL_SCALE * (1 + 1e-2)
     assert all(steps <= 3 for _, steps, _, _ in sol.per_delta)
+
+
+# --- a potential in one variable against its exact Legendre geodesic --------------
+
+@pytest.mark.parametrize("terms, coarse_tol, fine_tol", [
+    (((0.05, 2),), 3.6e-4, 6.9e-5),  # measured 2.9e-4 and 5.5e-5: 5.3x a doubling
+    (((0.1, 2),), 7.8e-4, 1.9e-4),  # measured 6.2e-4 and 1.5e-4: 4.2x
+    (((0.1, 2), (-0.03, 4)), 8.8e-4, 2.1e-4),  # measured 7.0e-4 and 1.7e-4: 4.2x
+])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_a_potential_in_one_variable_solves_to_its_legendre_geodesic(
+        terms, coarse_tol, fine_tol, axis):
+    # sum c sin^p x solves phi_tt (1 + phi_xx) - phi_tx^2 = 0, whose exact solution is
+    # the Legendre transform of a straight line (_oracles.legendre_geodesic). Relative to
+    # max|phi|, the error falls at the FD scheme's second order; the tolerances are about
+    # 1.25x the measured errors. At delta = 1e-5 the grid error dominates, except for
+    # c = 0.05 on the finer grid, where delta's share has the other sign (7.8e-5 at
+    # delta = 1e-6). The y-only potential runs through the x <-> y mirror, so the y
+    # weights of the stencil are held too. A 1% error in the weight of d_x phi_t fails
+    # every x case
+    errors = []
+    for nt, n in ((33, 32), (65, 64)):
+        if axis == "x":
+            pot, shape = TorusPotential(tuple((c, p, 0) for c, p in terms)), (nt, n, 16)
+        else:
+            pot, shape = TorusPotential(tuple((c, 0, p) for c, p in terms)), (nt, 16, n)
+        sol = solve_geodesic(pot, *shape, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+        phi = sol.phi if axis == "x" else np.swapaxes(sol.phi, 1, 2)
+        xs = -math.pi + 2 * math.pi / n * np.arange(n)
+        exact = legendre_geodesic(terms, np.linspace(0.0, 1.0, nt)[:, None], xs)
+        # the ends hold the data to the rounding of x^2 / 2, which the formula cancels
+        top = sum(c * np.sin(xs) ** p for c, p in terms)
+        ulps = 8 * np.finfo(float).eps
+        assert np.max(np.abs(exact[0])) <= ulps and np.max(np.abs(exact[-1] - top)) <= ulps
+        errors.append(np.max(np.abs(phi - exact[:, :, None])) / np.max(np.abs(exact)))
+    coarse, fine = errors
+    assert coarse <= coarse_tol and fine <= fine_tol
+    assert coarse >= 3.0 * fine
 
 
 # --- the flat-span stencil against the strided one it replaced --------------------
@@ -556,8 +596,8 @@ def test_flat_stencil_solve_matches_the_strided_reference(monkeypatch, pot, shap
     sol = solve_geodesic(pot, *shape, schedule)
     monkeypatch.setattr(pde_crosscheck._Quarter, "residual", lambda q, phi, delta:
                         reference_residual(phi, q.dt, q.hx, q.hy, delta))
-    monkeypatch.setattr(pde_crosscheck._Quarter, "newton_step", lambda q, fields, res:
-                        reference_newton_step(fields, q.dt, q.hx, q.hy, res, q.target))
+    monkeypatch.setattr(pde_crosscheck._Quarter, "newton_step", lambda q, fields, res, target:
+                        reference_newton_step(fields, q.dt, q.hx, q.hy, res, target))
     ref = solve_geodesic(pot, *shape, schedule)
     assert np.array_equal(sol.phi, ref.phi)
     assert sol.per_delta == ref.per_delta
@@ -613,7 +653,7 @@ def jacobian_at(q, phi):
     res, fields = q.residual(phi, 1e-2)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pde_crosscheck, "lgmres", lambda op, rhs, **kwargs: (np.zeros_like(rhs), 0))
-        q.newton_step(fields, res)
+        q.newton_step(fields, res, 0.0)
     return q.op
 
 
@@ -626,8 +666,8 @@ def test_one_field_set_solves_as_the_allocating_residual(monkeypatch, scale):
     newton_step, residual = pde_crosscheck._Quarter.newton_step, pde_crosscheck._Quarter.residual
     refused = []
 
-    def overshoot(q, fields, res):
-        step, count = newton_step(q, fields, res)
+    def overshoot(q, fields, res, target):
+        step, count = newton_step(q, fields, res, target)
         return scale * step, count
 
     def counted(q, phi, delta):
@@ -693,11 +733,11 @@ def test_a_newton_step_after_the_first_allocates_only_its_right_hand_side(monkey
                      for _ in range(2))
     q = grid_of(first)
     res, fields = q.residual(first, 1e-2)
-    q.newton_step(fields, res)
+    q.newton_step(fields, res, 0.0)
     res, fields = q.residual(second, 1e-2)
     tracemalloc.start()
     try:
-        q.newton_step(fields, res)
+        q.newton_step(fields, res, 0.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -706,8 +746,9 @@ def test_a_newton_step_after_the_first_allocates_only_its_right_hand_side(monkey
 
 
 def test_a_solve_peaks_below_two_field_sets():
-    # the residual's one field set takes about 10 bytes a grid point; a solve of the bench
-    # saddle at (33, 48, 48) peaked at 110.3 traced bytes a point with one set, 120.6 with two
+    # the residual's one field set takes about 10 bytes a grid point and its own halo 2.5; a
+    # solve of the bench saddle at (33, 48, 48) peaks at 112.8 traced bytes a point with one
+    # set, and peaked at 120.6 with two sets sharing the matvec's halo
     shape = (33, 48, 48)
     tracemalloc.start()
     try:
@@ -824,7 +865,7 @@ def test_non_finite_operator_is_a_numeric_error():
     res, (metric, phitt, gx, gy) = q.residual(phi, 1e-2)
     phitt[2, 3, 4] = np.nan
     with pytest.raises(NumericError, match="linear solver"):
-        q.newton_step((metric, phitt, gx, gy), res)
+        q.newton_step((metric, phitt, gx, gy), res, 0.0)
 
 
 def test_newton_step_on_the_largest_grid_holds_no_time_by_time_matrix(monkeypatch):
@@ -843,7 +884,7 @@ def test_newton_step_on_the_largest_grid_holds_no_time_by_time_matrix(monkeypatc
     try:
         q = pde_crosscheck._Quarter(nt, nx, ny)
         res, fields = q.residual(phi, 1e-2)
-        q.newton_step(fields, res)
+        q.newton_step(fields, res, 0.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
