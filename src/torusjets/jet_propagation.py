@@ -197,7 +197,7 @@ class JetHierarchy:
     orders[2n] is a read-only (n + 1, N) matrix whose row i holds the x^(2n-2i) y^(2i)
     coefficient over the nodes.
     What the nodes give every order is formed once per propagation, in rows m = 0..top
-    for the orders up to two above its top, which compatibility_check may reach:
+    for the orders up to two above its top, the one compatibility_check answers:
     poly_ops' `tables`, mu = 4 eps m classified by _classify, and `waves`, c, s and mu^2.
     Each stored order keeps L', and for K1 an (n + 1, 3, N) block `factors` whose row r
     is [L'', d_x L', d_y L'] of monomial r, and the (n + 1, N) rows -Lap L, zero-padded in
@@ -463,18 +463,17 @@ def _compatibility(hier: JetHierarchy, order: int, p0, p1, warnings) -> Obstruct
 
 
 def compatibility_check(
-    phi0_order_jets, phi1_order_jets, lower: JetHierarchy, order: int | None = None
+    phi0_order_jets, phi1_order_jets, lower: JetHierarchy
 ) -> ObstructionReport:
-    """Obstruction data for the resonant order sitting above `lower`.
+    """Obstruction data for the order two above the top order of `lower`.
 
-    `order` defaults to, and may be at most, two above the top order of `lower`,
-    and its top mode must be resonant; ValueError otherwise.  As in propagate, a
-    K1 source that is not finite raises NumericError.
+    That is the one order the check can answer: propagate stops at the first order
+    with a resonant mode, so no stored order resonates, and K1 of any higher order
+    reads an order `lower` lacks.  Its top mode must be resonant; ValueError
+    otherwise.  As in propagate, a K1 source that is not finite raises NumericError.
     """
-    if order is None:
-        order = max(lower.orders) + 2
+    order = max(lower.orders) + 2
     n = order // 2
-    lower._require_reach(order)
     p0, p1 = np.asarray(phi0_order_jets, dtype=float), np.asarray(phi1_order_jets, dtype=float)
     if p0.shape != (n + 1,) or p1.shape != (n + 1,):
         raise ValueError(f"order-{order} jets need {n + 1} coefficients")

@@ -24,10 +24,11 @@ Each Newton step is solved by restarted GMRES in numpy (lgmres below),
 right-preconditioned by the time part of the Jacobian with its pointwise
 metric, so the package imports no scipy. Its Arnoldi process projects each
 Krylov vector once, and a second time only where the first projection
-cancelled all but REORTH of its norm. Newton stops at a residual target that
-scales with the size of the boundary data (see solve_geodesic); every delta
-starts from the fields of the last accepted iterate, the linear start's for the
-first, so only the constant delta in the residual changes.
+cancelled all but REORTH of its norm. Newton stops at a residual target
+relative to the size of the boundary data, never below the rounding of the
+residual (see solve_geodesic); every delta starts from the fields of the last
+accepted iterate, the linear start's for the first, so only the constant delta
+in the residual changes.
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ from .report_io import write_file
 
 MAX_NEWTON_ITERS = 40
 MAX_HALVINGS = 12
-# The Newton target (see solve_geodesic). At RELATIVE_TARGET = 5e-8 the saddle
+# The Newton target max(RELATIVE_TARGET S, TARGET_FLOOR_ULPS eps max|phi| / dt^2), S the
+# size of the data (see solve_geodesic). At RELATIVE_TARGET = 5e-8 the saddle
 # c sin^2 x - c sin^2 y on (17, 16, 16), delta = 1e-1, 1e-2, reads the sigma_2 spread
 # 0.0332001 for c = 1e-7 to 1e-4, and the bench saddle (c = 0.1) keeps its 9 Newton
 # steps. The rounding of F at the exact discrete solution of the zero boundary is
 # 0.8 to 2.2 times eps max|phi| / dt^2 for nt = 9 to 4096; TARGET_FLOOR_ULPS = 8 keeps
 # the target above it.
-RESIDUAL_SCALE = 1e-9
 RELATIVE_TARGET = 5e-8
 TARGET_FLOOR_ULPS = 8.0
 # Forcing-term bounds of the inexact Newton step (see _Quarter.newton_step). A step's
@@ -74,13 +75,13 @@ MAX_MATVECS = 400
 REORTH = 1e-2
 # The preconditioner applies its Green matrix in dense blocks of at most this many slices.
 GREEN_BLOCK = 32
-# A solve of the bench saddle (delta 1e-1 to 1e-3) peaks at 109.5, 150.5 and 96.5 traced bytes a
+# A solve of the bench saddle (delta 1e-1 to 1e-3) peaks at 109.6, 150.5 and 96.5 traced bytes a
 # grid point at 33 x 64 x 64, 4096 x 16 x 16 and 16 x 256 x 256, so about 150 MiB here; the
 # residual's one set of quarter fields takes about 10 bytes and its own halo 2 to 4. (At 4096 x 16
-# x 16 the line search refuses delta = 1e-3; the solve to 1e-2 reaches the same peak.) About half
-# of each peak is the GMRES basis, whose RESTART + 1 rows lgmres allocates at each call, while no
-# Newton step of the bench saddle takes more than 13 matvecs: most rows are never written, so RSS
-# sees less than the traced peak. A basis allocated once per solve would add an lgmres argument.
+# x 16 the last delta stops at the target's rounding floor, 2.98e-9.) About half of each peak is
+# the GMRES basis, whose RESTART + 1 rows lgmres allocates at each call, while no Newton step of
+# the bench saddle takes more than 13 matvecs: most rows are never written, so RSS sees less than
+# the traced peak. A basis allocated once per solve would add an lgmres argument.
 MAX_GRID_POINTS = 2**20
 
 
@@ -93,7 +94,7 @@ class LinearOperator:
         self.dtype = np.dtype(dtype)
 
 
-def lgmres(A, b, M=None, rtol=1e-5):
+def lgmres(A, b, M, rtol):
     """Right-preconditioned restarted GMRES from x = 0: (x, info) with A M y = b, x = M y.
 
     GMRES(RESTART) of Saad and Schultz (SIAM J. Sci. Stat. Comput. 7, 1986), with
@@ -103,12 +104,11 @@ def lgmres(A, b, M=None, rtol=1e-5):
     whatever A.matvec returns is copied and never written to. The Arnoldi
     relation A M V_k = V_k+1 H holds to rounding however orthogonal V is, so the
     true residual exceeds the Arnoldi one by at most the largest singular value
-    of V_k+1, which stays near 1. A and M are any operators with a matvec, the
-    identity when M is None. It stops once the Arnoldi residual is
-    at most rtol |b|, with info = 0. When it cannot, info > 0 is the number of
-    matvecs spent (at least 1): MAX_MATVECS matvecs of A went by, a product was
-    not finite, or the Krylov space closed short of the tolerance (A M singular
-    on it).
+    of V_k+1, which stays near 1. A and M are any operators with a matvec. It
+    stops once the Arnoldi residual is at most rtol |b|, with info = 0. When it
+    cannot, info > 0 is the number of matvecs spent (at least 1): MAX_MATVECS
+    matvecs of A went by, a product was not finite, or the Krylov space closed
+    short of the tolerance (A M singular on it).
 
     The name is the one scipy's solver had here, and it must stay a module
     global that _Quarter.newton_step looks up at each call: bench/tracing.py
@@ -116,7 +116,7 @@ def lgmres(A, b, M=None, rtol=1e-5):
     and tests replace it by setattr on this module. A name bound inside the
     quarter would bypass both.
     """
-    precond = (lambda v: v) if M is None else M.matvec
+    precond = M.matvec
     x = np.zeros(b.shape[0])
     basis = np.empty((RESTART + 1, b.shape[0]))  # each cycle overwrites the rows it reads
     matvecs = 0
@@ -185,7 +185,8 @@ class GridSolution:
     schedule: Newton steps, Krylov matvecs, line-search halvings and min(1 +
     Lap phi) of the result over its interior slices, the ones the solve moves;
     per_delta holds the first three for each delta. newton_target is the bound
-    below which the last delta's residual_norm was brought (see solve_geodesic).
+    below which the last delta's residual_norm was brought, relative to the data
+    and never below the rounding of the residual (see solve_geodesic).
     """
 
     nt: int
@@ -397,12 +398,14 @@ class _Quarter:
     def newton_step(self, fields, res, target):
         """One inexact Newton direction for the interior slices, and its matvec count.
 
-        lgmres stops at the relative residual eta = min(ETA_MAX, max(eta0,
-        TARGET_SHARE target / |res|_inf)), eta0 = max(min(ETA_MAX, |res|_inf), ETA_MIN):
-        loose while the Newton residual res is large and tight near the root, which
-        keeps the quadratic convergence of an exact solve for fewer matvecs, but never
-        tighter than the step needs to bring res within a share of target, the residual
-        at which solve_geodesic stops; a target of 0 sets no such bound.
+        lgmres stops at the relative residual eta = min(ETA_MAX, max(|res|_inf, ETA_MIN,
+        TARGET_SHARE target / |res|_inf)): loose while the Newton residual res is large
+        and tight near the root, which keeps the quadratic convergence of an exact solve
+        for fewer matvecs, but never tighter than the step needs to bring res within a
+        share of target, the residual at which solve_geodesic stops; a target of 0 sets
+        no such bound. res is never zero: solve_geodesic steps only while |res|_inf is at
+        least its target, which is positive unless the data and phi vanish, where res is
+        -delta.
         """
         metric, phitt, gx, gy = fields
         inside = (slice(None), slice(1, -1), slice(1, -1))
@@ -417,9 +420,7 @@ class _Quarter:
         np.divide(gy, -2.0 * self.dt * self.hy, out=self.cy[inside])
         self._state.update(matvecs=0, metric=metric.reshape(metric.shape[0], -1))
         norm = float(np.max(np.abs(res)))
-        eta = max(min(ETA_MAX, norm), ETA_MIN)
-        if norm > 0.0:
-            eta = min(ETA_MAX, max(eta, TARGET_SHARE * target / norm))
+        eta = min(ETA_MAX, max(norm, ETA_MIN, TARGET_SHARE * target / norm))
         step, info = lgmres(self.op, -res.ravel(), M=self.pc, rtol=eta)
         if info != 0:
             raise NumericError(f"linear solver stalled in the Newton step (info={info})")
@@ -432,14 +433,12 @@ def solve_geodesic(
     """Continuation solve of the regularized equation from Phi=0 to phi1.
 
     Each delta stops once the max-norm of the residual F falls below
-    min(RESIDUAL_SCALE (1 + delta), max(RELATIVE_TARGET S, TARGET_FLOOR_ULPS eps
-    max|phi| / dt^2)). S = max|grad phi_t|^2 of the linear start, where phi_tt = 0,
-    is the size of the data's part of F, so small data are solved to the same
-    relative accuracy as large ones. The second term never lets the target fall
-    below the rounding of F at the iterate phi, and the first never lets it
-    rise above the absolute target RESIDUAL_SCALE (1 + delta). Each Newton step
-    is told the target (_Quarter.newton_step), so its linear solve stops once it
-    has done what the target needs.
+    max(RELATIVE_TARGET S, TARGET_FLOOR_ULPS eps max|phi| / dt^2). S = max|grad
+    phi_t|^2 of the linear start, where phi_tt = 0, is the size of the data's part
+    of F, so small data are solved to the same relative accuracy as large ones. The
+    second term never lets the target fall below the rounding of F at the iterate
+    phi. Each Newton step is told the target (_Quarter.newton_step), so its linear
+    solve stops once it has done what the target needs.
 
     A step s is damped to the first alpha = 1, 1/2, 1/4, ... with |F(phi + alpha
     s)|_inf <= (1 - SUFFICIENT_DECREASE alpha) |F(phi)|_inf. F is quadratic in phi,
@@ -487,9 +486,7 @@ def solve_geodesic(
         steps = matvecs = halvings = 0
         for _ in range(MAX_NEWTON_ITERS):
             floor = TARGET_FLOOR_ULPS * np.finfo(float).eps * float(np.max(np.abs(phi)))
-            floor /= quarter.dt**2
-            relative = max(RELATIVE_TARGET * data_size, floor)
-            target = min(RESIDUAL_SCALE * (1.0 + delta), relative)
+            target = max(RELATIVE_TARGET * data_size, floor / quarter.dt**2)
             if res_norm < target:
                 break
             step, count = quarter.newton_step(fields, res, target)
@@ -606,16 +603,14 @@ def crosscheck_report(sol: GridSolution, epsilon_reference: float | None) -> Cro
     )
 
 
-def dump_phi_csv(sol: GridSolution, path, t_indices=None) -> None:
-    """Row-major CSV dump of phi slices with a grid-metadata header."""
-    if t_indices is None:
-        t_indices = range(sol.nt)
+def dump_phi_csv(sol: GridSolution, path) -> None:
+    """Row-major CSV dump of every phi slice with a grid-metadata header."""
     points = [f"{jx},{ky}," for jx in range(sol.nx) for ky in range(sol.ny)]
     parts = [
         f"# nt={sol.nt} nx={sol.nx} ny={sol.ny} delta={sol.delta!r}\n",
         "# columns: t_index,x_index,y_index,phi\n",
     ]
-    for it in t_indices:
+    for it in range(sol.nt):
         lead = f"{it},"
         # tolist gives Python floats, whose repr is that of float(phi[it, jx, ky])
         parts.append("".join(

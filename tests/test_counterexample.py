@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from collections import Counter
@@ -332,17 +333,17 @@ def test_a_compatible_top_datum_reads_satisfied(n):
     jets = jets_at_origin(build_h(n), 2 * n)
     lower = propagate({2: np.zeros(2)}, jets, 2 * n - 2, GRID)
     zero = np.zeros(n + 1)
-    rep = compatibility_check(zero, jets[2 * n], lower, order=2 * n)
+    rep = compatibility_check(zero, jets[2 * n], lower)
     # with p0 = 0 the pairing is lhs = -(-1)^m sum_i v_i p1_i; move one p1 entry to lhs = K
     weights = -((-1.0) ** rep.multiple) * rep.v
     kappa = int(np.argmax(np.abs(weights)))
     p1 = jets[2 * n].copy()
     p1[kappa] += (rep.K - rep.lhs) / weights[kappa]
-    held = compatibility_check(zero, p1, lower, order=2 * n)
+    held = compatibility_check(zero, p1, lower)
     assert held.K == rep.K and held.satisfied
     scale = math.fsum(np.abs(weights * p1)) + abs(held.K)
     p1[kappa] += 1e-6 * scale / weights[kappa]
-    moved = compatibility_check(zero, p1, lower, order=2 * n)
+    moved = compatibility_check(zero, p1, lower)
     assert moved.residual > 0.5e-6 * scale and not moved.satisfied
 
 
@@ -489,4 +490,19 @@ def test_every_demo_guard_still_fires(monkeypatch, n, patch, error, message):
     module = jet_propagation if name in ("COMPAT_TOL", "d_weights") else counterexample
     monkeypatch.setattr(module, name, value)
     with pytest.raises(error, match=message):
+        obstruction_demo(n, GRID)
+
+
+def test_epsilon_is_held_to_pi_over_4n_relatively(monkeypatch):
+    # at n = 40, pi/(4n) is about 2e-2, so a shift of 1e-9 of it is 2e-11: inside an
+    # absolute 1e-10, but ten times the relative EPSILON_TOL
+    n = 40
+    check = counterexample.compatibility_check
+
+    def shifted(*args):
+        rep = check(*args)
+        return dataclasses.replace(rep, epsilon=rep.epsilon * (1.0 + 1e-9))
+
+    monkeypatch.setattr(counterexample, "compatibility_check", shifted)
+    with pytest.raises(ConsistencyError, match="deviates from pi/"):
         obstruction_demo(n, GRID)
